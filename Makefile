@@ -3,10 +3,12 @@
 # concurrency, and hot-path analyzers under internal/analysis), build,
 # the full test suite under the race detector (the parallel engine's
 # and the job queue's safety net), one pass over every benchmark so
-# the bench targets cannot rot, a 10-iteration smoke over the lane /
-# CSR / adaptive-inference benchmarks (enough iterations to catch a
+# the bench targets cannot rot, a 10-iteration smoke over the lane and
+# adaptive-inference benchmarks (enough iterations to catch a
 # perf-structure regression that a single pass hides, cheap enough for
-# every run), a short fuzz smoke over the
+# every run), vet and the short self-tests of the perfbench module (its
+# own go.mod, so `go build ./...` here never compiles it and an API
+# change that breaks it would otherwise pass), a short fuzz smoke over the
 # untrusted-input decoders (CSV rows, JSON schema specs), and the
 # serve-restart smoke (boot, ingest, kill, reboot, verify
 # byte-identical disk recovery with zero pipeline runs), the
@@ -17,9 +19,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet lint build test race bench bench-json bench-smoke fuzz cover serve loadgen restart-smoke obs-smoke cost-smoke
+.PHONY: ci fmt vet lint build test race bench bench-json bench-smoke perfbench-check fuzz cover serve loadgen restart-smoke obs-smoke cost-smoke
 
-ci: fmt vet lint build race bench bench-smoke fuzz restart-smoke obs-smoke cost-smoke
+ci: fmt vet lint build race bench bench-smoke perfbench-check fuzz restart-smoke obs-smoke cost-smoke
 
 # gofmt -l as a check: fails listing any file that needs formatting.
 fmt:
@@ -53,10 +55,16 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 
 # Focused 10-iteration pass over the hot-path kernels this repo's perf
-# claims rest on: the lane-shaped prior pass (f64 + f32), the CSR
-# sparse pair-weight stream, and the adaptive-inference attack.
+# claims rest on: the lane-shaped prior pass and the adaptive-inference
+# attack.
 bench-smoke:
-	$(GO) test -run '^$$' -bench '(PriorsLanes|PriorsCSR|AttackAdaptive)' -benchtime=10x .
+	$(GO) test -run '^$$' -bench '(PriorsLanes|AttackAdaptive)' -benchtime=10x .
+
+# The repository benchmark (perfbench/, run by `bash perfbench/run.sh`)
+# is a module of its own: vet it and run its short self-tests so an API
+# removal it depends on fails here rather than at benchmark time.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Record the benchmark suite as BENCH JSON (name → ns/op, B/op,
 # allocs/op, plus deltas against BENCH_BASELINE when set):

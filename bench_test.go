@@ -290,8 +290,9 @@ func fmtBW(b float64) string {
 }
 
 // BenchmarkAttackSweep compares serving an 8-point b' grid through one
-// AttackSweep against 8 independent Attack calls — the amortization
-// the bprimes request form and the experiment sweeps ride on. Each
+// AttackSweep against 8 independent Attack calls. Both run one prior
+// pass per bandwidth, so the sweep amortizes only the group decode and
+// the single parallel dispatch over every (bandwidth, class) pair. Each
 // iteration starts from a cold prior cache (fresh engine, built with
 // the timer stopped), which is exactly the position a server is in
 // when a client sweeps bandwidths it has not seen; both variants run
@@ -478,20 +479,19 @@ func BenchmarkMondrian(b *testing.B) { benchMondrian(b, -1) }
 // BenchmarkMondrianParallel partitions subtrees on all cores.
 func BenchmarkMondrianParallel(b *testing.B) { benchMondrian(b, 0) }
 
-// benchPriorsLanes isolates the lane-shaped single-bandwidth pass at
-// the BenchmarkBreachTest shape — n=2000, b'=0.4, sequential — which
-// is the prior pass a breach-test attack triggers cold. ns/op here is
-// the direct kernel-level measure of the lane restructuring
+// BenchmarkPriorsLanes isolates the lane-shaped prior pass at the
+// BenchmarkBreachTest shape — n=2000, b'=0.4, sequential — which is the
+// prior pass a breach-test attack triggers cold. ns/op here is the
+// direct kernel-level measure of the lane restructuring
 // (BenchmarkBreachTest itself warms priors before its timer, so the
 // kernel cost only shows up in this benchmark).
-func benchPriorsLanes(b *testing.B, precision kernel.Precision) {
+func BenchmarkPriorsLanes(b *testing.B) {
 	table := adult.Generate(2000, 42)
 	est, err := kernel.NewEstimator(table, adult.Hierarchies(), kernel.Epanechnikov{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	est.Workers = -1
-	est.Precision = precision
 	bvec := kernel.UniformBandwidth(table.Schema.D(), 0.4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -499,46 +499,6 @@ func benchPriorsLanes(b *testing.B, precision kernel.Precision) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkPriorsLanesF64 is the default bit-exact float64 lane pass.
-func BenchmarkPriorsLanesF64(b *testing.B) { benchPriorsLanes(b, kernel.F64) }
-
-// BenchmarkPriorsLanesF32 is the opt-in float32 lane accumulation
-// (float64 reductions) — the -kernel-f32 serving configuration.
-func BenchmarkPriorsLanesF32(b *testing.B) { benchPriorsLanes(b, kernel.F32) }
-
-// BenchmarkPriorsCSR demonstrates the sparse crossover: at b'=0.05 the
-// measured pair density falls below the CSR gate and the streaming
-// CSR layout beats the same pass forced through the lane/candidate
-// layout (sparse vs sparse-no-csr); at b'=0.5 the gate correctly stays
-// off (dense). Each sub-benchmark warms one pass before the timer so
-// CSR variants measure the steady-state stream, not the one-off build.
-func BenchmarkPriorsCSR(b *testing.B) {
-	run := func(name string, bw float64, disable bool) {
-		b.Run(name, func(b *testing.B) {
-			table := adult.Generate(2000, 42)
-			est, err := kernel.NewEstimator(table, adult.Hierarchies(), kernel.Epanechnikov{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			est.Workers = -1
-			est.DisableCSR = disable
-			bvec := kernel.UniformBandwidth(table.Schema.D(), bw)
-			if _, err := est.ProfilePriors(bvec); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := est.ProfilePriors(bvec); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	run("sparse", 0.05, false)
-	run("sparse-no-csr", 0.05, true)
-	run("dense", 0.5, false)
 }
 
 // BenchmarkAttackAdaptive measures a full attack pass under the

@@ -20,8 +20,8 @@
 //
 // -sweep switches the attack and risk scenarios to the bprimes form:
 // each request carries the whole b' grid and the server evaluates it
-// in one amortized pass (one fused kernel sweep instead of one prior
-// pass per bandwidth); the report's sweeps line shows the achieved
+// in one request (one inference dispatch over the grid, one prior pass
+// per uncached bandwidth); the report's sweeps line shows the achieved
 // points-per-request amortization.
 //
 // -inference mixes posterior-inference method overrides into the
@@ -243,7 +243,7 @@ func main() {
 	bprimes := []float64{0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5}
 	// -sweep: every attack/risk request carries the whole grid in the
 	// bprimes form, so one request amortizes len(bprimes) evaluations
-	// over a single fused kernel pass (the server's sweeps ledger
+	// over a single inference dispatch (the server's sweeps ledger
 	// reports the achieved points/request).
 	sweepBody := func(rel, inf string) string {
 		parts := make([]string, len(bprimes))

@@ -1,11 +1,11 @@
 package fixture
 
-// This file models the CSR pair-weight build (internal/kernel/csr.go):
-// a probe pass over per-row candidate lists that appends surviving
-// (column, value) pairs into row-pointer/column-index/value arrays.
-// The real build presizes all three arrays to the measured candidate
-// total, which is exactly the shape hotalloc accepts; the grow-as-you-
-// go variant is the regression the fixture pins.
+// This file models a compressed-sparse-row pair-weight build: a probe
+// pass over per-row candidate lists that appends surviving (column,
+// value) pairs into row-pointer/column-index/value arrays. Presizing
+// all three arrays to the measured candidate total is exactly the
+// shape hotalloc accepts; the grow-as-you-go variant is the regression
+// the fixture pins.
 
 // csrPrealloc builds the layout against a known candidate total:
 // conforming — every append lands in presized capacity.

@@ -219,59 +219,6 @@ func (e *Engine) UniformPriors(b float64) ([]prob.Dist, error) {
 	return e.Priors(kernel.UniformBandwidth(e.Table.Schema.D(), b))
 }
 
-// PriorsBatch returns the per-record priors for a whole bandwidth
-// grid, computing every cache-missing bandwidth in one fused estimator
-// pass (kernel.Estimator.PriorsBatch) instead of one pass per
-// bandwidth. Results land in the same per-bandwidth cache Priors uses,
-// and out[i] is bit-identical to Priors(bvecs[i]).
-func (e *Engine) PriorsBatch(bvecs [][]float64) ([][]prob.Dist, error) {
-	return e.priorsBatchSpan(nil, bvecs)
-}
-
-// priorsBatchSpan is PriorsBatch with a recorder (see priorsSpan).
-func (e *Engine) priorsBatchSpan(sp *obs.Span, bvecs [][]float64) ([][]prob.Dist, error) {
-	entries := make([]*priorEntry, len(bvecs))
-	var missing []int
-	e.mu.Lock()
-	for i, b := range bvecs {
-		key := kernel.BandwidthKey(b)
-		entry, ok := e.priors[key]
-		if !ok {
-			entry = &priorEntry{}
-			e.priors[key] = entry
-			missing = append(missing, i)
-		}
-		entries[i] = entry
-	}
-	e.mu.Unlock()
-	if len(missing) > 0 {
-		grid := make([][]float64, len(missing))
-		for j, i := range missing {
-			grid[j] = bvecs[i]
-		}
-		batch, err := e.Estimator.PriorsBatchSpan(sp, grid)
-		if err != nil {
-			return nil, err
-		}
-		for j, i := range missing {
-			entry, priors := entries[i], batch[j]
-			entry.once.Do(func() { entry.priors = priors })
-		}
-	}
-	out := make([][]prob.Dist, len(bvecs))
-	for i, entry := range entries {
-		// Entries that were already resident (or racing) resolve
-		// through the same singleflight slot Priors uses.
-		b := bvecs[i]
-		entry.once.Do(func() { entry.priors, entry.err = e.Estimator.PriorsSpan(sp, b) })
-		if entry.err != nil {
-			return nil, entry.err
-		}
-		out[i] = entry.priors
-	}
-	return out, nil
-}
-
 // Requirement builds the composed requirement (model ∧ K-anonymity)
 // for a parameter set, as the evaluation enforces (§V).
 func (e *Engine) Requirement(m Model, p Params) (privacy.Requirement, error) {
@@ -412,20 +359,14 @@ func (e *Engine) RunAlgorithm(algo, model string, p Params) (res *anonymize.Resu
 	return e.runAlgorithm(nil, nil, algo, model, p)
 }
 
-// RunAlgorithmContext is RunAlgorithm under a traced request: the
-// pipeline's stages (prior passes, partitioning, anatomy, incognito
-// search) are recorded as children of the context's span. A context
-// without a span — or a plain context.Background() — runs identically
-// with zero recording overhead.
-func (e *Engine) RunAlgorithmContext(ctx context.Context, algo, model string, p Params) (res *anonymize.Result, levels []int, err error) {
-	return e.runAlgorithm(obs.SpanFromContext(ctx), nil, algo, model, p)
-}
-
-// RunAlgorithmWith is RunAlgorithmContext with a per-release inference
-// method for the (B,t) breach checks the pipeline runs (nil = engine
-// default). Exact is rejected at the request layer for releases —
-// Mondrian's initial group is the whole table, far past any exact
-// bound — so only Ω and adaptive reach here.
+// RunAlgorithmWith is RunAlgorithm under a traced request, with a
+// per-release inference method for the (B,t) breach checks the
+// pipeline runs (nil = engine default). The pipeline's stages (prior
+// passes, partitioning, anatomy, incognito search) are recorded as
+// children of the context's span; a context without one runs
+// identically with zero recording overhead. Exact is rejected at the
+// request layer for releases — Mondrian's initial group is the whole
+// table, far past any exact bound — so only Ω and adaptive reach here.
 func (e *Engine) RunAlgorithmWith(ctx context.Context, m inference.Method, algo, model string, p Params) (res *anonymize.Result, levels []int, err error) {
 	return e.runAlgorithm(obs.SpanFromContext(ctx), m, algo, model, p)
 }
@@ -549,17 +490,12 @@ func (e *Engine) Attack(res *anonymize.Result, bvec []float64, t float64, breach
 	return e.attackSpan(nil, nil, res, bvec, t, breach)
 }
 
-// AttackContext is Attack under a traced request: the prior pass and
-// the inference fan-out land as stage spans on the context's span.
-func (e *Engine) AttackContext(ctx context.Context, res *anonymize.Result, bvec []float64, t float64, breach Breach) (*AttackReport, error) {
-	return e.attackSpan(obs.SpanFromContext(ctx), nil, res, bvec, t, breach)
-}
-
-// AttackWith is AttackContext with a per-call inference method — the
-// request-level override the serving layer threads through. A nil
-// method uses the engine's default. Exact refuses oversized groups
-// with inference.ErrTooLarge (first failing group in group order)
-// instead of degrading silently.
+// AttackWith is Attack under a traced request — the prior pass and the
+// inference fan-out land as stage spans on the context's span — with a
+// per-call inference method, the request-level override the serving
+// layer threads through. A nil method uses the engine's default. Exact
+// refuses oversized groups with inference.ErrTooLarge (first failing
+// group in group order) instead of degrading silently.
 func (e *Engine) AttackWith(ctx context.Context, m inference.Method, res *anonymize.Result, bvec []float64, t float64, breach Breach) (*AttackReport, error) {
 	return e.attackSpan(obs.SpanFromContext(ctx), m, res, bvec, t, breach)
 }
@@ -678,25 +614,19 @@ func (e *Engine) reduceAttack(res *anonymize.Result, perGroup []groupAttack) (*A
 }
 
 // AttackSweep runs Attack for a whole grid of adversary bandwidths
-// against one release, amortizing everything that does not depend on
-// the bandwidth: the priors for all cache-missing bandwidths come from
-// one fused estimator pass, the breach criterion and group decode are
-// hoisted out of the loop, and a single parallel dispatch covers every
-// (bandwidth, class) pair instead of one fan-out per bandwidth.
+// against one release. Each bandwidth's priors come through the same
+// cache slot Priors uses; the sweep amortizes the group decode, hoisted
+// out of the loop, and dispatches every (bandwidth, class) pair in one
+// parallel fan-out instead of one per bandwidth.
 // out[i] is bit-identical to Attack(res, bvecs[i], t, breach) at any
 // worker count.
 func (e *Engine) AttackSweep(res *anonymize.Result, bvecs [][]float64, t float64, breach Breach) ([]*AttackReport, error) {
 	return e.attackSweepSpan(nil, nil, res, bvecs, t, breach)
 }
 
-// AttackSweepContext is AttackSweep under a traced request (see
-// AttackContext); one inference span covers the whole fused dispatch.
-func (e *Engine) AttackSweepContext(ctx context.Context, res *anonymize.Result, bvecs [][]float64, t float64, breach Breach) ([]*AttackReport, error) {
-	return e.attackSweepSpan(obs.SpanFromContext(ctx), nil, res, bvecs, t, breach)
-}
-
-// AttackSweepWith is AttackSweepContext with a per-call inference
-// method (see AttackWith); a nil method uses the engine's default.
+// AttackSweepWith is AttackSweep under a traced request, with a
+// per-call inference method (see AttackWith); a nil method uses the
+// engine's default. One inference span covers the whole dispatch.
 func (e *Engine) AttackSweepWith(ctx context.Context, m inference.Method, res *anonymize.Result, bvecs [][]float64, t float64, breach Breach) ([]*AttackReport, error) {
 	return e.attackSweepSpan(obs.SpanFromContext(ctx), m, res, bvecs, t, breach)
 }
@@ -708,9 +638,13 @@ func (e *Engine) attackSweepSpan(sp *obs.Span, m inference.Method, res *anonymiz
 		return nil, nil
 	}
 	method := e.methodOr(m)
-	priorsByB, err := e.priorsBatchSpan(sp, bvecs)
-	if err != nil {
-		return nil, err
+	priorsByB := make([][]prob.Dist, len(bvecs))
+	for i, b := range bvecs {
+		priors, err := e.priorsSpan(sp, b)
+		if err != nil {
+			return nil, err
+		}
+		priorsByB[i] = priors
 	}
 	nb, ng := len(bvecs), len(res.Groups)
 	// The sensitive multisets are bandwidth-invariant: decode each
@@ -731,11 +665,12 @@ func (e *Engine) attackSweepSpan(sp *obs.Span, m inference.Method, res *anonymiz
 	})
 	reports := make([]*AttackReport, nb)
 	for bi := range reports {
-		reports[bi], err = e.reduceAttack(res, perGroup[bi*ng:(bi+1)*ng])
+		rep, err := e.reduceAttack(res, perGroup[bi*ng:(bi+1)*ng])
 		if err != nil {
 			isp.End()
 			return nil, err
 		}
+		reports[bi] = rep
 	}
 	isp.End()
 	return reports, nil

@@ -72,7 +72,7 @@ func TestAttackSweepMatchesIndependentAttacks(t *testing.T) {
 
 // TestAttackSweepWarmCache checks a sweep over bandwidths the engine
 // has already cached (plus fresh ones) still matches — the cache-hit
-// and batch-computed halves of PriorsBatch must agree.
+// and freshly computed bandwidths must agree.
 func TestAttackSweepWarmCache(t *testing.T) {
 	table := adult.Generate(300, 9)
 	p := Table5()[0]
@@ -132,31 +132,6 @@ func TestWorstCaseRiskSweep(t *testing.T) {
 		}
 		if got[i] != want {
 			t.Fatalf("bandwidth %d: sweep risk %v != single %v", i, got[i], want)
-		}
-	}
-}
-
-// TestPriorsBatchSharesCache checks PriorsBatch populates the same
-// cache Priors reads: a following single call must return the
-// identical slices without recomputing.
-func TestPriorsBatchSharesCache(t *testing.T) {
-	table := adult.Generate(200, 3)
-	e, err := New(table, adult.Hierarchies(), nil, nil, WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid := sweepGrid(table.Schema.D())
-	batch, err := e.PriorsBatch(grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, bvec := range grid {
-		single, err := e.Priors(bvec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if &single[0][0] != &batch[i][0][0] {
-			t.Fatalf("bandwidth %d: Priors recomputed instead of hitting the batch-filled cache", i)
 		}
 	}
 }

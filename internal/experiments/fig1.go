@@ -59,9 +59,8 @@ func (r *Runner) bprimeVecs() [][]float64 {
 // gain exceeds the release's t threshold.
 //
 // Each model's release is attacked by the whole b' grid through one
-// AttackSweep — the priors for the grid come from a single fused
-// kernel pass instead of one pass per b' — and models fan out on the
-// pool. Cell values are bit-identical to per-b' Attack calls (the
+// AttackSweep — one inference dispatch for the whole grid instead of
+// one per b' — and models fan out on the pool. Cell values are bit-identical to per-b' Attack calls (the
 // sweep's determinism guarantee).
 func (r *Runner) Fig1a() (*Report, error) {
 	p := core.Table5()[0]

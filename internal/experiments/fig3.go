@@ -30,8 +30,8 @@ func (r *Runner) Fig3a() (*Report, error) {
 	}
 	// Every sweep point anonymizes its own table, so this is the
 	// suite's widest fan-out: one release per point, all independent.
-	// Each point's b' curve comes from one WorstCaseRiskSweep — a
-	// single fused prior pass per release instead of one per b'.
+	// Each point's b' curve comes from one WorstCaseRiskSweep — one
+	// inference dispatch per release instead of one per b'.
 	bvecs := r.bprimeVecs()
 	rows, err := parallel.MapErr(r.workers(), len(sweep), func(i int) ([]string, error) {
 		p := base

@@ -9,7 +9,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/hierarchy"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/prob"
 )
 
@@ -25,7 +24,7 @@ import (
 // struct-of-arrays layout, and the per-attribute kernel weights are
 // precomputed into flat stride-indexed tables, so the inner loop is
 // d table lookups per pair over contiguous memory (see hotpath.go for
-// the blocked iteration and the fused multi-bandwidth form).
+// the blocked iteration and lanes.go for the pass itself).
 type Estimator struct {
 	Kernel   Func
 	Table    *dataset.Table
@@ -35,25 +34,6 @@ type Estimator struct {
 	// parallel package convention (0 = all cores, negative =
 	// sequential). Output is identical at any setting.
 	Workers int
-
-	// Precision selects the lane kernel's product arithmetic. The
-	// default F64 is bit-identical to the pre-lane implementation and
-	// pinned by golden_test.go; the F32 opt-in computes per-pair
-	// products in float32 against a shadow table (halving the table
-	// bytes the multiply loop streams) while every reduction —
-	// denominator, histogram, normalization — stays float64. Set it
-	// before the first Priors call: weight tables are memoized per
-	// bandwidth and carry their precision. F32 results are pinned by
-	// their own goldens plus a max-relative-error bound (f32_test.go),
-	// and the fused multi-bandwidth pass is bypassed under F32 — each
-	// bandwidth of a sweep runs its own lane pass, so single and batch
-	// entry points stay bit-identical to each other.
-	Precision Precision
-
-	// DisableCSR pins the lane pass even when the measured candidate
-	// density clears the CSR crossover — the benchmarking knob that
-	// demonstrates the crossover (BenchmarkPriorsCSR).
-	DisableCSR bool
 
 	profiles []*dataset.Profile
 	packed   *dataset.PackedProfiles
@@ -68,30 +48,10 @@ type Estimator struct {
 	buckets   [][]int32
 	bucketOff [][]int32
 
-	// Weight tables are memoized per bandwidth vector: attack sweeps
-	// and skyline requirements revisit the same few bandwidths, and a
-	// table depends only on (kernel, matrices, b). parallel.Memo gives
-	// each bandwidth exactly one computation even under concurrent
-	// first calls.
-	wmemo parallel.Memo[*flatTables]
-
-	// pool recycles per-worker tile scratch across calls, so a warm
-	// pass allocates nothing beyond its output.
+	// pool recycles per-worker tile scratch across calls, so a pass
+	// allocates only its weight tables, candidate lists and output.
 	pool sync.Pool
 }
-
-// Precision selects the arithmetic of the kernel-product lanes.
-type Precision int
-
-const (
-	// F64 computes lane products in float64 — the default, bit-identical
-	// to the scalar reference implementation.
-	F64 Precision = iota
-	// F32 computes lane products in float32 with float64 reduction —
-	// the documented opt-in (service Config.KernelF32 / serve
-	// -kernel-f32), golden-versioned separately from the default.
-	F32
-)
 
 // NewEstimator prepares an estimator for the table. hiers supplies
 // generalization hierarchies for categorical attributes by name;
@@ -207,8 +167,10 @@ func (e *Estimator) ProfilePriors(b []float64) ([]prob.Dist, error) {
 	return e.profilePriors(nil, b)
 }
 
-// profilePriors is ProfilePriors with a span: the memoized table build
-// and the blocked pass each record one stage observation.
+// profilePriors is ProfilePriors with a span: the table build and the
+// blocked pass each record one stage observation. The weight tables
+// and candidate lists live only for this pass — callers that revisit a
+// bandwidth cache its priors instead (core.Engine).
 func (e *Estimator) profilePriors(sp *obs.Span, b []float64) ([]prob.Dist, error) {
 	if err := e.validateBandwidth(b); err != nil {
 		return nil, err
@@ -218,85 +180,21 @@ func (e *Estimator) profilePriors(sp *obs.Span, b []float64) ([]prob.Dist, error
 	psp := sp.Child(obs.StagePriors, "priors b="+BandwidthKey(b))
 	psp.SetShape(obs.Shape{Profiles: n, Dims: e.packed.D, Lanes: 1})
 	backing := make([]float64, n*m)
-	e.priorPass(ft, backing)
+	e.priorPassLanes(ft, backing)
 	psp.End()
 	return sliceDists(backing, n, m), nil
 }
 
-// ProfilePriorsBatch estimates profile priors for every bandwidth
-// vector of a sweep in one fused pass: the per-release invariants
-// (validation, weight tables) are hoisted out of the per-bandwidth
-// loop, and a single blocked sweep of the profile×profile space
-// computes the whole grid, sharing its operand loads and indexing
-// across bandwidths. out[k] is bit-identical to ProfilePriors(bvecs[k])
-// at any worker count.
-func (e *Estimator) ProfilePriorsBatch(bvecs [][]float64) ([][]prob.Dist, error) {
-	return e.profilePriorsBatch(nil, bvecs)
-}
-
-// profilePriorsBatch is ProfilePriorsBatch with a span: one stage
-// observation per missing weight table, one for the whole fused pass.
-func (e *Estimator) profilePriorsBatch(sp *obs.Span, bvecs [][]float64) ([][]prob.Dist, error) {
-	if len(bvecs) == 0 {
-		return nil, nil
-	}
-	fts := make([]*flatTables, len(bvecs))
+// PriorsBatch is Priors over a bandwidth grid: out[k] is Priors(bvecs[k]),
+// one lane pass per bandwidth.
+func (e *Estimator) PriorsBatch(bvecs [][]float64) ([][]prob.Dist, error) {
+	out := make([][]prob.Dist, len(bvecs))
 	for k, b := range bvecs {
-		if err := e.validateBandwidth(b); err != nil {
+		priors, err := e.Priors(b)
+		if err != nil {
 			return nil, err
 		}
-		fts[k] = e.weightTables(sp, b)
-	}
-	n, m := e.packed.N, e.packed.M
-	psp := sp.Child(obs.StagePriors, "priors batch n="+strconv.Itoa(len(bvecs)))
-	psp.SetShape(obs.Shape{Profiles: n, Dims: e.packed.D, Lanes: len(bvecs)})
-	outs := make([][]float64, len(bvecs))
-	for k := range outs {
-		outs[k] = make([]float64, n*m)
-	}
-	if e.Precision == F32 {
-		// The fused pass is float64-only; under the F32 opt-in each
-		// bandwidth runs its own lane pass, so sweep results stay
-		// bit-identical to the single-bandwidth entry points.
-		for k, ft := range fts {
-			e.priorPass(ft, outs[k])
-		}
-	} else {
-		// The fused pass handles batchChunk bandwidths at a time (fixed
-		// stack array for the working products, tighter candidate
-		// unions); wider grids stream through in chunks.
-		for c0 := 0; c0 < len(fts); c0 += batchChunk {
-			c1 := c0 + batchChunk
-			if c1 > len(fts) {
-				c1 = len(fts)
-			}
-			e.priorPassBatch(fts[c0:c1], outs[c0:c1])
-		}
-	}
-	psp.End()
-	dists := make([][]prob.Dist, len(bvecs))
-	for k := range outs {
-		dists[k] = sliceDists(outs[k], n, m)
-	}
-	return dists, nil
-}
-
-// PriorsBatch is ProfilePriorsBatch expanded to records: out[k] is
-// bit-identical to Priors(bvecs[k]), with the whole grid computed in
-// one fused pass.
-func (e *Estimator) PriorsBatch(bvecs [][]float64) ([][]prob.Dist, error) {
-	return e.PriorsBatchSpan(nil, bvecs)
-}
-
-// PriorsBatchSpan is PriorsBatch recording stage spans under sp.
-func (e *Estimator) PriorsBatchSpan(sp *obs.Span, bvecs [][]float64) ([][]prob.Dist, error) {
-	perProfile, err := e.profilePriorsBatch(sp, bvecs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]prob.Dist, len(perProfile))
-	for k := range perProfile {
-		out[k] = e.expand(perProfile[k])
+		out[k] = priors
 	}
 	return out, nil
 }
@@ -310,9 +208,8 @@ func (e *Estimator) PriorAt(q []int, b []float64) (prob.Dist, error) {
 	return e.priorAtPoint(q, e.weightTables(nil, b)), nil
 }
 
-// BandwidthKey renders a bandwidth vector as a canonical cache key,
-// shared by the estimator's weight-table cache and the engine's prior
-// cache.
+// BandwidthKey renders a bandwidth vector canonically: the engine's
+// prior-cache key and the label of the kernel spans.
 func BandwidthKey(b []float64) string {
 	parts := make([]string, len(b))
 	for i, x := range b {
@@ -321,19 +218,13 @@ func BandwidthKey(b []float64) string {
 	return strings.Join(parts, ",")
 }
 
-// weightTables returns the memoized flat weight tables for a bandwidth
-// vector, computing them exactly once per bandwidth across all callers.
-// The stage span is recorded inside the memoized closure, so only the
-// caller that actually builds the table pays — and is attributed — the
-// cost; everyone sharing the memo attaches nothing.
+// weightTables builds the flat weight tables for a bandwidth vector,
+// recording the build as one kernel_table stage span under sp.
 func (e *Estimator) weightTables(sp *obs.Span, b []float64) *flatTables {
-	ft, _ := e.wmemo.Do(BandwidthKey(b), func() (*flatTables, error) {
-		tsp := sp.Child(obs.StageKernelTable, "kernel-table b="+BandwidthKey(b))
-		tsp.SetShape(obs.Shape{Profiles: e.packed.N, Dims: e.packed.D})
-		ft := e.buildFlat(b)
-		tsp.End()
-		return ft, nil
-	})
+	tsp := sp.Child(obs.StageKernelTable, "kernel-table b="+BandwidthKey(b))
+	tsp.SetShape(obs.Shape{Profiles: e.packed.N, Dims: e.packed.D})
+	ft := e.buildFlat(b)
+	tsp.End()
 	return ft
 }
 

@@ -61,7 +61,9 @@ func referencePriors(e *Estimator, b []float64) []prob.Dist {
 }
 
 // goldenCompare pins ProfilePriors against the reference implementation
-// over a bandwidth grid, requiring exact (bitwise) float equality.
+// over a bandwidth grid, requiring exact (bitwise) float equality. The
+// grid runs from the sparse regime (b' = 0.02, 0.05: few surviving
+// pairs per candidate list) to the dense one.
 func goldenCompare(t *testing.T, tab *dataset.Table, hiers map[string]*hierarchy.Hierarchy, label string) {
 	t.Helper()
 	for _, workers := range []int{-1, 0} {
@@ -70,7 +72,7 @@ func goldenCompare(t *testing.T, tab *dataset.Table, hiers map[string]*hierarchy
 			t.Fatal(err)
 		}
 		e.Workers = workers
-		for _, bw := range []float64{0.1, 0.3, 0.5, 1} {
+		for _, bw := range []float64{0.02, 0.05, 0.1, 0.3, 0.5, 1} {
 			b := UniformBandwidth(tab.Schema.D(), bw)
 			want := referencePriors(e, b)
 			got, err := e.ProfilePriors(b)

@@ -5,10 +5,7 @@
 package kernel
 
 import (
-	"sync"
-
 	"repro/internal/dataset"
-	"repro/internal/parallel"
 	"repro/internal/prob"
 )
 
@@ -22,11 +19,11 @@ import (
 // no pointer chasing; the profile×profile iteration space is tiled so
 // the streamed operand block stays in L1/L2 across a tile of query
 // profiles; scratch accumulators come from a pool, reused across
-// calls, so a warm call allocates only its output; and compact-support
-// kernels zero most pair weights, so each weight table carries
-// candidate lists — the profiles with a nonzero weight against each
-// query value — and every query profile streams only the candidates of
-// its most selective attribute instead of testing all n pairs.
+// calls; and compact-support kernels zero most pair weights, so each
+// pass indexes its weight table's candidates — the profiles with a
+// nonzero weight against each query value — and every query profile
+// streams only the candidates of its most selective attribute instead
+// of testing all n pairs.
 //
 // Skipping a pair whose product is provably zero does not touch the
 // arithmetic, and per-profile accumulation order is fixed — candidate
@@ -48,39 +45,16 @@ const (
 // flatTables is one bandwidth's weight-table set, flattened: attribute
 // i's table occupies w[off[i] : off[i]+stride[i]²] row-major, so the
 // weight for query value v against data value u is
-// w[off[i] + v·stride[i] + u]. All tables for one estimator share
-// off/stride (they depend only on the schema), which is what lets a
-// bandwidth sweep concatenate its tables and index them with a single
-// shared offset per (profile pair, attribute). The embedded candSet
-// indexes the packed profiles by nonzero weight.
+// w[off[i] + v·stride[i] + u].
 type flatTables struct {
 	w      []float64
 	off    []int
 	stride []int
 	size   int
 
-	// wf32 is the float32 shadow of w, built only under the F32
-	// precision opt-in (lanes.go); the default path never touches it.
-	wf32 []float32
 	// lanes is the block width of the lane pass (4 or 8), chosen at
 	// table build from the table's nonzero density (laneWidthFor).
 	lanes int
-
-	// cands indexes the table's support over the packed profiles,
-	// built on first use: the single-bandwidth pass wants its own
-	// table's candidates, while a sweep needs only its chunk-union's,
-	// so building eagerly would charge every sweep for d·r scans it
-	// never reads.
-	candOnce sync.Once
-	cands    candSet
-	// candTotal is Σ_p |cand(p)|, measured when cands is built — the
-	// density numerator the CSR crossover decision reads (csr.go).
-	candTotal int
-
-	// csr is the sparse pair-weight layout, built by the first CSR
-	// pass when the measured density clears the crossover (csr.go).
-	csrOnce sync.Once
-	csr     *csrPairs
 }
 
 // candSet holds the candidate lists the pass iterates instead of all n
@@ -97,7 +71,7 @@ type candSet struct {
 }
 
 // buildFlat evaluates the kernel over the distance matrices at
-// bandwidth vector b, in flat layout, and indexes its candidates.
+// bandwidth vector b, in flat layout.
 func (e *Estimator) buildFlat(b []float64) *flatTables {
 	d := len(e.Matrices)
 	ft := &flatTables{off: make([]int, d), stride: make([]int, d)}
@@ -120,12 +94,6 @@ func (e *Estimator) buildFlat(b []float64) *flatTables {
 		}
 	}
 	ft.lanes = laneWidthFor(nnz, ft.size)
-	if e.Precision == F32 {
-		ft.wf32 = make([]float32, ft.size)
-		for i, w := range ft.w {
-			ft.wf32[i] = float32(w)
-		}
-	}
 	return ft
 }
 
@@ -144,29 +112,13 @@ func fillWeights(dst []float64, k Func, xs []float64, b float64) {
 	}
 }
 
-// candsOf returns the table's candidate index, building it exactly
-// once on first use.
-func (e *Estimator) candsOf(ft *flatTables) *candSet {
-	ft.candOnce.Do(func() {
-		ft.cands = e.buildCands(func(idx int) bool { return ft.w[idx] != 0 })
-		total := 0
-		for p := 0; p < e.packed.N; p++ {
-			total += len(ft.cands.bestList(e.packed, p))
-		}
-		ft.candTotal = total
-	})
-	return &ft.cands
-}
-
-// buildCands indexes the packed profiles by weight-table support:
-// nonzero reports whether the flat table index idx holds a usable
-// weight. The same builder serves a single bandwidth (its own table)
-// and a sweep (the OR of the grid's tables). Construction is three
+// buildCands indexes the packed profiles by the support of the flat
+// weight table w, once per pass. Construction is three
 // cheap passes: per-(attribute, value) support sets over the domain
 // (O(Σᵢ rᵢ²)), candidate-count tables from the bucket sizes (no
 // profile scan), a winner per profile (O(n·d)) — then only the winning
 // lists materialize.
-func (e *Estimator) buildCands(nonzero func(idx int) bool) candSet {
+func (e *Estimator) buildCands(w []float64) candSet {
 	pp := e.packed
 	d, n := pp.D, pp.N
 	// Support sets and list lengths per (attribute, value).
@@ -181,8 +133,8 @@ func (e *Estimator) buildCands(nonzero func(idx int) bool) candSet {
 		for v := 0; v < r; v++ {
 			rowIdx := off + v*r
 			for dv := 0; dv < r; dv++ {
-				if nonzero(rowIdx + dv) {
-					//lint:ignore hotalloc construction path, once per bandwidth then memoized; support size is data-dependent and output-proportional
+				if w[rowIdx+dv] != 0 {
+					//lint:ignore hotalloc construction path, once per pass before the pair loop; support size is data-dependent and output-proportional
 					support[i][v] = append(support[i][v], int32(dv))
 					lens[i][v] += boff[dv+1] - boff[dv]
 				}
@@ -295,225 +247,6 @@ func fillBases(pp *dataset.PackedProfiles, ft *flatTables, base []int, p0, p1 in
 	}
 }
 
-// priorPass runs the single-bandwidth Nadaraya–Watson pass over the
-// packed profiles, writing each profile's normalized prior into
-// out[p*m : (p+1)*m]. It dispatches on the table's measured shape:
-// sparse tables stream the CSR pair-weight layout (csr.go), dense
-// tables run the lane-blocked pass (lanes.go). Each query profile is
-// computed wholly by one worker in fixed ascending-candidate order
-// under either shape, so output is bit-identical at any setting.
-func (e *Estimator) priorPass(ft *flatTables, out []float64) {
-	if e.useCSR(ft) {
-		e.priorPassCSR(ft, out)
-		return
-	}
-	e.priorPassLanes(ft, out)
-}
-
-// batchChunk is the fused pass's grid width: bandwidths are processed
-// up to batchChunk at a time so the per-pair working products live in
-// one fixed-size stack array, the inner loops run branchless over a
-// compiler-known bound, and each chunk's candidate union stays tight.
-const batchChunk = 8
-
-// mulLane8 multiplies one interleaved width-8 table row into the
-// chunk's working products — a fixed bound the compiler keeps
-// bounds-check-free and inlines into the fused pass.
-func mulLane8(wk *[batchChunk]float64, row *[8]float64) {
-	for k := 0; k < 8; k++ {
-		wk[k] *= row[k]
-	}
-}
-
-// mulLane4 is mulLane8 at interleave width four; lanes past the
-// chunk's width are untouched (and unread: the fold loops stop at nb).
-func mulLane4(wk *[batchChunk]float64, row *[4]float64) {
-	for k := 0; k < 4; k++ {
-		wk[k] *= row[k]
-	}
-}
-
-// priorPassBatch is the fused multi-bandwidth pass over one chunk
-// (len(fts) ≤ batchChunk): one sweep of the profile×profile space
-// computes every bandwidth's prior at once. The grid's tables are
-// interleaved — entry idx holds its nb bandwidths contiguously — so a
-// pair's weights for the whole chunk are nb sequential loads, and the
-// nb independent multiply chains interleave where the single-bandwidth
-// pass serializes on one. That is the sweep amortization AttackSweep
-// and the service's bprimes form ride on. Each (bandwidth, profile)
-// accumulation runs in the same fixed order as the single-bandwidth
-// pass — a zero factor keeps the product zero with or without the
-// single pass's early break — so outs[k] is bit-identical to priorPass
-// with fts[k].
-func (e *Estimator) priorPassBatch(fts []*flatTables, outs [][]float64) {
-	pp := e.packed
-	n, d, m := pp.N, pp.D, pp.M
-	nb := len(fts)
-	tlen := fts[0].size
-	// The interleaved table carries a fixed lane count chosen at build
-	// — width 4 for chunks of up to four bandwidths, width 8 above —
-	// so a narrow chunk halves its table footprint and multiply work
-	// instead of dragging spare all-zero lanes. A chunk narrower than
-	// its width leaves the spare lanes all-zero: their products die at
-	// the first multiply and never reach the accumulation phase. Fixed
-	// widths let the multiply helpers run over compiler-known bounds —
-	// no bounds checks in the inner loop.
-	lw := 8
-	if nb <= 4 {
-		lw = 4
-	}
-	big := make([]float64, lw*tlen)
-	for k, ft := range fts {
-		for idx, w := range ft.w {
-			big[idx*lw+k] = w
-		}
-	}
-	// Candidates of the chunk's union support: a pair outside it is
-	// zero under every bandwidth of the chunk.
-	union := e.buildCands(func(idx int) bool {
-		for _, ft := range fts {
-			if ft.w[idx] != 0 {
-				return true
-			}
-		}
-		return false
-	})
-	// A lane whose support equals the union's dominates the chunk: its
-	// running product goes zero only when every lane's has. Any uniform
-	// b' grid under a compact kernel has one (the widest bandwidth), and
-	// it gives the fused loop the early break the single pass enjoys.
-	// Verified from the tables, not assumed from kernel shape.
-	breakLane := -1
-	laneNZ := make([]int, nb)
-	unionNZ := 0
-	for idx := 0; idx < tlen; idx++ {
-		any := false
-		for k, ft := range fts {
-			if ft.w[idx] != 0 {
-				laneNZ[k]++
-				any = true
-			}
-		}
-		if any {
-			unionNZ++
-		}
-	}
-	for k, nz := range laneNZ {
-		if nz == unionNZ {
-			breakLane = k
-			break
-		}
-	}
-	ft0 := fts[0]
-	tiles := (n + pTile - 1) / pTile
-	parallel.For(e.Workers, tiles, func(ti int) {
-		p0 := ti * pTile
-		p1 := p0 + pTile
-		if p1 > n {
-			p1 = n
-		}
-		sc := e.getScratch((p1-p0)*nb, (p1-p0)*d)
-		denom := sc.denom[:(p1-p0)*nb]
-		for i := range denom {
-			denom[i] = 0
-		}
-		base := sc.base[:(p1-p0)*d]
-		fillBases(pp, ft0, base, p0, p1)
-		for pl := 0; pl < p1-p0; pl++ {
-			sc.lists[pl] = union.bestList(pp, p0+pl)
-			sc.cur[pl] = 0
-		}
-		var wk [batchChunk]float64
-		// blp watches the dominating lane's running product; with no
-		// such lane it watches a sentinel that never reads zero.
-		sentinel := 1.0
-		blp := &sentinel
-		if breakLane >= 0 {
-			blp = &wk[breakLane]
-		}
-		for u0 := 0; u0 < n; u0 += uTile {
-			u1 := u0 + uTile
-			if u1 > n {
-				u1 = n
-			}
-			for p := p0; p < p1; p++ {
-				pl := p - p0
-				bs := base[pl*d : pl*d+d]
-				dn := denom[pl*nb : pl*nb+nb]
-				list := sc.lists[pl]
-				c := sc.cur[pl]
-				for ; c < len(list) && int(list[c]) < u1; c++ {
-					u := int(list[c])
-					wu := pp.Weights[u]
-					for k := 0; k < batchChunk; k++ {
-						wk[k] = wu
-					}
-					uq := pp.QI[u*d : u*d+d]
-					dead := false
-					if lw == 4 {
-						for i, b := range bs {
-							mulLane4(&wk, (*[4]float64)(big[(b+int(uq[i]))*4:]))
-							if *blp == 0 {
-								dead = true
-								break
-							}
-						}
-					} else {
-						for i, b := range bs {
-							mulLane8(&wk, (*[8]float64)(big[(b+int(uq[i]))*8:]))
-							if *blp == 0 {
-								dead = true
-								break
-							}
-						}
-					}
-					if dead {
-						continue
-					}
-					// Fold the surviving products into the chunk's
-					// denominators and scales, then stream the pair's
-					// (few) populated sensitive values once for all
-					// bandwidths.
-					var scale [batchChunk]float64
-					any := false
-					for k := 0; k < nb; k++ {
-						if w := wk[k]; w != 0 {
-							dn[k] += w
-							if wu != 1 {
-								scale[k] = w / wu
-							} else {
-								scale[k] = w
-							}
-							any = true
-						} else {
-							scale[k] = 0
-						}
-					}
-					if !any {
-						continue
-					}
-					for _, si := range pp.NZIdx[pp.NZOff[u]:pp.NZOff[u+1]] {
-						cnt := pp.Counts[u*m+int(si)]
-						row := p*m + int(si)
-						for k := 0; k < nb; k++ {
-							if scale[k] != 0 {
-								outs[k][row] += scale[k] * cnt
-							}
-						}
-					}
-				}
-				sc.cur[pl] = c
-			}
-		}
-		for p := p0; p < p1; p++ {
-			for k := 0; k < nb; k++ {
-				e.finish(outs[k][p*m:p*m+m], denom[(p-p0)*nb+k])
-			}
-		}
-		e.pool.Put(sc)
-	})
-}
-
 // finish normalizes one accumulated prior row in place, falling back
 // to the whole-table distribution when every kernel weight vanished —
 // the weakest consistent prior, as in the unflattened implementation.
@@ -528,9 +261,8 @@ func (e *Estimator) finish(acc []float64, denom float64) {
 }
 
 // priorAtPoint runs the Nadaraya–Watson sum for one arbitrary QI point
-// q (value indexes), which need not occur in the table. Products run
-// in the estimator's precision (scalarProduct), the reduction in
-// float64, matching the pass proper.
+// q (value indexes), which need not occur in the table, with the pass
+// proper's product (scalarProduct) and reduction.
 func (e *Estimator) priorAtPoint(q []int, ft *flatTables) prob.Dist {
 	pp := e.packed
 	n, d, m := pp.N, pp.D, pp.M

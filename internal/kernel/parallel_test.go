@@ -37,17 +37,15 @@ func TestProfilePriorsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestProfilePriorsBatchDeterministic checks the fused sweep pass is
-// bit-identical to independent single-bandwidth passes, at any pool
-// size: the batch shares loads and indexing across the grid but keeps
-// each (bandwidth, profile) accumulation in the fixed sequential order.
+// TestProfilePriorsBatchDeterministic checks a sweep is bit-identical
+// to independent single-bandwidth passes on a sequential estimator, at
+// any pool size, over a grid reaching into the sparse regime.
 func TestProfilePriorsBatchDeterministic(t *testing.T) {
 	tab := adult.Generate(300, 11)
 	d := tab.Schema.D()
-	bvecs := [][]float64{
-		UniformBandwidth(d, 0.2),
-		UniformBandwidth(d, 0.3),
-		UniformBandwidth(d, 0.45),
+	var bvecs [][]float64
+	for _, bw := range []float64{0.05, 0.1, 0.2, 0.3, 0.45, 0.7} {
+		bvecs = append(bvecs, UniformBandwidth(d, bw))
 	}
 	seq, err := NewEstimator(tab, adult.Hierarchies(), nil)
 	if err != nil {
@@ -56,7 +54,7 @@ func TestProfilePriorsBatchDeterministic(t *testing.T) {
 	seq.Workers = -1
 	want := make([][]prob.Dist, len(bvecs))
 	for k, b := range bvecs {
-		if want[k], err = seq.ProfilePriors(b); err != nil {
+		if want[k], err = seq.Priors(b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -66,7 +64,7 @@ func TestProfilePriorsBatchDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.Workers = workers
-		got, err := e.ProfilePriorsBatch(bvecs)
+		got, err := e.PriorsBatch(bvecs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,57 +72,14 @@ func TestProfilePriorsBatchDeterministic(t *testing.T) {
 			t.Fatalf("workers=%d: %d results for %d bandwidths", workers, len(got), len(bvecs))
 		}
 		for k := range bvecs {
-			for pi := range got[k] {
-				for si, v := range got[k][pi] {
-					if v != want[k][pi][si] {
-						t.Fatalf("workers=%d bandwidth %d profile %d component %d: batch %v != single %v",
-							workers, k, pi, si, v, want[k][pi][si])
+			for ri := range got[k] {
+				for si, v := range got[k][ri] {
+					if v != want[k][ri][si] {
+						t.Fatalf("workers=%d bandwidth %d record %d component %d: batch %v != single %v",
+							workers, k, ri, si, v, want[k][ri][si])
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestWeightTablesMemoized checks the per-bandwidth weight tables are
-// computed once and shared: a repeated bandwidth returns the cached
-// tables, and a different bandwidth gets its own entry.
-func TestWeightTablesMemoized(t *testing.T) {
-	tab := adult.Generate(100, 11)
-	e, err := NewEstimator(tab, adult.Hierarchies(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b1 := UniformBandwidth(tab.Schema.D(), 0.3)
-	w1 := e.weightTables(nil, b1)
-	w2 := e.weightTables(nil, b1)
-	if w1 != w2 {
-		t.Error("repeated bandwidth recomputed the weight tables instead of hitting the memo")
-	}
-	w3 := e.weightTables(nil, UniformBandwidth(tab.Schema.D(), 0.5))
-	if w1 == w3 {
-		t.Error("distinct bandwidths shared one memo entry")
-	}
-}
-
-// TestWeightTablesConcurrentFirstUse hammers the memo from many
-// goroutines on a cold key; parallel.Memo must run the build exactly
-// once, so every caller sees the same table set.
-func TestWeightTablesConcurrentFirstUse(t *testing.T) {
-	tab := adult.Generate(100, 11)
-	e, err := NewEstimator(tab, adult.Hierarchies(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := UniformBandwidth(tab.Schema.D(), 0.4)
-	done := make(chan *flatTables, 16)
-	for i := 0; i < 16; i++ {
-		go func() { done <- e.weightTables(nil, b) }()
-	}
-	want := <-done
-	for i := 1; i < 16; i++ {
-		if got := <-done; got != want {
-			t.Fatal("concurrent first-use calls returned different table sets")
 		}
 	}
 }

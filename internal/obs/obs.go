@@ -52,12 +52,11 @@ const (
 	StageAnatomy
 	// StageIncognito is one incognito lattice search.
 	StageIncognito
-	// StageKernelTable is one per-bandwidth flat weight-table build
-	// (recorded inside the memo, so only the computing caller pays —
-	// and is attributed — the cost).
+	// StageKernelTable is one per-bandwidth flat weight-table build,
+	// run by the prior pass that uses it.
 	StageKernelTable
-	// StagePriors is one Nadaraya–Watson prior pass (single bandwidth
-	// or fused batch) over the profile×profile space.
+	// StagePriors is one single-bandwidth Nadaraya–Watson prior pass
+	// over the profile×profile space.
 	StagePriors
 	// StageInference is one posterior-inference + disclosure-measure
 	// pass over all equivalence classes of an attack or sweep.
@@ -106,8 +105,9 @@ func (st Stage) String() string {
 // Shape describes the workload a stage span operated on, in the units
 // the closed-form cost models are written in (internal/costmodel):
 // table rows, deduplicated QI profiles, QI dimensionality d, the
-// bandwidth-grid width of a fused pass (lanes; 1 for a single-bandwidth
-// pass), and the equivalence-class count of an inference pass. A zero
+// bandwidth-grid width of a pass (lanes: 1 for a prior pass, the grid
+// size for a sweep's inference pass), and the equivalence-class count
+// of an inference pass. A zero
 // Shape means "unannotated" and is kept out of the calibration
 // reservoirs. Shapes describe work, never content — they carry counts,
 // not data — so they are safe to expose on every diagnostic surface.

@@ -307,10 +307,10 @@ func (r *AttackRequest) validateInference() error {
 	return nil
 }
 
-// MaxSweepPoints caps the bprimes grid of one attack/risk request: a
-// sweep shares one fused kernel pass, but each point still pays its own
-// posterior inference, so an unbounded grid would be a cheap way to
-// pin the pool.
+// MaxSweepPoints caps the bprimes grid of one attack/risk request: each
+// point pays its own prior pass (when uncached) and posterior
+// inference, so an unbounded grid would be a cheap way to pin the
+// pool.
 const MaxSweepPoints = 64
 
 // AttackSweepResponse is the bprimes form of POST /v1/attack: one

@@ -38,26 +38,25 @@ func (s *Server) anonymizeShapes(ds *datasetEntry, algo string) []stageShape {
 }
 
 // attackShapes lists the cold-path stages of an attack/risk request
-// over a lanes-wide bandwidth grid: one kernel-table build per
-// bandwidth, one (fused, for a sweep) prior pass, one inference pass
-// priced under the request's method — each method fits its own
-// coefficients, since exact is orders of magnitude costlier per row
-// than the Ω default. The engine memoizes tables and priors per
-// bandwidth, so a warm request spends far less than this — the explain
-// residual shows exactly how much the caches saved.
+// over a lanes-wide bandwidth grid: one kernel-table build and one
+// prior pass per bandwidth, one inference pass priced under the
+// request's method — each method fits its own coefficients, since
+// exact is orders of magnitude costlier per row than the Ω default.
+// The engine caches priors per bandwidth, so a warm request spends far
+// less than this — the explain residual shows exactly how much the
+// cache saved.
 func attackShapes(entry *releaseEntry, lanes int, method string) []stageShape {
 	profiles := len(entry.ds.engine.Estimator.Profiles())
 	n, d := entry.ds.table.N(), entry.ds.table.Schema.D()
 	groups := len(entry.res.Groups)
-	out := make([]stageShape, 0, lanes+2)
+	out := make([]stageShape, 0, 2*lanes+1)
 	for i := 0; i < lanes; i++ {
-		out = append(out, stageShape{obs.StageKernelTable, obs.Shape{Profiles: profiles, Dims: d}})
+		out = append(out,
+			stageShape{obs.StageKernelTable, obs.Shape{Profiles: profiles, Dims: d}},
+			stageShape{obs.StagePriors, obs.Shape{Profiles: profiles, Dims: d, Lanes: 1}},
+		)
 	}
-	out = append(out,
-		stageShape{obs.StagePriors, obs.Shape{Profiles: profiles, Dims: d, Lanes: lanes}},
-		stageShape{inferenceStageFor(method), obs.Shape{Rows: n, Dims: d, Lanes: lanes, Groups: groups}},
-	)
-	return out
+	return append(out, stageShape{inferenceStageFor(method), obs.Shape{Rows: n, Dims: d, Lanes: lanes, Groups: groups}})
 }
 
 // inferenceStageFor maps a (canonicalized) method name to the ledger

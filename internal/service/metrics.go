@@ -163,7 +163,7 @@ type StoreStats struct {
 // SweepStats is the bandwidth-sweep section of a snapshot. The
 // amortization a deployment gets from the bprimes form is
 // Points/Requests: how many attack evaluations ride on each request's
-// single fused kernel pass.
+// single inference dispatch.
 type SweepStats struct {
 	Requests int64 `json:"requests"`
 	Points   int64 `json:"points"`
