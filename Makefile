@@ -9,7 +9,8 @@
 # every run), vet and the short self-tests of the perfbench module (its
 # own go.mod, so `go build ./...` here never compiles it and an API
 # change that breaks it would otherwise pass), a short fuzz smoke over the
-# untrusted-input decoders (CSV rows, JSON schema specs), and the
+# untrusted-input decoders (CSV rows, JSON schema specs, attack/risk
+# request bodies), and the
 # serve-restart smoke (boot, ingest, kill, reboot, verify
 # byte-identical disk recovery with zero pipeline runs), the
 # observability smoke (boot with a diagnostics listener, drive load,
@@ -75,11 +76,13 @@ BENCH_BASELINE ?=
 bench-json:
 	GO="$(GO)" sh scripts/bench.sh "$(BENCH_OUT)" "$(BENCH_BASELINE)"
 
-# Short fuzz smoke over the two parsers that face untrusted input.
+# Short fuzz smoke over the decoders that face untrusted input: CSV
+# rows, JSON schema specs, and attack/risk request bodies.
 # `go test -fuzz` takes one target per invocation.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 5s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 5s ./internal/schema
+	$(GO) test -run '^$$' -fuzz '^FuzzAttackRequest$$' -fuzztime 5s ./internal/service
 
 # Coverage: per-package profiles plus the aggregate statement rate.
 cover:

@@ -45,7 +45,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -193,10 +192,11 @@ func main() {
 			ds.ID, ds.Schema, ds.Records, ds.Cached, time.Since(start).Seconds())
 		return ds
 	}
-	// Snapshot the server's stage ledger before any of our traffic, so
-	// the post-run report can print the deltas this run caused — which
-	// pipeline stages ran, how often, and where the time went.
-	stagesBefore := fetchSnapshot(c).Stages
+	// Snapshot the server's histograms before any of our traffic, so
+	// the post-run report can print the deltas this run caused — per
+	// endpoint, and per pipeline stage: which ran, how often, and where
+	// the time went.
+	before := fetchSnapshot(c)
 
 	datasets := []service.DatasetResponse{ingest("")}
 
@@ -298,9 +298,9 @@ func main() {
 	elapsed := time.Since(measureStart)
 
 	report(samplesPerWorker, elapsed)
-	printServerMetrics(c)
 	after := fetchSnapshot(c)
-	printStageDeltas(stagesBefore, after.Stages, after.CostModel)
+	printServerMetrics(before, after)
+	printStageDeltas(before.Stages, after.Stages, after.CostModel)
 }
 
 // parseInferences decodes the -inference list; "omega" canonicalizes
@@ -421,19 +421,10 @@ func report(perWorker [][]sample, elapsed time.Duration) {
 	tw.Flush()
 }
 
-// printServerMetrics fetches and summarizes the server-side counters.
-func printServerMetrics(c *client) {
-	resp, err := c.http.Get(c.base + "/metrics")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "loadgen: fetching /metrics: %v\n", err)
-		return
-	}
-	defer resp.Body.Close()
-	var snap service.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		fmt.Fprintf(os.Stderr, "loadgen: decoding /metrics: %v\n", err)
-		return
-	}
+// printServerMetrics summarizes the server-side counters after the
+// run, with the per-endpoint latency table computed from this run's
+// histogram deltas (the server's own p50/p99 span its lifetime).
+func printServerMetrics(before, snap service.Snapshot) {
 	fmt.Printf("\nserver: %d requests, %d errors, pipeline runs %d, dataset builds %d\n",
 		snap.Requests, snap.Errors, snap.PipelineRuns, snap.DatasetBuilds)
 	fmt.Printf("release store: %d hits, %d shared, %d misses, %d evictions, %d resident\n",
@@ -457,10 +448,15 @@ func printServerMetrics(c *client) {
 	}
 	sort.Strings(eps)
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "endpoint\tcount\terrors\tp50(ms)\tp99(ms)")
+	fmt.Fprintln(tw, "endpoint (this run)\tcount\terrors\tp50(ms)\tp99(ms)")
 	for _, ep := range eps {
-		st := snap.Endpoints[ep]
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%.2f\t%.2f\n", ep, st.Count, st.Errors, st.P50Milli, st.P99Milli)
+		a, b := snap.Endpoints[ep], before.Endpoints[ep]
+		if a.Count <= b.Count {
+			continue
+		}
+		d := bucketDelta(b.Buckets, a.Buckets)
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%.2f\t%.2f\n", ep, a.Count-b.Count, a.Errors-b.Errors,
+			obs.BucketQuantile(d, 0.50), obs.BucketQuantile(d, 0.99))
 	}
 	tw.Flush()
 }
@@ -479,7 +475,7 @@ func fetchSnapshot(c *client) service.Snapshot {
 
 // bucketDelta subtracts the before-run histogram from the after-run
 // one, returning only bins this run populated (ascending le order,
-// which StageStats already guarantees).
+// which obs.Hist snapshots already guarantee).
 func bucketDelta(before, after []obs.HistBucket) []obs.HistBucket {
 	prev := map[int64]int64{}
 	for _, b := range before {
@@ -492,34 +488,6 @@ func bucketDelta(before, after []obs.HistBucket) []obs.HistBucket {
 		}
 	}
 	return out
-}
-
-// bucketQuantile estimates the q-quantile of a log₂-bucketed delta
-// histogram in milliseconds. The estimator is ceil nearest-rank over
-// buckets, reporting the containing bucket's geometric midpoint
-// (le/√2): the multiplicative center of a [le/2, le) bin, so the
-// estimate's relative error is bounded by the bucket ratio (√2) rather
-// than depending on where samples sit in the bin.
-func bucketQuantile(buckets []obs.HistBucket, q float64) float64 {
-	var total int64
-	for _, b := range buckets {
-		total += b.Count
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for _, b := range buckets {
-		cum += b.Count
-		if cum >= rank {
-			return float64(b.LeMicros) / math.Sqrt2 / 1000
-		}
-	}
-	return float64(buckets[len(buckets)-1].LeMicros) / math.Sqrt2 / 1000
 }
 
 // printStageDeltas reports what this run added to the server's stage
@@ -558,7 +526,7 @@ func printStageDeltas(before, after map[string]obs.StageStats, cost map[string]c
 		}
 		fmt.Fprintf(tw, "%s\t%d\t%.3f\t%.3f\t%.3f\t%.3f\t%s\n",
 			name, d.Count, d.TotalSeconds, d.TotalSeconds/float64(d.Count)*1000,
-			bucketQuantile(d.Buckets, 0.50), bucketQuantile(d.Buckets, 0.99), fitErr)
+			obs.BucketQuantile(d.Buckets, 0.50), obs.BucketQuantile(d.Buckets, 0.99), fitErr)
 	}
 	if printed {
 		tw.Flush()

@@ -282,13 +282,9 @@ func (e *Engine) requirementByNameSpan(sp *obs.Span, method inference.Method, na
 	return e.requirementSpan(sp, method, m, p)
 }
 
-// BTRequirement builds the bare (B,t) requirement for a parameter set.
-func (e *Engine) BTRequirement(p Params) (privacy.BTPrivacy, error) {
-	return e.btRequirementSpan(nil, nil, p)
-}
-
-// btRequirementSpan is BTRequirement with a recorder for its prior
-// pass and an optional inference-method override.
+// btRequirementSpan builds the bare (B,t) requirement for a parameter
+// set, with a recorder for its prior pass and an optional
+// inference-method override.
 func (e *Engine) btRequirementSpan(sp *obs.Span, method inference.Method, p Params) (privacy.BTPrivacy, error) {
 	bvec := p.BVec
 	if bvec == nil {
@@ -487,7 +483,7 @@ type groupAttack struct {
 // self-contained and the reduction runs in group order, so the report
 // is bit-identical to the sequential path at any worker count.
 func (e *Engine) Attack(res *anonymize.Result, bvec []float64, t float64, breach Breach) (*AttackReport, error) {
-	return e.attackSpan(nil, nil, res, bvec, t, breach)
+	return first(e.attackSweepSpan(nil, nil, res, [][]float64{bvec}, t, breach))
 }
 
 // AttackWith is Attack under a traced request — the prior pass and the
@@ -497,7 +493,16 @@ func (e *Engine) Attack(res *anonymize.Result, bvec []float64, t float64, breach
 // refuses oversized groups with inference.ErrTooLarge (first failing
 // group in group order) instead of degrading silently.
 func (e *Engine) AttackWith(ctx context.Context, m inference.Method, res *anonymize.Result, bvec []float64, t float64, breach Breach) (*AttackReport, error) {
-	return e.attackSpan(obs.SpanFromContext(ctx), m, res, bvec, t, breach)
+	return first(e.attackSweepSpan(obs.SpanFromContext(ctx), m, res, [][]float64{bvec}, t, breach))
+}
+
+// first unwraps a one-point sweep: an attack is the sweep over the
+// single-bandwidth grid.
+func first(reps []*AttackReport, err error) (*AttackReport, error) {
+	if err != nil {
+		return nil, err
+	}
+	return reps[0], nil
 }
 
 // methodOr resolves a per-call method override against the engine
@@ -509,11 +514,13 @@ func (e *Engine) methodOr(m inference.Method) inference.Method {
 	return m
 }
 
-// inferenceStage maps an inference method to its stage label, so the
-// cost model fits exact and adaptive traffic separately from the
-// Ω-estimate they diverge from (~49× per Figure 2's measurement).
-func inferenceStage(m inference.Method) obs.Stage {
-	switch m.Name() {
+// InferenceStage maps an inference method name to the ledger stage
+// its passes are recorded — and priced — under, so the cost model fits
+// exact and adaptive traffic separately from the Ω-estimate they
+// diverge from (~49× per Figure 2's measurement). Any other name,
+// empty included, is the Ω-estimate's stage.
+func InferenceStage(method string) obs.Stage {
+	switch method {
 	case inference.NameExact:
 		return obs.StageInferenceExact
 	case inference.NameAdaptive:
@@ -522,32 +529,9 @@ func inferenceStage(m inference.Method) obs.Stage {
 	return obs.StageInference
 }
 
-// attackSpan is the span-threaded attack behind the attack entry
-// points; m overrides the engine's inference method when non-nil.
-func (e *Engine) attackSpan(sp *obs.Span, m inference.Method, res *anonymize.Result, bvec []float64, t float64, breach Breach) (*AttackReport, error) {
-	method := e.methodOr(m)
-	priors, err := e.priorsSpan(sp, bvec)
-	if err != nil {
-		return nil, err
-	}
-	isp := sp.Child(inferenceStage(method), "inference "+method.Name())
-	isp.SetShape(obs.Shape{
-		Rows:   e.Table.N(),
-		Dims:   e.Table.Schema.D(),
-		Lanes:  1,
-		Groups: len(res.Groups),
-	})
-	perGroup := parallel.Map(e.Workers(), len(res.Groups), func(gi int) groupAttack {
-		g := res.Groups[gi]
-		return e.attackGroup(method, g, priors, e.groupCounts(g), breach, t)
-	})
-	rep, err := e.reduceAttack(res, perGroup)
-	isp.End()
-	return rep, err
-}
-
 // groupCounts is one class's sensitive multiset — bandwidth-invariant,
-// so sweeps compute it once per class and share it across the grid.
+// so an attack decodes it once per class and shares it across the
+// grid.
 func (e *Engine) groupCounts(g *anonymize.Group) []int {
 	svals := make([]int, g.Size())
 	for i, ri := range g.Rows {
@@ -556,14 +540,13 @@ func (e *Engine) groupCounts(g *anonymize.Group) []int {
 	return inference.GroupCounts(svals, e.Table.Schema.M())
 }
 
-// attackGroup evaluates one equivalence class: posterior inference
-// over its tuples, per-record knowledge gains, and the breach count
-// (the computed gain against t when breach is nil). It is
-// self-contained — shared by Attack and AttackSweep — so any fan-out
-// over (bandwidth, group) pairs stays bit-identical to the sequential
-// path. A method that refuses the group (Exact on an oversized class)
-// records its error for the ordered fan-in instead of panicking the
-// worker.
+// attackGroup evaluates one equivalence class at one bandwidth:
+// posterior inference over its tuples, per-record knowledge gains, and
+// the breach count (the computed gain against t when breach is nil).
+// It is self-contained, so the per-class fan-out stays bit-identical
+// to the sequential path. A method that refuses the group (Exact on an
+// oversized class) records its error for the ordered fan-in instead of
+// panicking the worker.
 func (e *Engine) attackGroup(m inference.Method, g *anonymize.Group, priors []prob.Dist, counts []int, breach Breach, t float64) groupAttack {
 	gp := make([]prob.Dist, g.Size())
 	for i, ri := range g.Rows {
@@ -591,10 +574,10 @@ func (e *Engine) attackGroup(m inference.Method, g *anonymize.Group, priors []pr
 	return ga
 }
 
-// reduceAttack assembles a report from per-class results in group
-// order — the deterministic fan-in both attack entry points share.
-// The first per-class error in group order wins, so the reported
-// failure is the same at any worker count.
+// reduceAttack assembles one bandwidth's report from per-class results
+// in group order — the attack's deterministic fan-in. The first
+// per-class error in group order wins, so the reported failure is the
+// same at any worker count.
 func (e *Engine) reduceAttack(res *anonymize.Result, perGroup []groupAttack) (*AttackReport, error) {
 	rep := &AttackReport{Risks: make([]float64, e.Table.N())}
 	for gi, g := range res.Groups {
@@ -614,10 +597,10 @@ func (e *Engine) reduceAttack(res *anonymize.Result, perGroup []groupAttack) (*A
 }
 
 // AttackSweep runs Attack for a whole grid of adversary bandwidths
-// against one release. Each bandwidth's priors come through the same
-// cache slot Priors uses; the sweep amortizes the group decode, hoisted
-// out of the loop, and dispatches every (bandwidth, class) pair in one
-// parallel fan-out instead of one per bandwidth.
+// against one release; Attack itself is the one-point sweep. Each
+// bandwidth's priors come through the same cache slot Priors uses. The
+// fan-out runs one task per equivalence class: the task decodes the
+// class's sensitive multiset once and evaluates it at every bandwidth.
 // out[i] is bit-identical to Attack(res, bvecs[i], t, breach) at any
 // worker count.
 func (e *Engine) AttackSweep(res *anonymize.Result, bvecs [][]float64, t float64, breach Breach) ([]*AttackReport, error) {
@@ -631,8 +614,8 @@ func (e *Engine) AttackSweepWith(ctx context.Context, m inference.Method, res *a
 	return e.attackSweepSpan(obs.SpanFromContext(ctx), m, res, bvecs, t, breach)
 }
 
-// attackSweepSpan is the span-threaded sweep behind the sweep entry
-// points; m overrides the engine's inference method when non-nil.
+// attackSweepSpan is the span-threaded sweep behind every attack entry
+// point; m overrides the engine's inference method when non-nil.
 func (e *Engine) attackSweepSpan(sp *obs.Span, m inference.Method, res *anonymize.Result, bvecs [][]float64, t float64, breach Breach) ([]*AttackReport, error) {
 	if len(bvecs) == 0 {
 		return nil, nil
@@ -647,21 +630,23 @@ func (e *Engine) attackSweepSpan(sp *obs.Span, m inference.Method, res *anonymiz
 		priorsByB[i] = priors
 	}
 	nb, ng := len(bvecs), len(res.Groups)
-	// The sensitive multisets are bandwidth-invariant: decode each
-	// class once for the whole grid.
-	counts := make([][]int, ng)
-	for gi, g := range res.Groups {
-		counts[gi] = e.groupCounts(g)
-	}
-	isp := sp.Child(inferenceStage(method), "inference sweep "+method.Name())
+	isp := sp.Child(InferenceStage(method.Name()), "inference "+method.Name())
 	isp.SetShape(obs.Shape{
 		Rows:   e.Table.N(),
 		Dims:   e.Table.Schema.D(),
 		Lanes:  nb,
 		Groups: ng,
 	})
-	perGroup := parallel.Map(e.Workers(), nb*ng, func(i int) groupAttack {
-		return e.attackGroup(method, res.Groups[i%ng], priorsByB[i/ng], counts[i%ng], breach, t)
+	// One task per class: its sensitive multiset is bandwidth-invariant,
+	// so the task decodes it once and evaluates every bandwidth.
+	// perGroup[bi*ng+gi] is class gi at bandwidth bi.
+	perGroup := make([]groupAttack, nb*ng)
+	parallel.For(e.Workers(), ng, func(gi int) {
+		g := res.Groups[gi]
+		counts := e.groupCounts(g)
+		for bi, priors := range priorsByB {
+			perGroup[bi*ng+gi] = e.attackGroup(method, g, priors, counts, breach, t)
+		}
 	})
 	reports := make([]*AttackReport, nb)
 	for bi := range reports {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -54,5 +55,31 @@ func TestHistObserveOverflowCounts(t *testing.T) {
 	}
 	if got := h.sumNS.Load(); got != int64(time.Hour)+500 {
 		t.Fatalf("sumNS = %d, want %d", got, int64(time.Hour)+500)
+	}
+}
+
+// TestBucketQuantile pins the bucket estimator: ceil nearest-rank over
+// the bins, reporting the hit bin's geometric midpoint le/√2 in
+// milliseconds.
+func TestBucketQuantile(t *testing.T) {
+	mid := func(le int64) float64 { return float64(le) / math.Sqrt2 / 1000 }
+	two := []HistBucket{{LeMicros: 2048, Count: 5}, {LeMicros: 8192, Count: 5}}
+	for _, c := range []struct {
+		name    string
+		buckets []HistBucket
+		q       float64
+		want    float64
+	}{
+		{"empty", nil, 0.5, 0},
+		{"q=0 clamps to rank 1", two, 0, mid(2048)},
+		{"q=1 is the last bin", two, 1, mid(8192)},
+		// rank ceil(0.5*10)=5 ends exactly on the first bin's boundary.
+		{"rank on a bin boundary", two, 0.5, mid(2048)},
+		{"rank just past a boundary", two, 0.51, mid(8192)},
+		{"overflow bin", []HistBucket{{LeMicros: 4, Count: 1}, {LeMicros: 1 << (histBuckets - 1), Count: 3}}, 0.99, mid(1 << (histBuckets - 1))},
+	} {
+		if got := BucketQuantile(c.buckets, c.q); got != c.want {
+			t.Errorf("%s: BucketQuantile(q=%g) = %g, want %g", c.name, c.q, got, c.want)
+		}
 	}
 }

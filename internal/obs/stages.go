@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -51,14 +52,58 @@ type HistBucket struct {
 	Count    int64 `json:"count"`
 }
 
-// StageStats is one stage's ledger entry in a snapshot. These are the
-// empirical cost coefficients admission control will consume: Count
-// passes observed, TotalSeconds spent, and the latency shape in
-// Buckets (non-empty bins only).
+// StageStats is one histogram's snapshot — a stage's ledger entry, or
+// an endpoint's latency. These are the empirical cost coefficients
+// admission control will consume: Count observations, TotalSeconds
+// spent, and the latency shape in Buckets (non-empty bins only, in
+// ascending le order).
 type StageStats struct {
 	Count        int64        `json:"count"`
 	TotalSeconds float64      `json:"total_seconds"`
 	Buckets      []HistBucket `json:"buckets,omitempty"`
+}
+
+// Stats snapshots the histogram.
+func (h *Hist) Stats() StageStats {
+	stats := StageStats{
+		Count:        h.count.Load(),
+		TotalSeconds: float64(h.sumNS.Load()) / float64(time.Second),
+	}
+	for k := 0; k < histBuckets; k++ {
+		if c := h.bucket[k].Load(); c > 0 {
+			stats.Buckets = append(stats.Buckets, HistBucket{LeMicros: 1 << k, Count: c})
+		}
+	}
+	return stats
+}
+
+// BucketQuantile estimates the q-quantile of a log₂-bucketed histogram
+// (ascending le order, as Stats returns it) in milliseconds. The
+// estimator is ceil nearest-rank over buckets, reporting the containing
+// bucket's geometric midpoint (le/√2): the multiplicative center of a
+// [le/2, le) bin, so the estimate's relative error is bounded by the
+// bucket ratio (√2) rather than depending on where samples sit in the
+// bin. An empty histogram reports 0.
+func BucketQuantile(buckets []HistBucket, q float64) float64 {
+	var total int64
+	for _, b := range buckets {
+		total += b.Count
+	}
+	if total == 0 {
+		return 0
+	}
+	rank := int64(math.Ceil(q * float64(total)))
+	if rank < 1 {
+		rank = 1
+	}
+	var cum int64
+	for _, b := range buckets {
+		cum += b.Count
+		if cum >= rank {
+			return float64(b.LeMicros) / math.Sqrt2 / 1000
+		}
+	}
+	return float64(buckets[len(buckets)-1].LeMicros) / math.Sqrt2 / 1000
 }
 
 // ShapeSample is one calibration observation: the workload shape a
@@ -156,21 +201,9 @@ func (g *Stages) Snapshot() map[string]StageStats {
 		return out
 	}
 	for st := StageNone + 1; st < numStages; st++ {
-		h := &g.hists[st]
-		n := h.count.Load()
-		if n == 0 {
-			continue
+		if stats := g.hists[st].Stats(); stats.Count > 0 {
+			out[st.String()] = stats
 		}
-		stats := StageStats{
-			Count:        n,
-			TotalSeconds: float64(h.sumNS.Load()) / float64(time.Second),
-		}
-		for k := 0; k < histBuckets; k++ {
-			if c := h.bucket[k].Load(); c > 0 {
-				stats.Buckets = append(stats.Buckets, HistBucket{LeMicros: 1 << k, Count: c})
-			}
-		}
-		out[st.String()] = stats
 	}
 	return out
 }

@@ -22,7 +22,7 @@
 //	GET  /v1/releases/{id}   release metadata
 //	GET  /v1/jobs/{id}       async anonymize job status
 //	GET  /healthz            liveness
-//	GET  /metrics            counters, latency quantiles, stage ledger,
+//	GET  /metrics            counters, latency histograms, stage ledger,
 //	                         and fitted cost model (JSON;
 //	                         ?format=prom → OpenMetrics text)
 //
@@ -344,7 +344,7 @@ type AttackResponse struct {
 	// Ω default, so default bodies are byte-identical to earlier
 	// releases of the API.
 	Inference string `json:"inference,omitempty"`
-	// Explain is the opt-in cost block. Per-request: computeAttack's
+	// Explain is the opt-in cost block. Per-request: computeSweep's
 	// singleflight shares the value fields, never this pointer.
 	Explain *ExplainBlock `json:"explain,omitempty"`
 }

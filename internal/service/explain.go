@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -56,19 +57,7 @@ func attackShapes(entry *releaseEntry, lanes int, method string) []stageShape {
 			stageShape{obs.StagePriors, obs.Shape{Profiles: profiles, Dims: d, Lanes: 1}},
 		)
 	}
-	return append(out, stageShape{inferenceStageFor(method), obs.Shape{Rows: n, Dims: d, Lanes: lanes, Groups: groups}})
-}
-
-// inferenceStageFor maps a (canonicalized) method name to the ledger
-// stage its passes are recorded — and priced — under.
-func inferenceStageFor(method string) obs.Stage {
-	switch method {
-	case "exact":
-		return obs.StageInferenceExact
-	case "adaptive":
-		return obs.StageInferenceAdaptive
-	}
-	return obs.StageInference
+	return append(out, stageShape{core.InferenceStage(method), obs.Shape{Rows: n, Dims: d, Lanes: lanes, Groups: groups}})
 }
 
 // price evaluates the cost model over a request's stage list, in list

@@ -2,74 +2,24 @@ package service
 
 import (
 	"expvar"
-	"math"
-	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/costmodel"
 	"repro/internal/obs"
 )
 
-// latWindow is the per-endpoint latency sample window. Quantiles are
-// computed over the most recent latWindow observations — a bounded
-// sliding window, so a long-running server's p50/p99 track current
-// load rather than its whole history.
-const latWindow = 1024
-
-// latencyRing holds the last latWindow durations for one endpoint,
-// plus the endpoint's lifetime request and error counts.
-type latencyRing struct {
-	samples [latWindow]time.Duration
-	next    int
-	filled  bool
-	count   int64
-	errors  int64
-}
-
-func (r *latencyRing) observe(d time.Duration) {
-	r.samples[r.next] = d
-	r.next++
-	if r.next == latWindow {
-		r.next = 0
-		r.filled = true
-	}
-	r.count++
-}
-
-// quantiles returns the requested quantiles (each in [0,1]) over the
-// current window, in milliseconds. The estimator is ceil nearest-rank:
-// the q-quantile is the smallest sample with at least a q fraction of
-// the window at or below it. (The truncating form int(q*(n-1)) it
-// replaces reported ~p98.9 as "p99" over a full window and biased
-// every quantile low on small ones.)
-func (r *latencyRing) quantiles(qs ...float64) []float64 {
-	n := r.next
-	if r.filled {
-		n = latWindow
-	}
-	out := make([]float64, len(qs))
-	if n == 0 {
-		return out
-	}
-	buf := make([]time.Duration, n)
-	copy(buf, r.samples[:n])
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	for i, q := range qs {
-		idx := int(math.Ceil(q*float64(n))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= n {
-			idx = n - 1
-		}
-		out[i] = float64(buf[idx]) / float64(time.Millisecond)
-	}
-	return out
+// endpointLatency is one endpoint's instrumentation: the latency
+// histogram plus the error tally (the histogram's count is the request
+// count). Registered at route time, so requests observe it without a
+// lock.
+type endpointLatency struct {
+	hist   obs.Hist
+	errors atomic.Int64
 }
 
 // Metrics is the server's instrumentation: expvar counters for request
-// and cache accounting plus per-endpoint latency windows. The counters
+// and cache accounting plus per-endpoint latency histograms. The counters
 // are expvar values but are deliberately not Published globally, so
 // many servers (tests, benchmarks) can coexist in one process; GET
 // /metrics serves a JSON snapshot instead of the global expvar page.
@@ -102,28 +52,30 @@ type Metrics struct {
 	PersistReleaseLoads expvar.Int // releases recovered from disk
 	PersistDatasetLoads expvar.Int // datasets rebuilt from persisted manifests
 
-	mu  sync.Mutex
-	lat map[string]*latencyRing
+	// endpoints is keyed "<METHOD> <path>"; route fills it while the
+	// server is built, and it is read-only once serving starts.
+	endpoints map[string]*endpointLatency
 }
 
 func newMetrics() *Metrics {
-	return &Metrics{start: time.Now(), lat: map[string]*latencyRing{}}
+	return &Metrics{start: time.Now(), endpoints: map[string]*endpointLatency{}}
 }
 
-// observe records one completed request for the named endpoint,
-// counting responses with status >= 400 into the endpoint's error
-// tally (the global Errors counter aggregates across endpoints).
-func (m *Metrics) observe(endpoint string, d time.Duration, status int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	r, ok := m.lat[endpoint]
-	if !ok {
-		r = &latencyRing{}
-		m.lat[endpoint] = r
-	}
-	r.observe(d)
+// endpoint registers the named endpoint's instrumentation. Only
+// construction calls it.
+func (m *Metrics) endpoint(name string) *endpointLatency {
+	e := &endpointLatency{}
+	m.endpoints[name] = e
+	return e
+}
+
+// observe records one completed request, counting responses with
+// status >= 400 into the endpoint's error tally (the global Errors
+// counter aggregates across endpoints).
+func (e *endpointLatency) observe(d time.Duration, status int) {
+	e.hist.Observe(d)
 	if status >= 400 {
-		r.errors++
+		e.errors.Add(1)
 	}
 }
 
@@ -142,12 +94,17 @@ func (m *Metrics) countStore(src source) {
 	}
 }
 
-// EndpointStats is one endpoint's latency summary in a snapshot.
+// EndpointStats is one endpoint's latency summary in a snapshot, over
+// the server's lifetime. P50Milli and P99Milli are bucket estimates
+// (obs.BucketQuantile), within a factor √2 of the true quantile;
+// TotalSeconds and Buckets carry the histogram itself.
 type EndpointStats struct {
-	Count    int64   `json:"count"`
-	Errors   int64   `json:"errors"`
-	P50Milli float64 `json:"p50_ms"`
-	P99Milli float64 `json:"p99_ms"`
+	Count        int64            `json:"count"`
+	Errors       int64            `json:"errors"`
+	P50Milli     float64          `json:"p50_ms"`
+	P99Milli     float64          `json:"p99_ms"`
+	TotalSeconds float64          `json:"total_seconds"`
+	Buckets      []obs.HistBucket `json:"buckets,omitempty"`
 }
 
 // StoreStats is the release-store section of a snapshot.
@@ -252,20 +209,20 @@ func (m *Metrics) snapshot(releases, datasets, pendingJobs int, stages map[strin
 		Stages:    stages,
 		CostModel: cost,
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	// Quantile computation sorts a scratch copy in place; walk the
-	// endpoints in sorted order so any future observable side effect
-	// of it stays independent of map iteration order.
-	names := make([]string, 0, len(m.lat))
-	for name := range m.lat {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		r := m.lat[name]
-		qs := r.quantiles(0.50, 0.99)
-		s.Endpoints[name] = EndpointStats{Count: r.count, Errors: r.errors, P50Milli: qs[0], P99Milli: qs[1]}
+	for _, name := range sortedKeys(m.endpoints) {
+		e := m.endpoints[name]
+		h := e.hist.Stats()
+		if h.Count == 0 {
+			continue
+		}
+		s.Endpoints[name] = EndpointStats{
+			Count:        h.Count,
+			Errors:       e.errors.Load(),
+			P50Milli:     obs.BucketQuantile(h.Buckets, 0.50),
+			P99Milli:     obs.BucketQuantile(h.Buckets, 0.99),
+			TotalSeconds: h.TotalSeconds,
+			Buckets:      h.Buckets,
+		}
 	}
 	return s
 }

@@ -5,61 +5,40 @@ import (
 	"time"
 )
 
-// TestLatencyRingQuantiles pins the ceil nearest-rank estimator: the
-// q-quantile is the smallest sample with at least a q fraction of the
-// window at or below it. The old truncating form int(q*(n-1)) made
-// "p99" over a full 1024-sample window really ~p98.9 (rank 1013 of
-// 1024) and biased every quantile low on small windows.
-func TestLatencyRingQuantiles(t *testing.T) {
-	fill := func(n int) *latencyRing {
-		r := &latencyRing{}
-		// Descending insert order: quantiles must sort, not trust
-		// arrival order.
-		for i := n; i >= 1; i-- {
-			r.observe(time.Duration(i) * time.Millisecond)
-		}
-		return r
-	}
-	for _, tc := range []struct {
-		name string
-		n    int
-		qs   []float64
-		want []float64 // milliseconds
-	}{
-		{"full window", latWindow, []float64{0.50, 0.99, 1.0}, []float64{512, 1014, 1024}},
-		{"hundred", 100, []float64{0, 0.50, 0.90, 0.99, 1.0}, []float64{1, 50, 90, 99, 100}},
-		// n=4: p99 must report the max (rank ceil(3.96)=4), where the
-		// truncating form reported sample 3 of 4.
-		{"small window", 4, []float64{0.50, 0.99}, []float64{2, 4}},
-		{"single sample", 1, []float64{0.50, 0.99}, []float64{1, 1}},
-	} {
-		r := fill(tc.n)
-		got := r.quantiles(tc.qs...)
-		for i, q := range tc.qs {
-			if got[i] != tc.want[i] {
-				t.Errorf("%s: q=%g → %g ms, want %g", tc.name, q, got[i], tc.want[i])
-			}
-		}
+// TestEndpointSnapshot pins the per-endpoint latency section of the
+// snapshot: the histogram's count is the request count, responses with
+// status >= 400 tick the error tally, the bucket-estimated p50 lands
+// inside the [le/2, le) bin the observations fell in, and a registered
+// endpoint that saw no traffic is omitted.
+func TestEndpointSnapshot(t *testing.T) {
+	m := newMetrics()
+	attack := m.endpoint("POST /v1/attack")
+	m.endpoint("GET /healthz")
+	for _, status := range []int{200, 200, 404, 200, 500} {
+		attack.observe(3*time.Millisecond, status)
 	}
 
-	// An empty ring reports zeros rather than panicking.
-	empty := &latencyRing{}
-	for _, v := range empty.quantiles(0.5, 0.99) {
-		if v != 0 {
-			t.Errorf("empty ring quantile = %g, want 0", v)
+	s := m.snapshot(0, 0, 0, nil, nil)
+	if len(s.Endpoints) != 1 {
+		t.Fatalf("endpoints = %v, want only the one with traffic", s.Endpoints)
+	}
+	got, ok := s.Endpoints["POST /v1/attack"]
+	if !ok {
+		t.Fatalf("snapshot lacks POST /v1/attack: %v", s.Endpoints)
+	}
+	if got.Count != 5 || got.Errors != 2 {
+		t.Errorf("count/errors = %d/%d, want 5/2", got.Count, got.Errors)
+	}
+	// 3ms = 3000µs falls in the bin le=4096µs, holding [2048, 4096)µs.
+	if len(got.Buckets) != 1 || got.Buckets[0].LeMicros != 4096 || got.Buckets[0].Count != 5 {
+		t.Fatalf("buckets = %+v, want one bin le=4096µs holding 5", got.Buckets)
+	}
+	for name, q := range map[string]float64{"p50": got.P50Milli, "p99": got.P99Milli} {
+		if q < 2.048 || q >= 4.096 {
+			t.Errorf("%s = %g ms, want inside the observed bin [2.048, 4.096)", name, q)
 		}
 	}
-
-	// The window slides: after latWindow+k observations, only the most
-	// recent latWindow samples are visible.
-	r := &latencyRing{}
-	for i := 1; i <= latWindow+100; i++ {
-		r.observe(time.Duration(i) * time.Millisecond)
-	}
-	if got := r.quantiles(1.0)[0]; got != float64(latWindow+100) {
-		t.Errorf("max after slide = %g, want %d", got, latWindow+100)
-	}
-	if got := r.quantiles(0)[0]; got != 101 {
-		t.Errorf("min after slide = %g, want 101 (oldest samples evicted)", got)
+	if want := 5 * 0.003; got.TotalSeconds < want-1e-12 || got.TotalSeconds > want+1e-12 {
+		t.Errorf("total_seconds = %g, want %g", got.TotalSeconds, want)
 	}
 }

@@ -15,12 +15,12 @@ import (
 const promContentType = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 
 // renderProm renders a metrics snapshot as OpenMetrics text: the
-// counters as *_total, the stage ledger's log₂-µs histograms as
-// cumulative le-bucket histograms in seconds, the fitted cost model as
-// per-stage gauges, per-endpoint latency quantiles as summaries, and a
-// small process-health block sampled from runtime/metrics. Output is
-// byte-deterministic for a given snapshot: families render in fixed
-// order and every map walks its keys sorted.
+// counters as *_total, the per-endpoint latency and stage-ledger
+// log₂-µs histograms as cumulative le-bucket histograms in seconds, the
+// fitted cost model as per-stage gauges, and a small process-health
+// block sampled from runtime/metrics. Output is byte-deterministic for
+// a given snapshot: families render in fixed order and every map walks
+// its keys sorted.
 func renderProm(s Snapshot) []byte {
 	var b strings.Builder
 
@@ -65,7 +65,7 @@ func renderProm(s Snapshot) []byte {
 	counter("repro_persist_dataset_loads", "datasets rebuilt from persisted manifests", s.Persist.DatasetLoads)
 
 	renderEndpoints(&b, s.Endpoints)
-	renderStageHistograms(&b, s.Stages)
+	renderHistograms(&b, "repro_stage_duration_seconds", "stage", "pipeline stage pass durations", s.Stages)
 	renderCostModel(&b, s)
 	renderProcessHealth(&b)
 
@@ -74,7 +74,7 @@ func renderProm(s Snapshot) []byte {
 }
 
 // renderEndpoints emits per-endpoint request/error counters and the
-// latency window's quantiles as a summary family.
+// endpoint latency histograms.
 func renderEndpoints(b *strings.Builder, eps map[string]EndpointStats) {
 	if len(eps) == 0 {
 		return
@@ -88,42 +88,39 @@ func renderEndpoints(b *strings.Builder, eps map[string]EndpointStats) {
 	for _, name := range names {
 		fmt.Fprintf(b, "repro_endpoint_errors_total{endpoint=\"%s\"} %d\n", promLabel(name), eps[name].Errors)
 	}
-	fmt.Fprintf(b, "# TYPE repro_endpoint_latency_seconds summary\n# HELP repro_endpoint_latency_seconds request latency quantiles over the recent window\n")
-	for _, name := range names {
-		e := eps[name]
-		fmt.Fprintf(b, "repro_endpoint_latency_seconds{endpoint=\"%s\",quantile=\"0.5\"} %s\n",
-			promLabel(name), promFloat(e.P50Milli/1e3))
-		fmt.Fprintf(b, "repro_endpoint_latency_seconds{endpoint=\"%s\",quantile=\"0.99\"} %s\n",
-			promLabel(name), promFloat(e.P99Milli/1e3))
+	hists := make(map[string]obs.StageStats, len(eps))
+	for name, e := range eps {
+		hists[name] = obs.StageStats{Count: e.Count, TotalSeconds: e.TotalSeconds, Buckets: e.Buckets}
 	}
+	renderHistograms(b, "repro_endpoint_latency_seconds", "endpoint", "request latency over the server's lifetime", hists)
 }
 
-// maxLeMicros is the stage histograms' top bin boundary. The top bin
+// maxLeMicros is the log₂-µs histograms' top bin boundary. The top bin
 // absorbs overflow, so its nominal boundary undercounts what it holds;
 // the renderer folds it into +Inf instead of emitting a false le.
 const maxLeMicros = int64(1) << 25
 
-// renderStageHistograms emits the per-stage duration ledger as
-// cumulative le-bucket histograms, le in seconds.
-func renderStageHistograms(b *strings.Builder, stages map[string]obs.StageStats) {
-	if len(stages) == 0 {
+// renderHistograms emits one histogram family of log₂-µs histograms,
+// one series per label value, as cumulative le buckets in seconds.
+func renderHistograms(b *strings.Builder, name, label, help string, series map[string]obs.StageStats) {
+	if len(series) == 0 {
 		return
 	}
-	fmt.Fprintf(b, "# TYPE repro_stage_duration_seconds histogram\n# HELP repro_stage_duration_seconds pipeline stage pass durations\n")
-	for _, name := range sortedKeys(stages) {
-		st := stages[name]
+	fmt.Fprintf(b, "# TYPE %s histogram\n# HELP %s %s\n", name, name, help)
+	for _, key := range sortedKeys(series) {
+		st := series[key]
+		lv := label + "=\"" + promLabel(key) + "\""
 		var cum int64
 		for _, bk := range st.Buckets {
 			cum += bk.Count
 			if bk.LeMicros >= maxLeMicros {
 				continue
 			}
-			fmt.Fprintf(b, "repro_stage_duration_seconds_bucket{stage=\"%s\",le=\"%s\"} %d\n",
-				promLabel(name), promFloat(float64(bk.LeMicros)/1e6), cum)
+			fmt.Fprintf(b, "%s_bucket{%s,le=\"%s\"} %d\n", name, lv, promFloat(float64(bk.LeMicros)/1e6), cum)
 		}
-		fmt.Fprintf(b, "repro_stage_duration_seconds_bucket{stage=\"%s\",le=\"+Inf\"} %d\n", promLabel(name), st.Count)
-		fmt.Fprintf(b, "repro_stage_duration_seconds_sum{stage=\"%s\"} %s\n", promLabel(name), promFloat(st.TotalSeconds))
-		fmt.Fprintf(b, "repro_stage_duration_seconds_count{stage=\"%s\"} %d\n", promLabel(name), st.Count)
+		fmt.Fprintf(b, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, lv, st.Count)
+		fmt.Fprintf(b, "%s_sum{%s} %s\n", name, lv, promFloat(st.TotalSeconds))
+		fmt.Fprintf(b, "%s_count{%s} %d\n", name, lv, st.Count)
 	}
 }
 

@@ -159,14 +159,12 @@ type Server struct {
 	// jobs is the async-anonymize queue drained by the job workers.
 	jobs *jobQueue
 
-	// attacks dedups concurrent identical attack/risk computations.
-	// Results are not memoized — the release store already pins the
-	// expensive artifact — so repeated sequential attacks recompute on
-	// the warm engine.
-	attacks parallel.Group[*AttackResponse]
-	// sweeps dedups concurrent identical bandwidth sweeps, keyed on the
-	// normalized (sorted, deduplicated) grid so permutations of the
-	// same bprimes collapse into one amortized pass.
+	// sweeps dedups concurrent identical attack/risk computations — a
+	// single bprime is the one-point sweep — keyed on the normalized
+	// (sorted, deduplicated) grid so permutations of the same bprimes
+	// collapse into one amortized pass. Results are not memoized — the
+	// release store already pins the expensive artifact — so repeated
+	// sequential attacks recompute on the warm engine.
 	sweeps parallel.Group[map[float64]*AttackResponse]
 	// dsRecover and relRecover dedup concurrent disk recoveries so a
 	// thundering herd after a restart rebuilds each engine once.
@@ -285,13 +283,18 @@ func (w *statusWriter) WriteHeader(code int) {
 type methods map[string]http.HandlerFunc
 
 // route registers an instrumented path: request/in-flight/error
-// counters, a latency observation under "<METHOD> <path>", and — when
+// counters, a latency observation into the "<METHOD> <path>" histogram
+// (registered here, so requests observe it without a lock), and — when
 // tracing is on — one trace per request, its root span carried in the
 // request context so every pipeline layer below can attach stage
 // spans. The trace id is echoed as X-Request-Id and joins the request
 // log line. Unlisted methods get a 405 without touching the counters.
 func (s *Server) route(pattern string, hs methods) {
 	display := strings.TrimSuffix(pattern, "/")
+	lat := make(map[string]*endpointLatency, len(hs))
+	for _, method := range sortedKeys(hs) {
+		lat[method] = s.metrics.endpoint(method + " " + display)
+	}
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		h, ok := hs[r.Method]
 		if !ok {
@@ -311,7 +314,7 @@ func (s *Server) route(pattern string, hs methods) {
 		defer func() {
 			d := time.Since(start)
 			s.metrics.InFlight.Add(-1)
-			s.metrics.observe(endpoint, d, sw.status)
+			lat[r.Method].observe(d, sw.status)
 			if sw.status >= 400 {
 				s.metrics.Errors.Add(1)
 			}
@@ -640,21 +643,22 @@ func (s *Server) handleAnonymize(w http.ResponseWriter, r *http.Request) {
 	// reaches the release key, the job queue, or the persisted record.
 	explainWanted := wantExplain(r, req.Explain)
 	req.Explain = false
-	ds, ok := s.getDataset(obs.SpanFromContext(r.Context()), req.Dataset)
-	if !ok {
+	// Async is transport too: the job carries the canonical synchronous
+	// form, so it must not leak into the release key or the persisted
+	// request.
+	async := req.Async
+	req.Async = false
+	id := hashID("rel", req.key())
+	ds, resident := s.anonymizeDataset(obs.SpanFromContext(r.Context()), id, req.Dataset)
+	if ds == nil {
 		writeErr(w, http.StatusNotFound, "unknown dataset %q", req.Dataset)
 		return
 	}
-	if req.Async {
-		// The job carries the canonical synchronous form: Async is
-		// transport, not content, and must not leak into the release
-		// key or the persisted request.
-		req.Async = false
-		id := hashID("rel", req.key())
+	if async {
 		var j *job
 		var deduped bool
 		var err error
-		if _, resident := s.releases.get(id); resident {
+		if resident {
 			// Already computed: born-done job — no queue slot spent,
 			// no 503 from a full queue, no waiting behind real work.
 			s.metrics.countStore(sourceHit)
@@ -700,6 +704,19 @@ func (s *Server) handleAnonymize(w http.ResponseWriter, r *http.Request) {
 		resp.Explain = s.explain(obs.SpanFromContext(r.Context()), s.anonymizeShapes(ds, req.Algo))
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// anonymizeDataset resolves the dataset an anonymize request runs on
+// (nil when unknown) and reports whether its release is resident. A
+// resident release carries its dataset entry, so it answers even after
+// the dataset store evicted the dataset; only a miss resolves the
+// dataset itself.
+func (s *Server) anonymizeDataset(sp *obs.Span, releaseID, dataset string) (ds *datasetEntry, resident bool) {
+	if e, ok := s.releases.get(releaseID); ok {
+		return e.ds, true
+	}
+	ds, _ = s.getDataset(sp, dataset)
+	return ds, false
 }
 
 // resolveOrCompute is the release-resolution core shared by the sync
@@ -799,9 +816,9 @@ func attackResponse(entry *releaseEntry, bprime float64, inf string, rep *core.A
 		mean += v
 	}
 	mean /= float64(len(risks))
-	// Ceil nearest-rank, matching latencyRing.quantiles: the q-quantile
-	// is the smallest risk with at least a q fraction of records at or
-	// below it (the truncating form reported ~p98.9 as "p99").
+	// Ceil nearest-rank: the q-quantile is the smallest risk with at
+	// least a q fraction of records at or below it (the truncating form
+	// reported ~p98.9 as "p99").
 	q := func(p float64) float64 {
 		idx := int(math.Ceil(p*float64(len(risks)))) - 1
 		if idx < 0 {
@@ -829,44 +846,15 @@ func breachFor(entry *releaseEntry) core.Breach {
 	return entry.ds.engine.BreachTest(entry.breachModel, params)
 }
 
-// computeAttack runs (or joins) one attack evaluation: adversary
-// Adv(b') against the stored release, breached under the release's own
-// criterion. Classes fan out on the dataset's shared pool; the
-// response is bit-identical at any worker count. The method selection
-// is part of the singleflight key — concurrent requests for the same
-// (release, b') under different methods compute separately and never
-// share a result.
-func (s *Server) computeAttack(ctx context.Context, entry *releaseEntry, bprime float64, inf string, maxStates int) (*AttackResponse, error) {
-	key := entry.id + "|b'=" + strconv.FormatFloat(bprime, 'g', -1, 64) +
-		inferenceKeySuffix(inf, maxStates)
-	resp, shared, err := s.attacks.Do(key, func() (*AttackResponse, error) {
-		// The singleflight leader runs here on its own goroutine's
-		// context, so the prior and inference spans land on exactly one
-		// trace; followers just share the response.
-		method, err := methodFor(inf, maxStates)
-		if err != nil {
-			return nil, err
-		}
-		eng := entry.ds.engine
-		bvec := kernel.UniformBandwidth(entry.ds.table.Schema.D(), bprime)
-		rep, err := eng.AttackWith(ctx, method, entry.res, bvec, entry.req.T, breachFor(entry))
-		if err != nil {
-			return nil, err
-		}
-		return attackResponse(entry, bprime, inf, rep), nil
-	})
-	if shared {
-		obs.SpanFromContext(ctx).SetOutcome(sourceShared.String())
-	}
-	return resp, err
-}
-
-// computeSweep runs (or joins) one amortized bandwidth sweep against a
-// stored release. The singleflight key is the normalized grid — sorted
-// and deduplicated — so concurrent sweeps that permute or repeat the
-// same bandwidths share one engine pass; per-bandwidth results are
-// bit-identical to single-bprime attacks (the engine's AttackSweep
-// guarantee, pinned by the HTTP tests). The return maps each distinct
+// computeSweep runs (or joins) one attack evaluation against a stored
+// release: adversary Adv(b') at every bandwidth of the grid — one point
+// for the single-bprime form — breached under the release's own
+// criterion. Classes fan out on the dataset's shared pool; responses
+// are bit-identical at any worker count. The singleflight key is the
+// normalized grid — sorted and deduplicated — plus the method
+// selection, so concurrent requests that permute or repeat the same
+// bandwidths share one engine pass while requests under different
+// methods never share a result. The return maps each distinct
 // bandwidth to its response; callers assemble request order from it.
 func (s *Server) computeSweep(ctx context.Context, entry *releaseEntry, bprimes []float64, inf string, maxStates int) (map[float64]*AttackResponse, error) {
 	norm := normalizeGrid(bprimes)
@@ -876,7 +864,10 @@ func (s *Server) computeSweep(ctx context.Context, entry *releaseEntry, bprimes 
 	}
 	key := entry.id + "|sweep=" + strings.Join(parts, ",") +
 		inferenceKeySuffix(inf, maxStates)
-	results, _, err := s.sweeps.Do(key, func() (map[float64]*AttackResponse, error) {
+	results, shared, err := s.sweeps.Do(key, func() (map[float64]*AttackResponse, error) {
+		// The singleflight leader runs here on its own goroutine's
+		// context, so the prior and inference spans land on exactly one
+		// trace; followers just share the responses.
 		method, err := methodFor(inf, maxStates)
 		if err != nil {
 			return nil, err
@@ -897,6 +888,9 @@ func (s *Server) computeSweep(ctx context.Context, entry *releaseEntry, bprimes 
 		}
 		return out, nil
 	})
+	if shared {
+		obs.SpanFromContext(ctx).SetOutcome(sourceShared.String())
+	}
 	return results, err
 }
 
@@ -983,12 +977,15 @@ func (s *Server) getRelease(w http.ResponseWriter, r *http.Request) (q attackQue
 	return q, true
 }
 
-// sweepResponses runs the amortized sweep and assembles per-bandwidth
-// responses in request order, counting the sweep's amortization into
-// the metrics ledger.
+// sweepResponses runs the request's grid and assembles per-bandwidth
+// responses in request order. They are copies, so per-request fields
+// never touch the singleflight's shared values. Only the bprimes form
+// counts into the sweep ledger.
 func (s *Server) sweepResponses(ctx context.Context, q attackQuery) ([]AttackResponse, error) {
-	s.metrics.SweepRequests.Add(1)
-	s.metrics.SweepPoints.Add(int64(len(q.bprimes)))
+	if q.sweep {
+		s.metrics.SweepRequests.Add(1)
+		s.metrics.SweepPoints.Add(int64(len(q.bprimes)))
+	}
 	results, err := s.computeSweep(ctx, q.entry, q.bprimes, q.inference, q.maxStates)
 	if err != nil {
 		return nil, err
@@ -1018,39 +1015,28 @@ func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if q.sweep {
-		results, err := s.sweepResponses(r.Context(), q)
-		if err != nil {
-			writeAttackErr(w, "attacking", err)
-			return
-		}
-		resp := AttackSweepResponse{Release: q.entry.id, Sweep: results}
-		if q.explain {
-			resp.Explain = s.attackExplain(r, q)
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	resp, err := s.computeAttack(r.Context(), q.entry, q.bprimes[0], q.inference, q.maxStates)
+	results, err := s.sweepResponses(r.Context(), q)
 	if err != nil {
 		writeAttackErr(w, "attacking", err)
 		return
 	}
-	if q.explain {
-		// The singleflight result is shared with concurrent callers;
-		// the per-request explain block goes on a copy, never the
-		// shared value.
-		out := *resp
-		out.Explain = s.attackExplain(r, q)
-		resp = &out
+	explain := s.attackExplain(r, q)
+	if q.sweep {
+		writeJSON(w, http.StatusOK, AttackSweepResponse{Release: q.entry.id, Sweep: results, Explain: explain})
+		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	results[0].Explain = explain
+	writeJSON(w, http.StatusOK, results[0])
 }
 
-// attackExplain builds the cost block for an attack/risk request: the
-// cold-path pricing at the request's grid width — and its method's
-// inference stage — next to what this request's trace actually spent.
+// attackExplain builds the cost block for an attack/risk request that
+// opted in (nil otherwise): the cold-path pricing at the request's grid
+// width — and its method's inference stage — next to what this
+// request's trace actually spent.
 func (s *Server) attackExplain(r *http.Request, q attackQuery) *ExplainBlock {
+	if !q.explain {
+		return nil
+	}
 	lanes := len(normalizeGrid(q.bprimes))
 	return s.explain(obs.SpanFromContext(r.Context()), attackShapes(q.entry, lanes, q.inference))
 }
@@ -1060,32 +1046,22 @@ func (s *Server) handleRisk(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if q.sweep {
-		results, err := s.sweepResponses(r.Context(), q)
-		if err != nil {
-			writeAttackErr(w, "evaluating risk", err)
-			return
-		}
-		resp := RiskSweepResponse{Release: q.entry.id, Sweep: make([]RiskResponse, len(results))}
-		for i, ar := range results {
-			resp.Sweep[i] = RiskResponse{Release: ar.Release, BPrime: ar.BPrime, WorstRisk: ar.WorstRisk, Inference: ar.Inference}
-		}
-		if q.explain {
-			resp.Explain = s.attackExplain(r, q)
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	resp, err := s.computeAttack(r.Context(), q.entry, q.bprimes[0], q.inference, q.maxStates)
+	results, err := s.sweepResponses(r.Context(), q)
 	if err != nil {
 		writeAttackErr(w, "evaluating risk", err)
 		return
 	}
-	out := RiskResponse{Release: resp.Release, BPrime: resp.BPrime, WorstRisk: resp.WorstRisk, Inference: resp.Inference}
-	if q.explain {
-		out.Explain = s.attackExplain(r, q)
+	risks := make([]RiskResponse, len(results))
+	for i, ar := range results {
+		risks[i] = RiskResponse{Release: ar.Release, BPrime: ar.BPrime, WorstRisk: ar.WorstRisk, Inference: ar.Inference}
 	}
-	writeJSON(w, http.StatusOK, out)
+	explain := s.attackExplain(r, q)
+	if q.sweep {
+		writeJSON(w, http.StatusOK, RiskSweepResponse{Release: q.entry.id, Sweep: risks, Explain: explain})
+		return
+	}
+	risks[0].Explain = explain
+	writeJSON(w, http.StatusOK, risks[0])
 }
 
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {

@@ -389,6 +389,45 @@ func TestReleaseStoreEvictionEndToEnd(t *testing.T) {
 	}
 }
 
+// TestAnonymizeResidentReleaseAfterDatasetEviction checks that a
+// resident release answers anonymize requests after the dataset store
+// evicted its dataset: the release entry carries the dataset, so both
+// the sync path and the async born-done path serve it from the store
+// (counted as hits) instead of 404ing on the dataset lookup.
+func TestAnonymizeResidentReleaseAfterDatasetEviction(t *testing.T) {
+	s, ts := newTestServerCfg(t, Config{Workers: -1, DatasetCap: 1})
+	dsA := createDataset(t, ts, 150, 1)
+	body := fmt.Sprintf(`{"dataset":%q,"model":"distinct"}`, dsA)
+	code, b := post(t, ts, "/v1/anonymize", body)
+	if code != http.StatusOK {
+		t.Fatalf("anonymize A: status %d: %s", code, b)
+	}
+	rel := mustJSON[AnonymizeResponse](t, b).Release
+	createDataset(t, ts, 150, 2) // evicts dataset A
+
+	hits := s.Metrics().StoreHits.Value()
+	code, b = post(t, ts, "/v1/anonymize", body)
+	if code != http.StatusOK {
+		t.Fatalf("anonymize A after its dataset was evicted: status %d: %s", code, b)
+	}
+	if resp := mustJSON[AnonymizeResponse](t, b); !resp.Cached || resp.Release != rel || resp.Dataset != dsA {
+		t.Fatalf("sync re-request: %+v, want a cached hit on %s", resp, rel)
+	}
+	code, b = post(t, ts, "/v1/anonymize", fmt.Sprintf(`{"dataset":%q,"model":"distinct","async":true}`, dsA))
+	if code != http.StatusAccepted {
+		t.Fatalf("async anonymize A: status %d: %s", code, b)
+	}
+	if j := mustJSON[JobResponse](t, b); j.State != string(jobDone) || j.Release != rel {
+		t.Fatalf("async re-request: %+v, want a born-done job for %s", j, rel)
+	}
+	if got := s.Metrics().StoreHits.Value() - hits; got != 2 {
+		t.Fatalf("store hits = %d, want 2 (sync and async)", got)
+	}
+	if got := s.Metrics().PipelineRuns.Value(); got != 1 {
+		t.Fatalf("pipeline runs = %d, want 1", got)
+	}
+}
+
 // TestAttackDeterministicAcrossWorkers asserts the serving path's
 // determinism guarantee: attack and risk response bodies are
 // byte-identical between a sequential server and an all-cores server.

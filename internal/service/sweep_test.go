@@ -118,15 +118,22 @@ func bigGrid(n int) string {
 }
 
 // TestSweepMetrics checks the amortization ledger: one sweep request
-// with four points must count (1 request, 4 points).
+// with four points must count (1 request, 4 points). Single-bprime
+// attack and risk requests run as one-point sweeps but are not the
+// bprimes form, so they leave the ledger alone.
 func TestSweepMetrics(t *testing.T) {
 	_, ts := newTestServer(t, 1)
 	rel := sweepFixture(t, ts)
-	code, body := post(t, ts, "/v1/attack", fmt.Sprintf(`{"release":%q,"bprimes":[0.2,0.3,0.4,0.5]}`, rel))
-	if code != http.StatusOK {
-		t.Fatalf("sweep attack: %d %s", code, body)
+	for _, req := range []struct{ path, body string }{
+		{"/v1/attack", fmt.Sprintf(`{"release":%q,"bprimes":[0.2,0.3,0.4,0.5]}`, rel)},
+		{"/v1/attack", fmt.Sprintf(`{"release":%q,"bprime":0.3}`, rel)},
+		{"/v1/risk", fmt.Sprintf(`{"release":%q,"bprime":0.4}`, rel)},
+	} {
+		if code, body := post(t, ts, req.path, req.body); code != http.StatusOK {
+			t.Fatalf("%s %s: %d %s", req.path, req.body, code, body)
+		}
 	}
-	_, body = get(t, ts, "/metrics")
+	_, body := get(t, ts, "/metrics")
 	snap := mustJSON[Snapshot](t, body)
 	if snap.Sweeps.Requests != 1 || snap.Sweeps.Points != 4 {
 		t.Errorf("sweep ledger = %+v, want 1 request / 4 points", snap.Sweeps)

@@ -4,7 +4,9 @@
 //
 //  1. GET /metrics?format=prom serves a well-formed OpenMetrics
 //     exposition (content type, sample-line syntax, one trailing
-//     # EOF, cumulative le-bucket monotonicity), and
+//     # EOF, cumulative le-bucket monotonicity), with endpoint latency
+//     as a histogram family carrying a +Inf bucket for every endpoint
+//     that counts requests, and
 //  2. every stage named by -stages is calibrated: at least
 //     -min-samples shaped observations in its window and an in-sample
 //     median absolute relative error of at most -max-err.
@@ -42,7 +44,7 @@ func main() {
 	if err := checkProm(base); err != nil {
 		fatal(fmt.Errorf("openmetrics exposition: %w", err))
 	}
-	fmt.Println("costcheck: /metrics?format=prom parses (syntax, monotone histograms, # EOF)")
+	fmt.Println("costcheck: /metrics?format=prom parses (syntax, monotone histograms, endpoint latency histograms, # EOF)")
 
 	snap, err := fetchSnapshot(base)
 	if err != nil {
@@ -88,12 +90,29 @@ func checkProm(base string) error {
 		return fmt.Errorf("exposition does not end with # EOF")
 	}
 	cum := map[string]int64{} // histogram series (sans le) → last cumulative count
+	// Endpoint label sets seen on the request counter and on the
+	// latency histogram's +Inf bucket: each counted endpoint needs one.
+	counted, infBucket := map[string]bool{}, map[string]bool{}
+	latencyHist := false
 	for i, line := range strings.Split(strings.TrimSuffix(body, "\n"), "\n") {
+		if line == "# TYPE repro_endpoint_latency_seconds histogram" {
+			latencyHist = true
+		}
 		if strings.HasPrefix(line, "# ") {
 			continue
 		}
 		if !sampleLine.MatchString(line) {
 			return fmt.Errorf("line %d malformed: %q", i+1, line)
+		}
+		if rest, ok := strings.CutPrefix(line, "repro_endpoint_requests_total{"); ok {
+			labels, _, _ := strings.Cut(rest, "} ")
+			counted[labels] = true
+		}
+		if rest, ok := strings.CutPrefix(line, "repro_endpoint_latency_seconds_bucket{"); ok {
+			labels, _, _ := strings.Cut(rest, "} ")
+			if labels, ok := strings.CutSuffix(labels, `,le="+Inf"`); ok {
+				infBucket[labels] = true
+			}
 		}
 		name, rest, ok := strings.Cut(line, "_bucket{")
 		if !ok {
@@ -121,6 +140,14 @@ func checkProm(base string) error {
 	}
 	if len(cum) == 0 {
 		return fmt.Errorf("exposition carries no histogram buckets")
+	}
+	if !latencyHist {
+		return fmt.Errorf("repro_endpoint_latency_seconds is not declared a histogram family")
+	}
+	for labels := range counted {
+		if !infBucket[labels] {
+			return fmt.Errorf("endpoint {%s} counts requests but has no latency +Inf bucket", labels)
+		}
 	}
 	return nil
 }
