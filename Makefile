@@ -9,8 +9,8 @@
 # every run), vet and the short self-tests of the perfbench module (its
 # own go.mod, so `go build ./...` here never compiles it and an API
 # change that breaks it would otherwise pass), a short fuzz smoke over the
-# untrusted-input decoders (CSV rows, JSON schema specs, attack/risk
-# request bodies), and the
+# untrusted-input decoders (CSV rows, JSON schema specs, attack/risk and
+# anonymize request bodies, estimate query strings), and the
 # serve-restart smoke (boot, ingest, kill, reboot, verify
 # byte-identical disk recovery with zero pipeline runs), the
 # observability smoke (boot with a diagnostics listener, drive load,
@@ -77,12 +77,15 @@ bench-json:
 	GO="$(GO)" sh scripts/bench.sh "$(BENCH_OUT)" "$(BENCH_BASELINE)"
 
 # Short fuzz smoke over the decoders that face untrusted input: CSV
-# rows, JSON schema specs, and attack/risk request bodies.
-# `go test -fuzz` takes one target per invocation.
+# rows, JSON schema specs, attack/risk and anonymize request bodies,
+# and estimate query strings. `go test -fuzz` takes one target per
+# invocation.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 5s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 5s ./internal/schema
 	$(GO) test -run '^$$' -fuzz '^FuzzAttackRequest$$' -fuzztime 5s ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzAnonymizeRequest$$' -fuzztime 5s ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzEstimateQuery$$' -fuzztime 5s ./internal/service
 
 # Coverage: per-package profiles plus the aggregate statement rate.
 cover:

@@ -473,7 +473,7 @@ var intrinsicFuncs = map[string]Effects{
 	"obs.ContextWithSpan":    EffectAllocates,
 
 	// repro-internal concurrency substrate: the sanctioned goroutine
-	// owners. Group/Memo run caller closures and block followers.
+	// owners. Group and Cache run caller closures and block followers.
 	"(*parallel.Limiter).Go": EffectGo | EffectAllocates,
 	"parallel.Workers":       EffectGo | EffectAllocates,
 	"parallel.WaitContext":   EffectBlocks | EffectGo | EffectAllocates,

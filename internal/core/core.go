@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/anatomy"
 	"repro/internal/anonymize"
@@ -103,7 +102,8 @@ func Table5() []Params {
 }
 
 // Engine binds a table to the framework: estimator, sensitive distance
-// matrix, disclosure measure, prior cache, and model construction.
+// matrix, disclosure measure, bounded per-bandwidth prior cache, and
+// model construction.
 type Engine struct {
 	Table     *dataset.Table
 	Hiers     map[string]*hierarchy.Hierarchy
@@ -118,17 +118,17 @@ type Engine struct {
 
 	workers int // 0 = unset (all cores); set via WithWorkers
 
-	mu     sync.Mutex
-	priors map[string]*priorEntry
+	// priors memoizes Adv(B)'s per-record priors by bandwidth vector,
+	// bounded at priorCacheCap so a client sending fresh bandwidths
+	// cannot grow a resident engine without bound.
+	priors *parallel.Cache[[]prob.Dist]
 }
 
-// priorEntry is a singleflight cache slot: concurrent callers for the
-// same bandwidth block on one computation instead of duplicating it.
-type priorEntry struct {
-	once   sync.Once
-	priors []prob.Dist
-	err    error
-}
+// priorCacheCap bounds the engine's prior cache. It equals the serving
+// layer's maximal sweep width (service.MaxSweepPoints), so a repeated
+// maximal sweep stays warm; the benchmark workloads and the paper's
+// figures use fewer than 30 bandwidths per table and never evict.
+const priorCacheCap = 64
 
 // Option configures an Engine at construction.
 type Option func(*Engine)
@@ -179,7 +179,7 @@ func New(t *dataset.Table, hiers map[string]*hierarchy.Hierarchy, k kernel.Func,
 		SensMatrix: sm,
 		Measure:    distance.NewSmoothedJS(sm, k, SmoothingBandwidth),
 		Method:     method,
-		priors:     map[string]*priorEntry{},
+		priors:     parallel.NewCache[[]prob.Dist](priorCacheCap),
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -195,23 +195,16 @@ func (e *Engine) Priors(b []float64) ([]prob.Dist, error) {
 }
 
 // priorsSpan is Priors with a recorder: the estimator's table build
-// and prior pass land as stage spans under sp. Because the cache slot
+// and prior pass land as stage spans under sp. Because cache admission
 // is a singleflight, only the computing caller records spans — later
 // and concurrent callers attach nothing, so shared work is attributed
-// exactly once (to whoever actually ran it).
+// exactly once (to whoever actually ran it). Errors (an invalid
+// bandwidth) are not cached.
 func (e *Engine) priorsSpan(sp *obs.Span, b []float64) ([]prob.Dist, error) {
-	key := kernel.BandwidthKey(b)
-	e.mu.Lock()
-	entry, ok := e.priors[key]
-	if !ok {
-		entry = &priorEntry{}
-		e.priors[key] = entry
-	}
-	e.mu.Unlock()
-	entry.once.Do(func() {
-		entry.priors, entry.err = e.Estimator.PriorsSpan(sp, b)
+	priors, _, err := e.priors.Do(kernel.BandwidthKey(b), func() ([]prob.Dist, error) {
+		return e.Estimator.PriorsSpan(sp, b)
 	})
-	return entry.priors, entry.err
+	return priors, err
 }
 
 // UniformPriors is Priors with the uniform bandwidth vector (b,…,b).
@@ -598,7 +591,7 @@ func (e *Engine) reduceAttack(res *anonymize.Result, perGroup []groupAttack) (*A
 
 // AttackSweep runs Attack for a whole grid of adversary bandwidths
 // against one release; Attack itself is the one-point sweep. Each
-// bandwidth's priors come through the same cache slot Priors uses. The
+// bandwidth's priors come through the same cache Priors uses. The
 // fan-out runs one task per equivalence class: the task decodes the
 // class's sensitive multiset once and evaluates it at every bandwidth.
 // out[i] is bit-identical to Attack(res, bvecs[i], t, breach) at any

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -54,6 +55,51 @@ func TestPriorsCached(t *testing.T) {
 	for _, p := range p1 {
 		if err := p.Validate(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestPriorCacheBounded attacks with more distinct bandwidths than the
+// prior cache holds: the cache never grows past its cap, and every
+// report — evicted bandwidths recomputed included — is bit-identical to
+// a fresh engine's.
+func TestPriorCacheBounded(t *testing.T) {
+	e := testEngine(t, 200)
+	p := Table5()[0]
+	res, err := e.AnonymizeModel(DistinctLDiversity, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	breach := e.BreachTest(DistinctLDiversity, p)
+	grid := make([][]float64, priorCacheCap+8)
+	for i := range grid {
+		grid[i] = kernel.UniformBandwidth(e.Table.Schema.D(), 0.1+0.005*float64(i))
+	}
+	// The first bandwidth again at the end: evicted by then, so it
+	// recomputes.
+	grid = append(grid, grid[0])
+	got := make([]*AttackReport, len(grid))
+	for i, b := range grid {
+		if got[i], err = e.Attack(res, b, p.T, breach); err != nil {
+			t.Fatal(err)
+		}
+		if n := e.priors.Len(); n > priorCacheCap {
+			t.Fatalf("after %d bandwidths the prior cache holds %d entries (cap %d)", i+1, n, priorCacheCap)
+		}
+	}
+	if _, ok := e.priors.Get(kernel.BandwidthKey(grid[1])); ok {
+		t.Fatal("the second bandwidth should have been evicted")
+	}
+
+	fresh := testEngine(t, 200)
+	for i, b := range grid {
+		want, err := fresh.Attack(res, b, p.T, breach)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i].Vulnerable != want.Vulnerable || got[i].WorstRisk != want.WorstRisk ||
+			!reflect.DeepEqual(got[i].Risks, want.Risks) {
+			t.Fatalf("bandwidth %d: report differs from a fresh engine's", i)
 		}
 	}
 }

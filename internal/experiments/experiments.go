@@ -9,6 +9,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"text/tabwriter"
 
@@ -123,7 +124,9 @@ type Runner struct {
 	// anonCache memoizes releases by parameter key with singleflight
 	// semantics: parameter points running concurrently that need the
 	// same release block on one anonymization instead of duplicating it.
-	anonCache parallel.Memo[*timedResult]
+	// The key space is finite (figures × parameter sets), so the cache
+	// is sized never to evict.
+	anonCache *parallel.Cache[*timedResult]
 }
 
 type timedResult struct {
@@ -139,15 +142,18 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Runner{Cfg: cfg, Table: table, Engine: eng}, nil
+	return &Runner{Cfg: cfg, Table: table, Engine: eng,
+		anonCache: parallel.NewCache[*timedResult](math.MaxInt)}, nil
 }
 
 // workers resolves the configured pool size for figure-level fan-out.
 func (r *Runner) workers() int { return parallel.Resolve(r.Cfg.Workers) }
 
-// cached runs compute exactly once for key and memoizes the outcome.
+// cached runs compute once for key and memoizes the result (a failed
+// computation is not memoized; the harness stops on its first error).
 func (r *Runner) cached(key string, compute func() (*timedResult, error)) (*timedResult, error) {
-	return r.anonCache.Do(key, compute)
+	res, _, err := r.anonCache.Do(key, compute)
+	return res, err
 }
 
 // All regenerates every figure in paper order.

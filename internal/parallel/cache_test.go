@@ -1,34 +1,35 @@
-package service
+package parallel
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// TestLRUStoreEviction checks capacity enforcement, recency refresh on
+// TestCacheEviction checks capacity enforcement, recency refresh on
 // get, and the eviction callback.
-func TestLRUStoreEviction(t *testing.T) {
-	s := newLRUStore[int](2)
+func TestCacheEviction(t *testing.T) {
+	s := NewCache[int](2)
 	var evicted []string
-	s.onEvict = func(k string) { evicted = append(evicted, k) }
+	s.OnEvict = func(k string) { evicted = append(evicted, k) }
 
-	s.put("a", 1)
-	s.put("b", 2)
-	if _, ok := s.get("a"); !ok { // refresh a: b becomes LRU
+	s.Put("a", 1)
+	s.Put("b", 2)
+	if _, ok := s.Get("a"); !ok { // refresh a: b becomes LRU
 		t.Fatal("a not resident")
 	}
-	s.put("c", 3)
-	if s.len() != 2 {
-		t.Fatalf("len = %d, want 2", s.len())
+	s.Put("c", 3)
+	if s.Len() != 2 {
+		t.Fatalf("len = %d, want 2", s.Len())
 	}
-	if _, ok := s.get("b"); ok {
+	if _, ok := s.Get("b"); ok {
 		t.Fatal("b should have been evicted (least recently used)")
 	}
-	if _, ok := s.get("a"); !ok {
+	if _, ok := s.Get("a"); !ok {
 		t.Fatal("a should have survived (refreshed before insert)")
 	}
-	if _, ok := s.get("c"); !ok {
+	if _, ok := s.Get("c"); !ok {
 		t.Fatal("c should be resident")
 	}
 	if len(evicted) != 1 || evicted[0] != "b" {
@@ -36,22 +37,22 @@ func TestLRUStoreEviction(t *testing.T) {
 	}
 }
 
-// TestLRUStoreDoSingleflight checks that concurrent identical requests
+// TestCacheDoSingleflight checks that concurrent identical requests
 // run the computation exactly once, that followers report shared
 // provenance, and that later calls hit the resident entry.
-func TestLRUStoreDoSingleflight(t *testing.T) {
-	s := newLRUStore[int](4)
+func TestCacheDoSingleflight(t *testing.T) {
+	s := NewCache[int](4)
 	var runs atomic.Int64
 	started := make(chan struct{})
 	release := make(chan struct{})
 
 	var wg sync.WaitGroup
 	var hits, shares, misses atomic.Int64
-	count := func(src source) {
+	count := func(src Outcome) {
 		switch src {
-		case sourceHit:
+		case Hit:
 			hits.Add(1)
-		case sourceShared:
+		case Shared:
 			shares.Add(1)
 		default:
 			misses.Add(1)
@@ -60,7 +61,7 @@ func TestLRUStoreDoSingleflight(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		v, src, err := s.do("k", func() (int, error) {
+		v, src, err := s.Do("k", func() (int, error) {
 			close(started)
 			<-release
 			runs.Add(1)
@@ -76,7 +77,7 @@ func TestLRUStoreDoSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, src, err := s.do("k", func() (int, error) {
+			v, src, err := s.Do("k", func() (int, error) {
 				runs.Add(1)
 				return 42, nil
 			})
@@ -98,31 +99,25 @@ func TestLRUStoreDoSingleflight(t *testing.T) {
 	}
 
 	// Resident now: no recomputation, hit provenance.
-	v, src, err := s.do("k", func() (int, error) { runs.Add(1); return 0, nil })
-	if v != 42 || err != nil || src != sourceHit {
+	v, src, err := s.Do("k", func() (int, error) { runs.Add(1); return 0, nil })
+	if v != 42 || err != nil || src != Hit {
 		t.Fatalf("resident call got (%d, %v, src=%d)", v, err, src)
 	}
 }
 
-// TestLRUStoreDoErrorNotCached checks that failed computations leave
+// TestCacheDoErrorNotCached checks that failed computations leave
 // nothing behind: the next call retries.
-func TestLRUStoreDoErrorNotCached(t *testing.T) {
-	s := newLRUStore[int](4)
+func TestCacheDoErrorNotCached(t *testing.T) {
+	s := NewCache[int](4)
 	var runs atomic.Int64
-	fail := func() (int, error) { runs.Add(1); return 0, errTest }
-	if _, _, err := s.do("k", fail); err == nil {
+	fail := func() (int, error) { runs.Add(1); return 0, errors.New("test failure") }
+	if _, _, err := s.Do("k", fail); err == nil {
 		t.Fatal("want error")
 	}
-	if v, src, err := s.do("k", func() (int, error) { runs.Add(1); return 9, nil }); v != 9 || err != nil || src != sourceMiss {
+	if v, src, err := s.Do("k", func() (int, error) { runs.Add(1); return 9, nil }); v != 9 || err != nil || src != Miss {
 		t.Fatalf("retry got (%d, src=%d, %v)", v, src, err)
 	}
 	if runs.Load() != 2 {
 		t.Fatalf("compute ran %d times, want 2", runs.Load())
 	}
 }
-
-type testErr string
-
-func (e testErr) Error() string { return string(e) }
-
-const errTest = testErr("test failure")

@@ -16,9 +16,8 @@ type flightCall[V any] struct {
 // a key is in flight, callers arriving with the same key block and
 // share its result instead of duplicating the work. Once the call
 // completes the key is forgotten — Group is pure request dedup, not a
-// cache; callers that want memoization layer it on top (Memo, or an
-// eviction-aware store like the service's release store). The zero
-// value is ready to use.
+// cache; Cache layers bounded memoization on top of it. The zero value
+// is ready to use.
 type Group[V any] struct {
 	mu sync.Mutex
 	m  map[string]*flightCall[V]
@@ -64,40 +63,3 @@ func (g *Group[V]) Do(key string, compute func() (V, error)) (val V, shared bool
 // ErrFlightPanicked is reported to waiters whose shared computation
 // panicked in the caller that ran it.
 var ErrFlightPanicked = errors.New("parallel: singleflight computation panicked")
-
-// memoEntry is a singleflight memo slot: concurrent callers for the
-// same key block on one computation instead of duplicating it, and the
-// outcome (value or error) is retained for every later call.
-type memoEntry[V any] struct {
-	once sync.Once
-	val  V
-	err  error
-}
-
-// Memo is a memoizing Group: the first call for each key computes,
-// and every other call — concurrent or later — returns the memoized
-// outcome. Entries are never evicted, which suits bounded key spaces
-// like the experiment harness's (model, parameter-set) releases; use
-// Group plus an evicting cache when the key space is open-ended. The
-// zero value is ready to use.
-type Memo[V any] struct {
-	mu sync.Mutex
-	m  map[string]*memoEntry[V]
-}
-
-// Do returns the memoized outcome for key, running compute exactly
-// once per key across all callers.
-func (m *Memo[V]) Do(key string, compute func() (V, error)) (V, error) {
-	m.mu.Lock()
-	if m.m == nil {
-		m.m = map[string]*memoEntry[V]{}
-	}
-	e, ok := m.m[key]
-	if !ok {
-		e = &memoEntry[V]{}
-		m.m[key] = e
-	}
-	m.mu.Unlock()
-	e.once.Do(func() { e.val, e.err = compute() })
-	return e.val, e.err
-}

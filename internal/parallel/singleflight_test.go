@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -63,42 +62,5 @@ func TestGroupDedupsConcurrent(t *testing.T) {
 	_, shared, _ := g.Do("k", func() (int, error) { runs.Add(1); return 8, nil })
 	if shared {
 		t.Fatal("call after completion should not be shared")
-	}
-}
-
-// TestMemoComputesOncePerKey checks memoization across sequential and
-// concurrent callers, including error memoization.
-func TestMemoComputesOncePerKey(t *testing.T) {
-	var m Memo[string]
-	var runs atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, err := m.Do("a", func() (string, error) {
-				runs.Add(1)
-				return "va", nil
-			})
-			if v != "va" || err != nil {
-				t.Errorf("got (%q, %v)", v, err)
-			}
-		}()
-	}
-	wg.Wait()
-	if v, _ := m.Do("a", func() (string, error) { runs.Add(1); return "other", nil }); v != "va" {
-		t.Fatalf("memo returned %q, want %q", v, "va")
-	}
-	if runs.Load() != 1 {
-		t.Fatalf("compute ran %d times, want 1", runs.Load())
-	}
-
-	wantErr := errors.New("boom")
-	if _, err := m.Do("b", func() (string, error) { return "", wantErr }); !errors.Is(err, wantErr) {
-		t.Fatalf("got err %v", err)
-	}
-	// Errors are memoized too: the slot does not retry.
-	if _, err := m.Do("b", func() (string, error) { return "ok", nil }); !errors.Is(err, wantErr) {
-		t.Fatalf("error not memoized: got %v", err)
 	}
 }

@@ -156,37 +156,37 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, "op=%s needs release={id}", op)
 			return
 		}
-		inf := q.Get("inference")
-		if inf == "omega" {
-			inf = ""
-		}
-		switch inf {
-		case "", "exact", "adaptive":
-		default:
-			writeErr(w, http.StatusBadRequest, "unknown inference %q (want omega|exact|adaptive)", inf)
+		sel := AttackRequest{Inference: q.Get("inference")}
+		sel.normalizeInference()
+		if err := sel.validateInference(); err != nil {
+			writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		lanes := 1
+		// Price the grid the attack endpoint would run: the same
+		// validation, and one lane per distinct bandwidth.
+		grid := []float64{0.3}
 		if raw := q.Get("bprimes"); raw != "" {
 			points := strings.Split(raw, ",")
-			if len(points) > MaxSweepPoints {
-				writeErr(w, http.StatusBadRequest, "bprimes has %d points (max %d)", len(points), MaxSweepPoints)
-				return
-			}
-			for _, p := range points {
-				if _, err := strconv.ParseFloat(p, 64); err != nil {
+			grid = make([]float64, len(points))
+			for i, p := range points {
+				v, err := strconv.ParseFloat(p, 64)
+				if err != nil {
 					writeErr(w, http.StatusBadRequest, "bad bprimes entry %q", p)
 					return
 				}
+				grid[i] = v
 			}
-			lanes = len(points)
+		}
+		if err := validateGrid(grid); err != nil {
+			writeErr(w, http.StatusBadRequest, "%v", err)
+			return
 		}
 		entry, ok := s.resolveRelease(r.Context(), relRef)
 		if !ok {
 			writeErr(w, http.StatusNotFound, "unknown release %q", relRef)
 			return
 		}
-		shapes = attackShapes(entry, lanes, inf)
+		shapes = attackShapes(entry, len(normalizeGrid(grid)), sel.Inference)
 	default:
 		writeErr(w, http.StatusBadRequest, "op must be anonymize|attack|risk (got %q)", op)
 		return

@@ -190,6 +190,51 @@ func TestEstimateEndpoint(t *testing.T) {
 	}
 }
 
+// TestEstimateGridMatchesAttack checks that the attack estimate accepts
+// exactly the grids POST /v1/attack accepts, and prices the sweep the
+// attack would run: one lane per distinct bandwidth.
+func TestEstimateGridMatchesAttack(t *testing.T) {
+	_, ts := newTestServerCfg(t, Config{Workers: -1, TraceRing: 32})
+	ds := createDataset(t, ts, 200, 6)
+	rel := mustReleaseID(t, ts, ds)
+	// Calibrate the attack stages so the estimate prices them.
+	if code, body := post(t, ts, "/v1/attack", fmt.Sprintf(`{"release":%q,"bprime":0.4}`, rel)); code != http.StatusOK {
+		t.Fatalf("attack: status %d: %s", code, body)
+	}
+	estimate := func(bprimes string) (int, EstimateResponse, []byte) {
+		t.Helper()
+		code, body := get(t, ts, "/v1/estimate?op=attack&release="+rel+"&bprimes="+bprimes)
+		if code != http.StatusOK {
+			return code, EstimateResponse{}, body
+		}
+		return code, mustJSON[EstimateResponse](t, body), body
+	}
+
+	for _, bad := range []string{"5", "NaN", "-1,0", "0", "0.3,1.5", "Inf"} {
+		if code, _, body := estimate(bad); code != http.StatusBadRequest {
+			t.Errorf("bprimes=%s: status %d, want 400 (%s)", bad, code, body)
+		}
+	}
+
+	stages := func(e EstimateResponse) int { return len(e.Stages) + len(e.Uncalibrated) }
+	code, one, body := estimate("0.3")
+	if code != http.StatusOK {
+		t.Fatalf("bprimes=0.3: status %d: %s", code, body)
+	}
+	code, dup, body := estimate("0.3,0.3,0.3")
+	if code != http.StatusOK {
+		t.Fatalf("bprimes=0.3,0.3,0.3: status %d: %s", code, body)
+	}
+	// One lane: a kernel table and a prior pass, then inference.
+	if stages(dup) != 3 || stages(one) != 3 || dup.PredictedUS != one.PredictedUS {
+		t.Fatalf("duplicated grid priced as %d stages / %v µs, want the single point's %d / %v",
+			stages(dup), dup.PredictedUS, stages(one), one.PredictedUS)
+	}
+	if _, two, _ := estimate("0.3,0.2,0.3"); stages(two) != 5 {
+		t.Fatalf("two distinct bandwidths priced as %d stages, want 5", stages(two))
+	}
+}
+
 // TestDebugTraceLookupAndFilter exercises the by-id and by-endpoint
 // forms of the trace surface.
 func TestDebugTraceLookupAndFilter(t *testing.T) {

@@ -11,10 +11,16 @@ import (
 	"time"
 )
 
-// FuzzAttackRequest sends arbitrary bodies to POST /v1/attack and
-// /v1/risk on a server holding one small release. Hostile input must
-// degrade to a 4xx: the invariant is no panic and no 5xx.
-func FuzzAttackRequest(f *testing.F) {
+// fuzzFixture is the server the request-decoder fuzz targets share: one
+// n=200 synthetic dataset and one release on it.
+type fuzzFixture struct {
+	s       *Server
+	ds, rel string
+}
+
+// newFuzzFixture boots the fixture server and drains its job workers
+// when the fuzz run ends.
+func newFuzzFixture(f *testing.F) *fuzzFixture {
 	s, err := New(Config{Workers: 1})
 	if err != nil {
 		f.Fatal(err)
@@ -26,13 +32,9 @@ func FuzzAttackRequest(f *testing.F) {
 			f.Errorf("draining job workers: %v", err)
 		}
 	})
-	do := func(path, body string) *httptest.ResponseRecorder {
-		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
-		return rec
-	}
+	fx := &fuzzFixture{s: s}
 	id := func(path, body string) string {
-		rec := do(path, body)
+		rec := fx.post(path, body)
 		var v struct {
 			ID      string `json:"id"`
 			Release string `json:"release"`
@@ -42,9 +44,42 @@ func FuzzAttackRequest(f *testing.F) {
 		}
 		return v.ID + v.Release
 	}
-	ds := id("/v1/datasets", `{"n":200,"seed":7}`)
-	rel := id("/v1/anonymize", fmt.Sprintf(`{"dataset":%q,"model":"distinct","k":3,"l":3}`, ds))
-	if rec := do("/v1/attack", fmt.Sprintf(`{"release":%q}`, rel)); rec.Code != http.StatusOK {
+	fx.ds = id("/v1/datasets", `{"n":200,"seed":7}`)
+	fx.rel = id("/v1/anonymize", fmt.Sprintf(`{"dataset":%q,"model":"distinct","k":3,"l":3}`, fx.ds))
+	return fx
+}
+
+func (fx *fuzzFixture) post(path, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	fx.s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+	return rec
+}
+
+// get serves path with rawQuery set verbatim, so arbitrary fuzz bytes
+// reach the handler's query parsing instead of failing URL parsing in
+// the test harness.
+func (fx *fuzzFixture) get(path, rawQuery string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodGet, path, nil)
+	req.URL.RawQuery = rawQuery
+	rec := httptest.NewRecorder()
+	fx.s.ServeHTTP(rec, req)
+	return rec
+}
+
+// fill substitutes the fixture's id into a seed that names one.
+func fill(seed, id string) string {
+	if strings.Contains(seed, "%q") {
+		return fmt.Sprintf(seed, id)
+	}
+	return seed
+}
+
+// FuzzAttackRequest sends arbitrary bodies to POST /v1/attack and
+// /v1/risk on a server holding one small release. Hostile input must
+// degrade to a 4xx: the invariant is no panic and no 5xx.
+func FuzzAttackRequest(f *testing.F) {
+	fx := newFuzzFixture(f)
+	if rec := fx.post("/v1/attack", fmt.Sprintf(`{"release":%q}`, fx.rel)); rec.Code != http.StatusOK {
 		f.Fatalf("attack on the fixture release: %d %s", rec.Code, rec.Body)
 	}
 
@@ -68,10 +103,7 @@ func FuzzAttackRequest(f *testing.F) {
 		`{"release":%q,"bprime":"0.3"}`,
 		`{"release":%q,"extra":1}`,
 	} {
-		body := seed
-		if strings.Contains(seed, "%q") {
-			body = fmt.Sprintf(seed, rel)
-		}
+		body := fill(seed, fx.rel)
 		f.Add(body, false)
 		f.Add(body, true)
 	}
@@ -83,8 +115,114 @@ func FuzzAttackRequest(f *testing.F) {
 		if risk {
 			path = "/v1/risk"
 		}
-		if rec := do(path, body); rec.Code >= 500 {
+		if rec := fx.post(path, body); rec.Code >= 500 {
 			t.Fatalf("POST %s %q: status %d: %s", path, body, rec.Code, rec.Body)
+		}
+	})
+}
+
+// FuzzAnonymizeRequest sends arbitrary bodies to POST /v1/anonymize,
+// sync and async ("async": true), on a server holding one small
+// dataset. The invariant is no panic and no 5xx — for the submission
+// and for the job it queues. Each accepted job is awaited before the
+// next input, so the run never fills the bounded job queue.
+func FuzzAnonymizeRequest(f *testing.F) {
+	fx := newFuzzFixture(f)
+	for _, seed := range []string{
+		`{"dataset":%q}`,
+		`{"dataset":%q,"model":"bt","k":4,"t":0.2,"b":0.35}`,
+		`{"dataset":%q,"model":"skyline","k":3}`,
+		`{"dataset":%q,"algo":"anatomy","model":"distinct","l":2}`,
+		`{"dataset":%q,"algo":"incognito","model":"tclose","t":0.3}`,
+		`{"dataset":%q,"model":"prob","inference":"adaptive","max_states":16}`,
+		`{"dataset":%q,"model":"distinct","k":3,"l":3,"explain":true}`,
+		`{"dataset":%q,"model":"bt","b":0.25,"async":true}`,
+		`{"dataset":%q,"model":"distinct","k":5,"async":true}`,
+		`{"dataset":%q,"k":1000000000}`,
+		`{"dataset":%q,"k":1000000000,"async":true}`,
+		`{"dataset":%q,"k":0}`,
+		`{"dataset":%q,"l":-3}`,
+		`{"dataset":%q,"t":0}`,
+		`{"dataset":%q,"t":1.5}`,
+		`{"dataset":%q,"b":-1}`,
+		`{"dataset":%q,"b":1e308}`,
+		`{"dataset":%q,"inference":"exact"}`,
+		`{"dataset":%q,"inference":"adaptive","max_states":-1}`,
+		`{"dataset":%q,"algo":"magic"}`,
+		`{"dataset":%q,"model":"melt"}`,
+		`{"dataset":%q,"k":"3"}`,
+		`{"dataset":%q,"extra":1}`,
+		`{"dataset":"ds_missing"}`,
+		`{"dataset":"ds_missing","async":true}`,
+		`{`,
+		`null`,
+	} {
+		f.Add(fill(seed, fx.ds))
+	}
+
+	f.Fuzz(func(t *testing.T, body string) {
+		rec := fx.post("/v1/anonymize", body)
+		if rec.Code >= 500 {
+			t.Fatalf("POST /v1/anonymize %q: status %d: %s", body, rec.Code, rec.Body)
+		}
+		if rec.Code != http.StatusAccepted {
+			return
+		}
+		var j JobResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &j); err != nil {
+			t.Fatalf("202 body %q: %v", rec.Body, err)
+		}
+		deadline := time.Now().Add(30 * time.Second)
+		for j.State == string(jobQueued) || j.State == string(jobRunning) {
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s for %q still %s after 30s", j.Job, body, j.State)
+			}
+			time.Sleep(time.Millisecond)
+			poll := fx.get("/v1/jobs/"+j.Job, "")
+			if poll.Code != http.StatusOK {
+				t.Fatalf("GET /v1/jobs/%s: status %d: %s", j.Job, poll.Code, poll.Body)
+			}
+			j = JobResponse{}
+			if err := json.Unmarshal(poll.Body.Bytes(), &j); err != nil {
+				t.Fatalf("job body %q: %v", poll.Body, err)
+			}
+		}
+	})
+}
+
+// FuzzEstimateQuery sends arbitrary query strings to GET /v1/estimate
+// on a server holding one small dataset and release. The invariant is
+// no panic and no 5xx.
+func FuzzEstimateQuery(f *testing.F) {
+	fx := newFuzzFixture(f)
+	for _, seed := range []string{
+		"op=anonymize&dataset=" + fx.ds,
+		"op=anonymize&dataset=" + fx.ds + "&algo=incognito",
+		"op=anonymize&dataset=" + fx.ds + "&algo=magic",
+		"op=anonymize&dataset=ds_missing",
+		"op=attack&release=" + fx.rel,
+		"op=risk&release=" + fx.rel + "&bprimes=0.1,0.3&inference=adaptive",
+		"op=attack&release=" + fx.rel + "&bprimes=0.3,0.3,0.3",
+		"op=attack&release=" + fx.rel + "&bprimes=NaN",
+		"op=attack&release=" + fx.rel + "&bprimes=-1,0",
+		"op=attack&release=" + fx.rel + "&bprimes=5",
+		"op=attack&release=" + fx.rel + "&bprimes=1e308,Inf",
+		"op=attack&release=" + fx.rel + "&bprimes=0.1,,0.2",
+		"op=attack&release=" + fx.rel + "&bprimes=" + strings.Repeat("0.5,", 100) + "0.5",
+		"op=attack&release=" + fx.rel + "&inference=exact",
+		"op=attack&release=" + fx.rel + "&inference=bogus",
+		"op=attack&release=rel_missing",
+		"op=attack",
+		"op=melt",
+		"op=%zz&release=%",
+		"",
+	} {
+		f.Add(seed)
+	}
+
+	f.Fuzz(func(t *testing.T, query string) {
+		if rec := fx.get("/v1/estimate", query); rec.Code >= 500 {
+			t.Fatalf("GET /v1/estimate?%s: status %d: %s", query, rec.Code, rec.Body)
 		}
 	})
 }

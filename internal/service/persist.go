@@ -16,10 +16,10 @@ import (
 	"repro/internal/anonymize"
 	"repro/internal/dataset"
 	"repro/internal/obs"
-	"repro/internal/schema"
+	"repro/internal/parallel"
 )
 
-// diskStore is the durable tier under the in-memory LRU stores: a
+// diskStore is the durable tier under the in-memory LRU caches: a
 // write-through, content-addressed file layout keyed by the same
 // rel_…/ds_…/sch_… ids the memory stores use. Because every artifact
 // is content-addressed and the pipeline is deterministic, the disk
@@ -155,16 +155,18 @@ type datasetRecord struct {
 	Seed   int64  `json:"seed,omitempty"`
 }
 
-// expectedID re-derives the content address the manifest should live
-// under. csvBody is required for csv-sourced records.
-func (r *datasetRecord) expectedID(csvBody []byte) string {
+// contentID derives the content address of the dataset the manifest
+// describes: the schema plus either the synthesis parameters or, for
+// csv-sourced records, csvSum (the SHA-256 of the uploaded bytes).
+// Ingest names a dataset with it, and the load path re-derives it as
+// the integrity check. An unknown source has no address ("").
+func (r *datasetRecord) contentID(csvSum []byte) string {
 	switch r.Source {
 	case "synthetic":
 		return hashID("ds", "synthetic|schema="+r.Schema+
 			"|n="+strconv.Itoa(r.N)+"|seed="+strconv.FormatInt(r.Seed, 10))
 	case "csv":
-		sum := sha256.Sum256(csvBody)
-		return hashID("ds", "csv|schema="+r.Schema+"|sha256="+hex.EncodeToString(sum[:]))
+		return hashID("ds", "csv|schema="+r.Schema+"|sha256="+hex.EncodeToString(csvSum))
 	default:
 		return ""
 	}
@@ -211,7 +213,8 @@ func (d *diskStore) loadDataset(id string) (datasetRecord, []byte, error) {
 			return rec, nil, fmt.Errorf("service: dataset %s lost its CSV body: %w", id, err)
 		}
 	}
-	if rec.ID != id || rec.expectedID(csvBody) != id {
+	sum := sha256.Sum256(csvBody)
+	if rec.ID != id || rec.contentID(sum[:]) != id {
 		return rec, nil, fmt.Errorf("service: dataset file %s fails its content-address check", id)
 	}
 	return rec, csvBody, nil
@@ -325,41 +328,49 @@ func (s *Server) persistRelease(sp *obs.Span, e *releaseEntry) {
 	s.metrics.PersistWrites.Add(1)
 }
 
+// computeThrough resolves id through cache c for a caller that builds
+// the value when it is absent (ingest, the anonymize pipeline). Lookups
+// (getDataset, resolveRelease) admit through the same cache, so one id
+// has one flight — but a lookup's flight only recovers from disk and
+// fails with errNotPersisted when the id is on neither tier. A caller
+// that shared such a flight retries: it leads its own computation or
+// joins the next flight. compute itself never returns errNotPersisted.
+func computeThrough[V any](c *parallel.Cache[V], id string, compute func() (V, error)) (V, source, error) {
+	for {
+		v, o, err := c.Do(id, compute)
+		if !errors.Is(err, errNotPersisted) {
+			return v, source(o), err
+		}
+	}
+}
+
 // getDataset resolves a dataset id through memory then disk. A
 // disk-recovered dataset is rebuilt from its manifest — re-synthesized
 // from (schema, n, seed) or re-decoded from the saved CSV bytes, both
-// deterministic — and admitted to the LRU; concurrent recoveries of
-// the same id collapse into one rebuild.
+// deterministic — and admitted to the cache. The recovery is the
+// cache's flight for the id, so concurrent recoveries and an ingest of
+// the same content collapse into one rebuild. Without a durable tier a
+// lookup is a plain Get: a miss is unknown, and it never waits.
 func (s *Server) getDataset(sp *obs.Span, id string) (*datasetEntry, bool) {
-	if e, ok := s.datasets.get(id); ok {
-		return e, true
-	}
 	if s.disk == nil {
-		return nil, false
+		return s.datasets.Get(id)
 	}
-	e, _, err := s.dsRecover.Do(id, func() (*datasetEntry, error) {
-		if e, ok := s.datasets.get(id); ok {
+	// Flight leader: the recovery's stage spans land on this caller's
+	// trace; sharers get the entry without spans.
+	e, _, err := s.datasets.Do(id, func() (*datasetEntry, error) {
+		if e, ok := s.recoverDataset(sp, id); ok {
 			return e, nil
 		}
-		// Singleflight leader: the recovery's stage spans land on this
-		// caller's trace; sharers get the entry without spans.
-		e, err := s.recoverDataset(sp, id)
-		if err != nil {
-			return nil, err
-		}
-		s.datasets.put(id, e)
-		return e, nil
+		return nil, errNotPersisted
 	})
-	if err != nil {
-		return nil, false
-	}
-	return e, true
+	return e, err == nil
 }
 
 // recoverDataset rebuilds a dataset entry from its persisted manifest,
 // recording the disk read and the deterministic rebuild (synthesis or
-// CSV decode, then the engine build) as stage spans.
-func (s *Server) recoverDataset(sp *obs.Span, id string) (*datasetEntry, error) {
+// CSV decode, then the engine build) as stage spans. Any failure
+// reports the dataset as absent.
+func (s *Server) recoverDataset(sp *obs.Span, id string) (*datasetEntry, bool) {
 	psp := sp.Child(obs.StagePersistRead, "load dataset "+id)
 	rec, csvBody, err := s.disk.loadDataset(id)
 	if err == nil {
@@ -370,72 +381,52 @@ func (s *Server) recoverDataset(sp *obs.Span, id string) (*datasetEntry, error) 
 		if !errors.Is(err, errNotPersisted) {
 			s.metrics.PersistErrors.Add(1)
 		}
-		return nil, err
+		return nil, false
 	}
 	spec, schemaID, ok := s.schemas.Resolve(rec.Schema)
 	if !ok || schemaID != rec.Schema {
 		s.metrics.PersistErrors.Add(1)
-		return nil, fmt.Errorf("service: dataset %s references unknown schema %s", id, rec.Schema)
+		return nil, false
 	}
+	// loadDataset's content-address check admits only the two sources.
 	var table *dataset.Table
-	switch rec.Source {
-	case "synthetic":
-		ssp := sp.StartStage(obs.StageDatasetSynth)
-		table, err = schema.Synthesize(spec, rec.N, rec.Seed)
-		if err == nil {
-			ssp.SetShape(obs.Shape{Rows: table.N(), Dims: table.Schema.D()})
-		}
-		ssp.End()
-	case "csv":
-		dsp := sp.StartStage(obs.StageDatasetDecode)
-		table, err = dataset.ReadCSV(bytes.NewReader(csvBody), spec.ColumnSpecs())
-		if err == nil {
-			dsp.SetShape(obs.Shape{Rows: table.N(), Dims: table.Schema.D()})
-		}
-		dsp.End()
-	default:
-		err = fmt.Errorf("service: dataset %s has unknown source %q", id, rec.Source)
+	if rec.Source == "csv" {
+		table, err = decodeCSV(sp, bytes.NewReader(csvBody), spec)
+	} else {
+		table, err = synthesize(sp, spec, rec.N, rec.Seed)
 	}
 	if err != nil {
 		s.metrics.PersistErrors.Add(1)
-		return nil, err
+		return nil, false
 	}
 	e, err := s.buildDataset(sp, id, schemaID, spec, table)
 	if err != nil {
 		s.metrics.PersistErrors.Add(1)
-		return nil, err
+		return nil, false
 	}
 	s.metrics.PersistDatasetLoads.Add(1)
-	return e, nil
+	return e, true
 }
 
-// resolveRelease resolves a release id through memory then disk —
-// the GET /v1/releases and attack/risk lookup path. Concurrent
-// recoveries collapse; a recovered entry is admitted to the LRU so
-// later lookups are memory hits.
+// resolveRelease resolves a release id through memory then disk — the
+// GET /v1/releases and attack/risk lookup path. The recovery is the
+// release cache's flight for the id, shared with concurrent recoveries
+// and with an in-flight anonymize of the same release (whose pipeline
+// the lookup then waits for); a recovered entry is admitted to the
+// cache so later lookups are memory hits. Without a durable tier a
+// lookup is a plain Get.
 func (s *Server) resolveRelease(ctx context.Context, id string) (*releaseEntry, bool) {
-	if e, ok := s.releases.get(id); ok {
-		return e, true
-	}
 	if s.disk == nil {
-		return nil, false
+		return s.releases.Get(id)
 	}
 	sp := obs.SpanFromContext(ctx)
-	e, _, err := s.relRecover.Do(id, func() (*releaseEntry, error) {
-		if e, ok := s.releases.get(id); ok {
+	e, _, err := s.releases.Do(id, func() (*releaseEntry, error) {
+		if e, ok := s.recoverRelease(sp, id, nil); ok {
 			return e, nil
 		}
-		e, ok := s.recoverRelease(sp, id, nil)
-		if !ok {
-			return nil, errNotPersisted
-		}
-		s.releases.put(id, e)
-		return e, nil
+		return nil, errNotPersisted
 	})
-	if err != nil {
-		return nil, false
-	}
-	return e, true
+	return e, err == nil
 }
 
 // recoverRelease rebuilds a release entry from its persisted record:

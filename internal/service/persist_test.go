@@ -2,16 +2,20 @@ package service
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/adult"
 	"repro/internal/dataset"
+	"repro/internal/parallel"
 )
 
 // diskServer boots a server persisting to dir.
@@ -80,6 +84,102 @@ func TestRestartRecoveryByteIdentical(t *testing.T) {
 	}
 	if got := s2.Metrics().DatasetBuilds.Value(); got != 1 {
 		t.Errorf("dataset builds = %d, want 1 (engine rebuild)", got)
+	}
+}
+
+// TestRestartConcurrentLookupsShareOneRecovery fires concurrent
+// anonymize, attack, and GET-release requests for one persisted release
+// at a freshly restarted server: disk recovery and the anonymize's
+// resolution are one flight per id, so the release loads from disk
+// once, its dataset builds once, and the pipeline never runs.
+func TestRestartConcurrentLookupsShareOneRecovery(t *testing.T) {
+	dir := t.TempDir()
+	_, ts1 := diskServer(t, dir)
+	ds := createDataset(t, ts1, 2000, 4)
+	anonBody := fmt.Sprintf(`{"dataset":%q,"model":"distinct","k":3,"l":3}`, ds)
+	code, body := post(t, ts1, "/v1/anonymize", anonBody)
+	if code != http.StatusOK {
+		t.Fatalf("anonymize: status %d: %s", code, body)
+	}
+	rel := mustJSON[AnonymizeResponse](t, body).Release
+	ts1.Close()
+
+	s2, ts2 := diskServer(t, dir)
+	// The client re-registers its dataset first, so the requests below
+	// race on the release alone.
+	if got := createDataset(t, ts2, 2000, 4); got != ds {
+		t.Fatalf("dataset id changed across the restart: %s -> %s", ds, got)
+	}
+	calls := []func() (int, []byte){
+		func() (int, []byte) { return post(t, ts2, "/v1/anonymize", anonBody) },
+		func() (int, []byte) {
+			return post(t, ts2, "/v1/attack", fmt.Sprintf(`{"release":%q,"bprime":0.4}`, rel))
+		},
+		func() (int, []byte) { return get(t, ts2, "/v1/releases/"+rel) },
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 4*len(calls); i++ {
+		wg.Add(1)
+		go func(call func() (int, []byte)) {
+			defer wg.Done()
+			<-start
+			if code, body := call(); code != http.StatusOK {
+				t.Errorf("status %d: %s", code, body)
+			}
+		}(calls[i%len(calls)])
+	}
+	close(start)
+	wg.Wait()
+	m := s2.Metrics()
+	if got := m.PersistReleaseLoads.Value(); got != 1 {
+		t.Errorf("release loads = %d, want 1", got)
+	}
+	if got := m.DatasetBuilds.Value(); got != 1 {
+		t.Errorf("dataset builds = %d, want 1", got)
+	}
+	if got := m.PipelineRuns.Value(); got != 0 {
+		t.Errorf("pipeline runs = %d, want 0", got)
+	}
+}
+
+// TestComputeThroughRetriesSharedLookupMiss: a lookup whose disk
+// recovery finds nothing fails its flight, and a caller that builds the
+// value must not inherit that miss when it shares the flight — it
+// retries and computes.
+func TestComputeThroughRetriesSharedLookupMiss(t *testing.T) {
+	c := parallel.NewCache[int](4)
+	inLookup, release := make(chan struct{}), make(chan struct{})
+	lookupErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do("k", func() (int, error) {
+			close(inLookup)
+			<-release
+			return 0, errNotPersisted
+		})
+		lookupErr <- err
+	}()
+	<-inLookup
+	type result struct {
+		v   int
+		err error
+	}
+	computed := make(chan result, 1)
+	go func() {
+		v, _, err := computeThrough(c, "k", func() (int, error) { return 7, nil })
+		computed <- result{v, err}
+	}()
+	// Let the computing caller park on the lookup's flight.
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	if err := <-lookupErr; !errors.Is(err, errNotPersisted) {
+		t.Fatalf("lookup got %v, want errNotPersisted", err)
+	}
+	if r := <-computed; r.v != 7 || r.err != nil {
+		t.Fatalf("computeThrough got (%d, %v), want (7, nil)", r.v, r.err)
+	}
+	if v, ok := c.Get("k"); !ok || v != 7 {
+		t.Fatalf("cache holds (%d, %v) after the computation", v, ok)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -150,9 +149,12 @@ type Server struct {
 	cost   *costmodel.Model
 	logger *slog.Logger
 
-	schemas  *schema.Registry
-	datasets *lruStore[*datasetEntry]
-	releases *lruStore[*releaseEntry]
+	schemas *schema.Registry
+	// datasets and releases are the resident stores: bounded LRU
+	// caches whose singleflight admission is the one flight per id —
+	// ingest or pipeline run, and disk recovery alike.
+	datasets *parallel.Cache[*datasetEntry]
+	releases *parallel.Cache[*releaseEntry]
 
 	// disk is the durable tier (nil when Config.DataDir is empty).
 	disk *diskStore
@@ -163,13 +165,10 @@ type Server struct {
 	// single bprime is the one-point sweep — keyed on the normalized
 	// (sorted, deduplicated) grid so permutations of the same bprimes
 	// collapse into one amortized pass. Results are not memoized — the
-	// release store already pins the expensive artifact — so repeated
-	// sequential attacks recompute on the warm engine.
+	// expensive artifact, Adv(B)'s priors, stays in the engine's
+	// bounded prior cache — so repeated sequential attacks rerun only
+	// inference and the measure on the warm engine.
 	sweeps parallel.Group[map[float64]*AttackResponse]
-	// dsRecover and relRecover dedup concurrent disk recoveries so a
-	// thundering herd after a restart rebuilds each engine once.
-	dsRecover  parallel.Group[*datasetEntry]
-	relRecover parallel.Group[*releaseEntry]
 }
 
 // New builds a server with the given configuration. The schema
@@ -185,8 +184,8 @@ func New(cfg Config) (*Server, error) {
 		metrics:  newMetrics(),
 		logger:   cfg.Logger,
 		schemas:  schema.NewRegistry(),
-		datasets: newLRUStore[*datasetEntry](cfg.DatasetCap),
-		releases: newLRUStore[*releaseEntry](cfg.ReleaseCap),
+		datasets: parallel.NewCache[*datasetEntry](cfg.DatasetCap),
+		releases: parallel.NewCache[*releaseEntry](cfg.ReleaseCap),
 		jobs:     newJobQueue(cfg.JobQueueDepth),
 	}
 	if !cfg.DisableTracing {
@@ -194,7 +193,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.cost = costmodel.New(s.tracer.Stages())
 	s.schemas.MustRegister(adult.Spec())
-	s.releases.onEvict = func(string) { s.metrics.StoreEvictions.Add(1) }
+	s.releases.OnEvict = func(string) { s.metrics.StoreEvictions.Add(1) }
 	if cfg.DataDir != "" {
 		disk, err := newDiskStore(cfg.DataDir)
 		if err != nil {
@@ -473,6 +472,30 @@ func (s *Server) buildDataset(sp *obs.Span, id string, schemaID string, spec *sc
 	return &datasetEntry{id: id, schemaID: schemaID, table: table, engine: eng}, nil
 }
 
+// synthesize draws a table from spec's synthesis model — the ingest
+// and the disk-recovery path alike — as a dataset-synthesis stage.
+func synthesize(sp *obs.Span, spec *schema.Spec, n int, seed int64) (*dataset.Table, error) {
+	ssp := sp.StartStage(obs.StageDatasetSynth)
+	table, err := schema.Synthesize(spec, n, seed)
+	if err == nil {
+		ssp.SetShape(obs.Shape{Rows: table.N(), Dims: table.Schema.D()})
+	}
+	ssp.End()
+	return table, err
+}
+
+// decodeCSV streams a CSV body into a table under spec's columns — the
+// upload and the disk-recovery path alike — as a dataset-decode stage.
+func decodeCSV(sp *obs.Span, r io.Reader, spec *schema.Spec) (*dataset.Table, error) {
+	dsp := sp.StartStage(obs.StageDatasetDecode)
+	table, err := dataset.ReadCSV(r, spec.ColumnSpecs())
+	if err == nil {
+		dsp.SetShape(obs.Shape{Rows: table.N(), Dims: table.Schema.D()})
+	}
+	dsp.End()
+	return table, err
+}
+
 // handleDatasets ingests a dataset: JSON {n, seed, schema} synthesizes
 // a table under the named schema (default adult); a text/csv body is
 // decoded streaming under the ?schema= spec. Both are
@@ -509,19 +532,15 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	id := hashID("ds", "synthetic|schema="+schemaID+
-		"|n="+strconv.Itoa(req.N)+"|seed="+strconv.FormatInt(req.Seed, 10))
+	rec := datasetRecord{Schema: schemaID, Source: "synthetic", N: req.N, Seed: req.Seed}
+	id := rec.contentID(nil)
+	rec.ID = id
 	sp := obs.SpanFromContext(r.Context())
-	entry, src, err := s.datasets.do(id, func() (*datasetEntry, error) {
+	entry, src, err := computeThrough(s.datasets, id, func() (*datasetEntry, error) {
 		// The singleflight leader runs this closure in its own request
 		// goroutine, so the synthesis and build land on that request's
 		// trace; followers share the result without inheriting spans.
-		ssp := sp.StartStage(obs.StageDatasetSynth)
-		table, err := schema.Synthesize(spec, req.N, req.Seed)
-		if err == nil {
-			ssp.SetShape(obs.Shape{Rows: table.N(), Dims: table.Schema.D()})
-		}
-		ssp.End()
+		table, err := synthesize(sp, spec, req.N, req.Seed)
 		if err != nil {
 			// Wrap so every caller sharing this singleflight result —
 			// not just the leader — classifies it as client input.
@@ -529,10 +548,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 		}
 		e, err := s.buildDataset(sp, id, schemaID, spec, table)
 		if err == nil {
-			s.persistDataset(sp, datasetRecord{
-				ID: id, Schema: schemaID, Source: "synthetic",
-				N: req.N, Seed: req.Seed,
-			}, nil)
+			s.persistDataset(sp, rec, nil)
 		}
 		return e, err
 	})
@@ -581,12 +597,7 @@ func (s *Server) ingestCSV(w http.ResponseWriter, r *http.Request) {
 	// Every upload decodes its own body (the content hash needs the
 	// bytes), so the decode span is per-request, not singleflighted.
 	sp := obs.SpanFromContext(r.Context())
-	dsp := sp.StartStage(obs.StageDatasetDecode)
-	table, err := dataset.ReadCSV(stream, spec.ColumnSpecs())
-	if err == nil {
-		dsp.SetShape(obs.Shape{Rows: table.N(), Dims: table.Schema.D()})
-	}
-	dsp.End()
+	table, err := decodeCSV(sp, stream, spec)
 	if err != nil {
 		writeBodyErr(w, "decoding CSV", err)
 		return
@@ -602,11 +613,13 @@ func (s *Server) ingestCSV(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	id := hashID("ds", "csv|schema="+schemaID+"|sha256="+hex.EncodeToString(h.Sum(nil)))
-	entry, src, err := s.datasets.do(id, func() (*datasetEntry, error) {
+	rec := datasetRecord{Schema: schemaID, Source: "csv"}
+	id := rec.contentID(h.Sum(nil))
+	rec.ID = id
+	entry, src, err := computeThrough(s.datasets, id, func() (*datasetEntry, error) {
 		e, err := s.buildDataset(sp, id, schemaID, spec, table)
 		if err == nil {
-			s.persistDataset(sp, datasetRecord{ID: id, Schema: schemaID, Source: "csv"}, raw.Bytes())
+			s.persistDataset(sp, rec, raw.Bytes())
 		}
 		return e, err
 	})
@@ -712,7 +725,7 @@ func (s *Server) handleAnonymize(w http.ResponseWriter, r *http.Request) {
 // the dataset store evicted the dataset; only a miss resolves the
 // dataset itself.
 func (s *Server) anonymizeDataset(sp *obs.Span, releaseID, dataset string) (ds *datasetEntry, resident bool) {
-	if e, ok := s.releases.get(releaseID); ok {
+	if e, ok := s.releases.Get(releaseID); ok {
 		return e.ds, true
 	}
 	ds, _ = s.getDataset(sp, dataset)
@@ -720,11 +733,12 @@ func (s *Server) anonymizeDataset(sp *obs.Span, releaseID, dataset string) (ds *
 }
 
 // resolveOrCompute is the release-resolution core shared by the sync
-// handler and the job workers: memory store, then the durable tier,
-// then one singleflighted pipeline run whose result writes through to
-// disk. The source return distinguishes resident (sourceHit), shared
-// in-flight (sourceShared), disk-recovered (sourceDisk), and freshly
-// computed (sourceMiss). The context's span — request or job root —
+// handler and the job workers: memory store, then — in the release
+// cache's one flight per id, which lookups share — the durable tier,
+// then a pipeline run whose result writes through to disk. The source
+// return distinguishes resident (sourceHit), shared in-flight
+// (sourceShared), disk-recovered (sourceDisk), and freshly computed
+// (sourceMiss). The context's span — request or job root —
 // receives the stage spans of whatever work this caller actually did:
 // the singleflight leader records the recovery or pipeline, followers
 // record an empty resolve span, so shared work is attributed once.
@@ -733,7 +747,7 @@ func (s *Server) resolveOrCompute(ctx context.Context, ds *datasetEntry, req Ano
 	id := hashID("rel", req.key())
 	fromDisk := false
 	rsp := sp.Child(obs.StageNone, "resolve "+id)
-	entry, src, err := s.releases.do(id, func() (*releaseEntry, error) {
+	entry, src, err := computeThrough(s.releases, id, func() (*releaseEntry, error) {
 		if e, ok := s.recoverRelease(rsp, id, ds); ok {
 			fromDisk = true
 			return e, nil
@@ -908,6 +922,24 @@ func normalizeGrid(bprimes []float64) []float64 {
 	return out
 }
 
+// validateGrid checks a bandwidth grid the way every attack/risk
+// surface (POST bodies and the estimate query) accepts it: one to
+// MaxSweepPoints points, each in (0, 1] — zero and NaN rejected.
+func validateGrid(bprimes []float64) error {
+	if len(bprimes) == 0 {
+		return errors.New("bprimes must name at least one bandwidth")
+	}
+	if len(bprimes) > MaxSweepPoints {
+		return fmt.Errorf("bprimes has %d points (max %d)", len(bprimes), MaxSweepPoints)
+	}
+	for _, bp := range bprimes {
+		if !(bp > 0 && bp <= 1) {
+			return fmt.Errorf("bprime must be in (0, 1] (got %g)", bp)
+		}
+	}
+	return nil
+}
+
 // attackQuery is a validated attack/risk request: the stored release,
 // the bandwidth grid to evaluate, and the (canonicalized) method
 // selection.
@@ -947,14 +979,6 @@ func (s *Server) getRelease(w http.ResponseWriter, r *http.Request) (q attackQue
 			writeErr(w, http.StatusBadRequest, "bprime and bprimes are mutually exclusive")
 			return q, false
 		}
-		if len(req.BPrimes) == 0 {
-			writeErr(w, http.StatusBadRequest, "bprimes must name at least one bandwidth")
-			return q, false
-		}
-		if len(req.BPrimes) > MaxSweepPoints {
-			writeErr(w, http.StatusBadRequest, "bprimes has %d points (max %d)", len(req.BPrimes), MaxSweepPoints)
-			return q, false
-		}
 		q.bprimes = req.BPrimes
 		q.sweep = true
 	case req.BPrime != nil:
@@ -962,11 +986,9 @@ func (s *Server) getRelease(w http.ResponseWriter, r *http.Request) (q attackQue
 	default:
 		q.bprimes = []float64{0.3}
 	}
-	for _, bp := range q.bprimes {
-		if bp <= 0 || bp > 1 {
-			writeErr(w, http.StatusBadRequest, "bprime must be in (0, 1] (got %g)", bp)
-			return q, false
-		}
+	if err := validateGrid(q.bprimes); err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
+		return q, false
 	}
 	entry, found := s.resolveRelease(r.Context(), req.Release)
 	if !found {
@@ -1125,7 +1147,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := s.metrics.snapshot(
-		s.releases.len(), s.datasets.len(), s.jobs.pending(),
+		s.releases.Len(), s.datasets.Len(), s.jobs.pending(),
 		s.tracer.Stages().Snapshot(), s.cost.Snapshot())
 	if r.URL.Query().Get("format") == "prom" {
 		w.Header().Set("Content-Type", promContentType)

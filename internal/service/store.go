@@ -1,28 +1,24 @@
 package service
 
-import (
-	"container/list"
-	"sync"
-
-	"repro/internal/parallel"
-)
+import "repro/internal/parallel"
 
 // source classifies how a store request was satisfied, for the cache
-// counters and the per-response cached flag.
+// counters and the per-response cached flag. The first three values are
+// the release and dataset caches' own outcomes (parallel.Cache.Do).
 type source int
 
 const (
 	// sourceMiss: this caller ran the computation itself.
-	sourceMiss source = iota
+	sourceMiss = source(parallel.Miss)
 	// sourceHit: the value was already resident in the store.
-	sourceHit
+	sourceHit = source(parallel.Hit)
 	// sourceShared: an identical computation was in flight and this
 	// caller shared its result (singleflight dedup).
-	sourceShared
+	sourceShared = source(parallel.Shared)
 	// sourceDisk: the value was recovered from the durable tier
 	// instead of being recomputed. Assigned by the server's
-	// resolution layer — the LRU store itself knows nothing of disk.
-	sourceDisk
+	// resolution layer — the cache itself knows nothing of disk.
+	sourceDisk = sourceShared + 1
 )
 
 // String names a source for span outcomes and request logs.
@@ -36,130 +32,5 @@ func (s source) String() string {
 		return "disk"
 	default:
 		return "miss"
-	}
-}
-
-// lruStore is a content-addressed cache with LRU eviction and
-// singleflight admission: values live under canonical keys, lookups
-// refresh recency, inserts beyond capacity evict the least recently
-// used entry, and concurrent computations for the same key collapse
-// into one (parallel.Group). Computation errors are never cached.
-type lruStore[V any] struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
-
-	flight parallel.Group[V]
-
-	// onEvict, when set, observes evicted keys (metrics).
-	onEvict func(key string)
-}
-
-// lruItem is one resident entry.
-type lruItem[V any] struct {
-	key string
-	val V
-}
-
-// newLRUStore returns a store holding at most capacity entries;
-// capacity < 1 is clamped to 1 (a store that can hold nothing would
-// turn every request into a recomputation).
-func newLRUStore[V any](capacity int) *lruStore[V] {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &lruStore[V]{
-		cap:   capacity,
-		ll:    list.New(),
-		items: map[string]*list.Element{},
-	}
-}
-
-// get returns the resident value for key, refreshing its recency.
-func (s *lruStore[V]) get(key string) (V, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
-		s.ll.MoveToFront(el)
-		return el.Value.(*lruItem[V]).val, true
-	}
-	var zero V
-	return zero, false
-}
-
-// put inserts (or refreshes) key, evicting the least recently used
-// entries when over capacity. The eviction callback is caller-supplied
-// code of unknown cost, so evicted keys are collected under the lock
-// and the callback runs after release — a callback that blocked (or
-// re-entered the store) while s.mu was held would convoy every reader.
-func (s *lruStore[V]) put(key string, val V) {
-	var evicted []string
-	s.mu.Lock()
-	if el, ok := s.items[key]; ok {
-		el.Value.(*lruItem[V]).val = val
-		s.ll.MoveToFront(el)
-		s.mu.Unlock()
-		return
-	}
-	s.items[key] = s.ll.PushFront(&lruItem[V]{key: key, val: val})
-	for s.ll.Len() > s.cap {
-		el := s.ll.Back()
-		it := el.Value.(*lruItem[V])
-		s.ll.Remove(el)
-		delete(s.items, it.key)
-		evicted = append(evicted, it.key)
-	}
-	s.mu.Unlock()
-	if s.onEvict != nil {
-		for _, k := range evicted {
-			s.onEvict(k)
-		}
-	}
-}
-
-// len returns the number of resident entries.
-func (s *lruStore[V]) len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ll.Len()
-}
-
-// do returns the value for key: from the store when resident, from an
-// in-flight identical computation when one exists, and by running
-// compute (then inserting the result) otherwise. The source return
-// tells the three apart.
-func (s *lruStore[V]) do(key string, compute func() (V, error)) (V, source, error) {
-	if v, ok := s.get(key); ok {
-		return v, sourceHit, nil
-	}
-	// Re-check residency inside the flight: a caller that missed above
-	// while an identical computation was finishing would otherwise
-	// become a fresh leader and recompute a value that just landed.
-	computed := false
-	v, shared, err := s.flight.Do(key, func() (V, error) {
-		if v, ok := s.get(key); ok {
-			return v, nil
-		}
-		computed = true
-		v, err := compute()
-		if err != nil {
-			var zero V
-			return zero, err
-		}
-		s.put(key, v)
-		return v, nil
-	})
-	if err != nil {
-		var zero V
-		return zero, sourceMiss, err
-	}
-	switch {
-	case shared:
-		return v, sourceShared, nil
-	case computed:
-		return v, sourceMiss, nil
-	default:
-		return v, sourceHit, nil
 	}
 }
