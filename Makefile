@@ -20,7 +20,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet lint build test race bench bench-json bench-smoke perfbench-check fuzz cover serve loadgen restart-smoke obs-smoke cost-smoke
+.PHONY: ci fmt vet lint build test race bench bench-smoke perfbench-check fuzz cover serve loadgen restart-smoke obs-smoke cost-smoke
 
 ci: fmt vet lint build race bench bench-smoke perfbench-check fuzz restart-smoke obs-smoke cost-smoke
 
@@ -66,15 +66,6 @@ bench-smoke:
 # removal it depends on fails here rather than at benchmark time.
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
-
-# Record the benchmark suite as BENCH JSON (name → ns/op, B/op,
-# allocs/op, plus deltas against BENCH_BASELINE when set):
-#   make bench-json                             # rewrites BENCH_5.json
-#   make bench-json BENCH_OUT=BENCH_6.json BENCH_BASELINE=BENCH_5.json
-BENCH_OUT ?= BENCH_5.json
-BENCH_BASELINE ?=
-bench-json:
-	GO="$(GO)" sh scripts/bench.sh "$(BENCH_OUT)" "$(BENCH_BASELINE)"
 
 # Short fuzz smoke over the decoders that face untrusted input: CSV
 # rows, JSON schema specs, attack/risk and anonymize request bodies,

@@ -341,9 +341,10 @@ func (e *Engine) AnonymizeModel(m Model, p Params) (*anonymize.Result, error) {
 // RunAlgorithm is the shared dispatch for the CLI and the serving
 // layer: it runs the named algorithm (mondrian, anatomy, incognito)
 // under the named model (see RequirementByName) and validates the
-// release. The levels return is Incognito's minimal generalization
-// node (nil for the other algorithms). Anatomy enforces ℓ-diversity by
-// construction and uses only p.L.
+// release. A requirement no release meets fails with an error wrapping
+// privacy.ErrUnsatisfiable. The levels return is Incognito's minimal
+// generalization node (nil for the other algorithms). Anatomy enforces
+// ℓ-diversity by construction and uses only p.L.
 func (e *Engine) RunAlgorithm(algo, model string, p Params) (res *anonymize.Result, levels []int, err error) {
 	return e.runAlgorithm(nil, nil, algo, model, p)
 }
@@ -394,6 +395,12 @@ func (e *Engine) runAlgorithm(sp *obs.Span, method inference.Method, algo, model
 			return nil, nil, rerr
 		}
 		res = e.anonymizeSpan(sp, req)
+		// Mondrian checks both halves of every split it makes, so the
+		// root is the one group it never checks: a single-group release
+		// may fail the requirement it claims.
+		if len(res.Groups) == 1 && !req.Satisfied(res.Groups[0].Rows) {
+			return nil, nil, fmt.Errorf("core: no mondrian release satisfies %s: %w", req.Name(), privacy.ErrUnsatisfiable)
+		}
 	default:
 		return nil, nil, fmt.Errorf("core: unknown algorithm %q", algo)
 	}

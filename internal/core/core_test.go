@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -355,3 +356,32 @@ func TestRequirementNames(t *testing.T) {
 }
 
 var _ privacy.Requirement = privacy.Skyline{} // interface conformance pin
+
+// TestRunAlgorithmRejectsUnsatisfiableRoot pins the release audit:
+// Mondrian never checks its root, so a request no split can meet used
+// to come back as one group failing the requirement it names. Both
+// searching algorithms now report it as privacy.ErrUnsatisfiable, and a
+// single group that does meet its requirement is still released.
+func TestRunAlgorithmRejectsUnsatisfiableRoot(t *testing.T) {
+	e, err := New(adult.Generate(200, 1), adult.Hierarchies(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Params{K: 1000, L: 50}
+	for _, algo := range []string{"mondrian", "incognito"} {
+		res, _, err := e.RunAlgorithm(algo, "distinct", p)
+		if !errors.Is(err, privacy.ErrUnsatisfiable) {
+			t.Fatalf("%s: err = %v (release %v), want privacy.ErrUnsatisfiable", algo, err, res)
+		}
+		if !strings.Contains(err.Error(), "1000-anonymity+distinct-50-diversity") {
+			t.Errorf("%s: error %q does not name the requirement", algo, err)
+		}
+	}
+	res, _, err := e.RunAlgorithm("mondrian", "distinct", Params{K: 200, L: 1})
+	if err != nil {
+		t.Fatalf("satisfiable whole-table release: %v", err)
+	}
+	if len(res.Groups) != 1 {
+		t.Fatalf("k=n release has %d groups, want 1", len(res.Groups))
+	}
+}

@@ -68,8 +68,8 @@ var forms = []Form{
 	{obs.StageKernelTable, "profiles*d", func(s obs.Shape) float64 {
 		return f(s.Profiles) * f(s.Dims)
 	}},
-	{obs.StagePriors, "profiles^2*d*lanes", func(s obs.Shape) float64 {
-		return f(s.Profiles) * f(s.Profiles) * f(s.Dims) * lanes(s)
+	{obs.StagePriors, "profiles^2*d", func(s obs.Shape) float64 {
+		return f(s.Profiles) * f(s.Profiles) * f(s.Dims)
 	}},
 	{obs.StageInference, "rows*lanes", func(s obs.Shape) float64 {
 		return f(s.Rows) * lanes(s)
@@ -94,7 +94,7 @@ var forms = []Form{
 
 func f(n int) float64 { return float64(n) }
 
-// lanes treats an unannotated lane count as a single-bandwidth pass.
+// lanes treats an unannotated grid width as a single-bandwidth pass.
 func lanes(s obs.Shape) float64 {
 	if s.Lanes < 1 {
 		return 1

@@ -20,7 +20,7 @@ func TestFitRecoversExactLine(t *testing.T) {
 	g := &obs.Stages{}
 	const a, b = 0.25, 40.0
 	for _, p := range []int{100, 200, 400, 800} {
-		sh := obs.Shape{Profiles: p, Dims: 4, Lanes: 1}
+		sh := obs.Shape{Profiles: p, Dims: 4}
 		w := float64(p) * float64(p) * 4
 		feed(g, obs.StagePriors, sh, a*w+b)
 	}
@@ -42,13 +42,14 @@ func TestFitRecoversExactLine(t *testing.T) {
 	if fit.MedAbsRelErr > 1e-9 {
 		t.Fatalf("MedAbsRelErr = %g, want ~0", fit.MedAbsRelErr)
 	}
-	if fit.Formula != "profiles^2*d*lanes" {
+	if fit.Formula != "profiles^2*d" {
 		t.Fatalf("formula = %q", fit.Formula)
 	}
 
-	// Predict at a fresh shape evaluates the same line.
+	// Predict at a fresh shape evaluates the same line; a lane count
+	// does not scale a prior pass.
 	sh := obs.Shape{Profiles: 300, Dims: 4, Lanes: 2}
-	want := a*(300.0*300*4*2) + b
+	want := a*(300.0*300*4) + b
 	got, _, ok := m.Predict(obs.StagePriors, sh)
 	if !ok {
 		t.Fatal("Predict not ok")

@@ -79,7 +79,7 @@ func (g *Generalizer) Search() (Node, *anonymize.Result, error) {
 			return best.node, best.res, nil
 		}
 	}
-	return nil, nil, fmt.Errorf("incognito: no generalization satisfies %s", g.Req.Name())
+	return nil, nil, fmt.Errorf("incognito: no generalization satisfies %s: %w", g.Req.Name(), privacy.ErrUnsatisfiable)
 }
 
 // layer enumerates all level vectors with the given sum.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/hierarchy"
@@ -24,7 +23,7 @@ import (
 // struct-of-arrays layout, and the per-attribute kernel weights are
 // precomputed into flat stride-indexed tables, so the inner loop is
 // d table lookups per pair over contiguous memory (see hotpath.go for
-// the blocked iteration and lanes.go for the pass itself).
+// the layout and candidate lists, lanes.go for the pass itself).
 type Estimator struct {
 	Kernel   Func
 	Table    *dataset.Table
@@ -47,10 +46,6 @@ type Estimator struct {
 	// sub-sibling bandwidth — the bucket itself is the list, shared.
 	buckets   [][]int32
 	bucketOff [][]int32
-
-	// pool recycles per-worker tile scratch across calls, so a pass
-	// allocates only its weight tables, candidate lists and output.
-	pool sync.Pool
 }
 
 // NewEstimator prepares an estimator for the table. hiers supplies
@@ -160,7 +155,7 @@ func (e *Estimator) expand(perProfile []prob.Dist) []prob.Dist {
 }
 
 // ProfilePriors estimates one prior distribution per distinct QI
-// profile, on the flat cache-blocked pass (hotpath.go). Tiles fan out
+// profile, on the flat lane pass (lanes.go). Query profiles fan out
 // across the estimator's pool with each profile's Nadaraya–Watson sum
 // self-contained, so the result is bit-identical at any worker count.
 func (e *Estimator) ProfilePriors(b []float64) ([]prob.Dist, error) {
@@ -168,7 +163,7 @@ func (e *Estimator) ProfilePriors(b []float64) ([]prob.Dist, error) {
 }
 
 // profilePriors is ProfilePriors with a span: the table build and the
-// blocked pass each record one stage observation. The weight tables
+// lane pass each record one stage observation. The weight tables
 // and candidate lists live only for this pass — callers that revisit a
 // bandwidth cache its priors instead (core.Engine).
 func (e *Estimator) profilePriors(sp *obs.Span, b []float64) ([]prob.Dist, error) {
@@ -178,7 +173,7 @@ func (e *Estimator) profilePriors(sp *obs.Span, b []float64) ([]prob.Dist, error
 	ft := e.weightTables(sp, b)
 	n, m := e.packed.N, e.packed.M
 	psp := sp.Child(obs.StagePriors, "priors b="+BandwidthKey(b))
-	psp.SetShape(obs.Shape{Profiles: n, Dims: e.packed.D, Lanes: 1})
+	psp.SetShape(obs.Shape{Profiles: n, Dims: e.packed.D})
 	backing := make([]float64, n*m)
 	e.priorPassLanes(ft, backing)
 	psp.End()

@@ -11,36 +11,26 @@ import (
 
 // The Nadaraya–Watson pass is the framework's dominant cost (the
 // paper's Figure 4(b)): O(profiles² · d) kernel products plus an
-// O(profiles² · m) accumulation. This file is the flat, cache-blocked
-// form of that pass. The profile set is packed once into a
-// struct-of-arrays layout (dataset.PackedProfiles) and the
-// per-attribute weight tables are flattened into one stride-indexed
-// vector, so the inner loop is sequential loads and d multiplies with
-// no pointer chasing; the profile×profile iteration space is tiled so
-// the streamed operand block stays in L1/L2 across a tile of query
-// profiles; scratch accumulators come from a pool, reused across
-// calls; and compact-support kernels zero most pair weights, so each
-// pass indexes its weight table's candidates — the profiles with a
-// nonzero weight against each query value — and every query profile
-// streams only the candidates of its most selective attribute instead
-// of testing all n pairs.
+// O(profiles² · m) accumulation. This file holds the flat layout that
+// pass runs on. The profile set is packed once into a struct-of-arrays
+// layout (dataset.PackedProfiles) and the per-attribute weight tables
+// are flattened into one stride-indexed vector, so the inner loop is
+// sequential loads and d multiplies with no pointer chasing; and
+// compact-support kernels zero most pair weights, so each pass indexes
+// its weight table's candidates — the profiles with a nonzero weight
+// against each query value — and every query profile streams only the
+// candidates of its most selective attribute instead of testing all n
+// pairs.
 //
 // Skipping a pair whose product is provably zero does not touch the
 // arithmetic, and per-profile accumulation order is fixed — candidate
 // lists are ascending, so profile u still runs in increasing order for
-// every query profile p regardless of tile size or worker count. The
-// results are therefore bit-identical to the sequential,
-// pre-flattening implementation (pinned by golden_test.go).
+// every query profile p regardless of worker count. The results are
+// therefore bit-identical to the sequential, pre-flattening
+// implementation (pinned by golden_test.go).
 
-// Tile sizes for the blocked profile×profile iteration. uTile bounds
-// the streamed block (QI rows, weights, histogram rows: roughly
-// uTile·(4d + 8 + 8m) bytes — ~28 KiB for the Adult schema), which is
-// reused by every one of the pTile query profiles before the pass
-// moves on; both tiles target L1 with room for the weight tables.
-const (
-	pTile = 64
-	uTile = 192
-)
+// pTile is the number of query profiles one parallel.For task owns.
+const pTile = 64
 
 // flatTables is one bandwidth's weight-table set, flattened: attribute
 // i's table occupies w[off[i] : off[i]+stride[i]²] row-major, so the
@@ -50,11 +40,6 @@ type flatTables struct {
 	w      []float64
 	off    []int
 	stride []int
-	size   int
-
-	// lanes is the block width of the lane pass (4 or 8), chosen at
-	// table build from the table's nonzero density (laneWidthFor).
-	lanes int
 }
 
 // candSet holds the candidate lists the pass iterates instead of all n
@@ -75,25 +60,19 @@ type candSet struct {
 func (e *Estimator) buildFlat(b []float64) *flatTables {
 	d := len(e.Matrices)
 	ft := &flatTables{off: make([]int, d), stride: make([]int, d)}
+	size := 0
 	for i, m := range e.Matrices {
-		ft.off[i] = ft.size
+		ft.off[i] = size
 		ft.stride[i] = len(m)
-		ft.size += len(m) * len(m)
+		size += len(m) * len(m)
 	}
-	ft.w = make([]float64, ft.size)
+	ft.w = make([]float64, size)
 	for i, m := range e.Matrices {
 		base := ft.off[i]
 		for v, row := range m {
 			fillWeights(ft.w[base+v*ft.stride[i]:], e.Kernel, row, b[i])
 		}
 	}
-	nnz := 0
-	for _, w := range ft.w {
-		if w != 0 {
-			nnz++
-		}
-	}
-	ft.lanes = laneWidthFor(nnz, ft.size)
 	return ft
 }
 
@@ -196,35 +175,6 @@ func (cs *candSet) bestList(pp *dataset.PackedProfiles, p int) []int32 {
 	return cs.lists[i][pp.QI[p*pp.D+int(i)]]
 }
 
-// passScratch is one worker's reusable tile state: per-profile
-// denominators, precomputed weight-row bases, and candidate cursors
-// and list headers.
-type passScratch struct {
-	denom []float64
-	base  []int
-	cur   []int
-	lists [][]int32
-}
-
-// getScratch returns pooled scratch with the requested capacities.
-func (e *Estimator) getScratch(denomLen, baseLen int) *passScratch {
-	sc, _ := e.pool.Get().(*passScratch)
-	if sc == nil {
-		sc = &passScratch{}
-	}
-	if cap(sc.denom) < denomLen {
-		sc.denom = make([]float64, denomLen)
-	}
-	if cap(sc.base) < baseLen {
-		sc.base = make([]int, baseLen)
-	}
-	if cap(sc.cur) < pTile {
-		sc.cur = make([]int, pTile)
-		sc.lists = make([][]int32, pTile)
-	}
-	return sc
-}
-
 // sliceDists carves one prob.Dist per profile out of a flat backing
 // array — the only steady-state allocation a warm pass performs.
 func sliceDists(backing []float64, n, m int) []prob.Dist {
@@ -233,18 +183,6 @@ func sliceDists(backing []float64, n, m int) []prob.Dist {
 		dists[p] = prob.Dist(backing[p*m : (p+1)*m : (p+1)*m])
 	}
 	return dists
-}
-
-// fillBases precomputes, for each query profile of a tile, the flat
-// index of its weight-table row per attribute: the inner loop then
-// finds the pair weight with one add per attribute.
-func fillBases(pp *dataset.PackedProfiles, ft *flatTables, base []int, p0, p1 int) {
-	d := pp.D
-	for p := p0; p < p1; p++ {
-		for i := 0; i < d; i++ {
-			base[(p-p0)*d+i] = ft.off[i] + int(pp.QI[p*d+i])*ft.stride[i]
-		}
-	}
 }
 
 // finish normalizes one accumulated prior row in place, falling back

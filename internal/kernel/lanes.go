@@ -12,9 +12,8 @@ import (
 // This file is the estimator's one prior pass, in lane form. A scalar
 // loop (scalarProduct) computes one candidate at a time: a d-long
 // dependent multiply chain per pair, each step waiting on the previous
-// load×multiply. The lane pass restructures the candidate
-// stream into fixed-width blocks (width 4 or 8, chosen per table at
-// build time, see laneWidthFor) and runs the chains of a whole block
+// load×multiply. The lane pass walks each query profile's candidate
+// list in blocks of eight and runs the chains of a whole block
 // together: for each attribute, the block loads its lane's table
 // entries and multiplies into a fixed-size stack array over a
 // compiler-known bound, so the per-lane products are independent
@@ -28,20 +27,8 @@ import (
 // nonnegative, so a zero lane stays zero under further multiplies and
 // contributes nothing either way; and the accumulation phase folds
 // surviving lanes in ascending candidate order, exactly the scalar
-// order. Tail candidates that do not fill a block run the scalar
-// loop itself.
-
-// laneWidthFor picks the block width for a weight-table set: dense
-// tables (≥¼ of entries nonzero) run wide — long surviving chains
-// amortize the gather across eight independent products — while
-// sparse tables run narrow, so the all-lanes-dead break fires before
-// a lone surviving lane drags seven dead ones through the multiply.
-func laneWidthFor(nnz, size int) int {
-	if nnz*4 >= size {
-		return 8
-	}
-	return 4
-}
+// order. The at most seven candidates past the last full block run the
+// scalar loop itself.
 
 // lane8 computes the kernel products of eight consecutive candidates
 // us against the query profile's table rows bs, in float64.
@@ -68,29 +55,8 @@ func lane8(pp *dataset.PackedProfiles, tw []float64, bs []int, us []int32) (wl [
 	return
 }
 
-// lane4 is lane8 at width four.
-func lane4(pp *dataset.PackedProfiles, tw []float64, bs []int, us []int32) (wl [4]float64) {
-	d := pp.D
-	var qo [4]int
-	for k := 0; k < 4; k++ {
-		u := int(us[k])
-		qo[k] = u * d
-		wl[k] = pp.Weights[u]
-	}
-	qi := pp.QI
-	for i, b := range bs {
-		for k := 0; k < 4; k++ {
-			wl[k] *= tw[b+int(qi[qo[k]+i])]
-		}
-		if wl[0]+wl[1]+wl[2]+wl[3] == 0 {
-			return
-		}
-	}
-	return
-}
-
 // scalarProduct computes one pair's kernel product — the tail path for
-// candidates that do not fill a block, exactly the scalar loop the
+// candidates past the last full block, exactly the scalar loop the
 // goldens pin.
 func (e *Estimator) scalarProduct(ft *flatTables, bs []int, u int) float64 {
 	pp := e.packed
@@ -124,87 +90,46 @@ func accumulate(pp *dataset.PackedProfiles, acc []float64, wsum *float64, u int,
 	}
 }
 
-// priorPassLanes is the estimator's prior pass: the pTile×uTile
-// blocking, candidate lists, and pooled scratch of hotpath.go, with
-// full blocks of ft.lanes candidates computed by the width-specialized
-// lane kernels and only partial tails falling back to the scalar loop.
-// It writes each profile's normalized prior into out[p*m : (p+1)*m].
-// Each query profile is computed wholly by one worker in fixed
-// ascending-candidate order, so output is bit-identical at any worker
-// count.
+// priorPassLanes is the estimator's prior pass. Each query profile
+// walks its ascending candidate list (hotpath.go) in full blocks of
+// eight through lane8, then the remaining tail through the scalar loop,
+// and writes its normalized prior into out[p*m : (p+1)*m]. Each query
+// profile is computed wholly by one worker in fixed ascending-candidate
+// order, so output is bit-identical at any worker count.
 func (e *Estimator) priorPassLanes(ft *flatTables, out []float64) {
 	pp := e.packed
 	n, d, m := pp.N, pp.D, pp.M
 	cands := e.buildCands(ft.w)
-	wide := ft.lanes == 8
 	tiles := (n + pTile - 1) / pTile
 	parallel.For(e.Workers, tiles, func(ti int) {
 		p0 := ti * pTile
-		p1 := p0 + pTile
-		if p1 > n {
-			p1 = n
-		}
-		sc := e.getScratch(p1-p0, (p1-p0)*d)
-		denom := sc.denom[:p1-p0]
-		for i := range denom {
-			denom[i] = 0
-		}
-		base := sc.base[:(p1-p0)*d]
-		fillBases(pp, ft, base, p0, p1)
-		for pl := 0; pl < p1-p0; pl++ {
-			sc.lists[pl] = cands.bestList(pp, p0+pl)
-			sc.cur[pl] = 0
-		}
-		for u0 := 0; u0 < n; u0 += uTile {
-			u1 := u0 + uTile
-			if u1 > n {
-				u1 = n
-			}
-			for p := p0; p < p1; p++ {
-				pl := p - p0
-				acc := out[p*m : p*m+m]
-				bs := base[pl*d : pl*d+d]
-				list := sc.lists[pl]
-				wsum := denom[pl]
-				c := sc.cur[pl]
-				for {
-					if wide && c+8 <= len(list) && int(list[c+7]) < u1 {
-						us := list[c : c+8 : c+8]
-						wl := lane8(pp, ft.w, bs, us)
-						for k := 0; k < 8; k++ {
-							if wl[k] != 0 {
-								accumulate(pp, acc, &wsum, int(us[k]), wl[k])
-							}
-						}
-						c += 8
-						continue
-					}
-					if !wide && c+4 <= len(list) && int(list[c+3]) < u1 {
-						us := list[c : c+4 : c+4]
-						wl := lane4(pp, ft.w, bs, us)
-						for k := 0; k < 4; k++ {
-							if wl[k] != 0 {
-								accumulate(pp, acc, &wsum, int(us[k]), wl[k])
-							}
-						}
-						c += 4
-						continue
-					}
-					// Partial tail: the scalar loop, verbatim semantics.
-					for ; c < len(list) && int(list[c]) < u1; c++ {
-						if w := e.scalarProduct(ft, bs, int(list[c])); w != 0 {
-							accumulate(pp, acc, &wsum, int(list[c]), w)
-						}
-					}
-					break
-				}
-				sc.cur[pl] = c
-				denom[pl] = wsum
-			}
-		}
+		p1 := min(p0+pTile, n)
+		// bs[i] is the flat index of profile p's attribute-i weight row,
+		// so the inner loop finds each pair weight with one add.
+		bs := make([]int, d)
 		for p := p0; p < p1; p++ {
-			e.finish(out[p*m:p*m+m], denom[p-p0])
+			for i := range bs {
+				bs[i] = ft.off[i] + int(pp.QI[p*d+i])*ft.stride[i]
+			}
+			acc := out[p*m : p*m+m]
+			list := cands.bestList(pp, p)
+			wsum := 0.0
+			c := 0
+			for ; c+8 <= len(list); c += 8 {
+				us := list[c : c+8 : c+8]
+				wl := lane8(pp, ft.w, bs, us)
+				for k := 0; k < 8; k++ {
+					if wl[k] != 0 {
+						accumulate(pp, acc, &wsum, int(us[k]), wl[k])
+					}
+				}
+			}
+			for ; c < len(list); c++ {
+				if w := e.scalarProduct(ft, bs, int(list[c])); w != 0 {
+					accumulate(pp, acc, &wsum, int(list[c]), w)
+				}
+			}
+			e.finish(acc, wsum)
 		}
-		e.pool.Put(sc)
 	})
 }

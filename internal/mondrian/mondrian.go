@@ -26,12 +26,12 @@ const DefaultParallelDepth = 16
 // Partitioner holds the anonymization configuration.
 type Partitioner struct {
 	Table *dataset.Table
-	// Req is checked on both halves of every candidate split; the root
-	// partition is accepted unconditionally (the whole table is always
-	// publishable as a single group — it carries no QI information).
-	// It must be safe for concurrent calls when Workers permits more
-	// than one; every requirement in this module is read-only after
-	// construction.
+	// Req is checked on both halves of every candidate split, never on
+	// the root: when no split is accepted, the result is the whole table
+	// as one group, which may itself fail Req (the caller audits that
+	// case; see core.Engine.RunAlgorithm). It must be safe for
+	// concurrent calls when Workers permits more than one; every
+	// requirement in this module is read-only after construction.
 	Req privacy.Requirement
 	// Workers bounds the goroutines partitioning subtrees concurrently,
 	// under the parallel package convention (0 = all cores, negative =

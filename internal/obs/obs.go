@@ -105,9 +105,8 @@ func (st Stage) String() string {
 // Shape describes the workload a stage span operated on, in the units
 // the closed-form cost models are written in (internal/costmodel):
 // table rows, deduplicated QI profiles, QI dimensionality d, the
-// bandwidth-grid width of a pass (lanes: 1 for a prior pass, the grid
-// size for a sweep's inference pass), and the equivalence-class count
-// of an inference pass. A zero
+// bandwidth-grid width of an inference pass (lanes: the grid size of a
+// sweep), and the equivalence-class count of an inference pass. A zero
 // Shape means "unannotated" and is kept out of the calibration
 // reservoirs. Shapes describe work, never content — they carry counts,
 // not data — so they are safe to expose on every diagnostic surface.

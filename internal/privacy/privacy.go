@@ -8,6 +8,7 @@
 package privacy
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -16,6 +17,11 @@ import (
 	"repro/internal/inference"
 	"repro/internal/prob"
 )
+
+// ErrUnsatisfiable reports that no release an algorithm can produce
+// from the table meets the requested requirement — the request, not
+// the server, is at fault.
+var ErrUnsatisfiable = errors.New("privacy: requirement unsatisfiable on this table")
 
 // Requirement decides whether a candidate anonymization group satisfies
 // a privacy model. rows are record indexes into the bound table.

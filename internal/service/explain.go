@@ -54,7 +54,7 @@ func attackShapes(entry *releaseEntry, lanes int, method string) []stageShape {
 	for i := 0; i < lanes; i++ {
 		out = append(out,
 			stageShape{obs.StageKernelTable, obs.Shape{Profiles: profiles, Dims: d}},
-			stageShape{obs.StagePriors, obs.Shape{Profiles: profiles, Dims: d, Lanes: 1}},
+			stageShape{obs.StagePriors, obs.Shape{Profiles: profiles, Dims: d}},
 		)
 	}
 	return append(out, stageShape{core.InferenceStage(method), obs.Shape{Rows: n, Dims: d, Lanes: lanes, Groups: groups}})

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -216,5 +217,39 @@ func TestJobEndpointErrors(t *testing.T) {
 	}
 	if code, _ := get(t, ts, "/v1/jobs/a/b"); code != http.StatusBadRequest {
 		t.Errorf("nested job path should 400, got %d", code)
+	}
+}
+
+// TestAnonymizeUnsatisfiableIs422 pins the release audit over HTTP: a
+// requirement no release of the table meets is the request's fault, a
+// 422 naming the requirement — never a 200 carrying a group that fails
+// it. The async form fails its job with the same message, and neither
+// form stores a release.
+func TestAnonymizeUnsatisfiableIs422(t *testing.T) {
+	_, ts := newTestServer(t, -1)
+	ds := createDataset(t, ts, 200, 1)
+	const want = "1000-anonymity+distinct-50-diversity"
+
+	body := fmt.Sprintf(`{"dataset":%q,"model":"distinct","k":1000,"l":50}`, ds)
+	code, b := post(t, ts, "/v1/anonymize", body)
+	if code != http.StatusUnprocessableEntity {
+		t.Fatalf("unsatisfiable anonymize: status %d (want 422): %s", code, b)
+	}
+	syncErr := mustJSON[errorResponse](t, b).Error
+	if !strings.Contains(syncErr, want) {
+		t.Errorf("422 body does not name %s: %s", want, b)
+	}
+
+	code, b = post(t, ts, "/v1/anonymize", strings.TrimSuffix(body, "}")+`,"async":true}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("async anonymize: status %d: %s", code, b)
+	}
+	sub := mustJSON[JobResponse](t, b)
+	done := pollJob(t, ts, sub.Job)
+	if done.State != "failed" || !strings.HasSuffix(syncErr, done.Error) {
+		t.Fatalf("async job = %+v, want failed with %q", done, syncErr)
+	}
+	if code, _ := get(t, ts, "/v1/releases/"+sub.Release); code != http.StatusNotFound {
+		t.Fatalf("unsatisfiable release should 404, got %d", code)
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/privacy"
 	"repro/internal/schema"
 )
 
@@ -698,7 +699,11 @@ func (s *Server) handleAnonymize(w http.ResponseWriter, r *http.Request) {
 	}
 	entry, src, err := s.resolveOrCompute(r.Context(), ds, req)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "anonymizing: %v", err)
+		code := http.StatusBadRequest
+		if errors.Is(err, privacy.ErrUnsatisfiable) {
+			code = http.StatusUnprocessableEntity
+		}
+		writeErr(w, code, "anonymizing: %v", err)
 		return
 	}
 	obs.SpanFromContext(r.Context()).SetOutcome(src.String())
