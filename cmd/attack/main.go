@@ -11,7 +11,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"sort"
 
 	"repro/internal/adult"
 	"repro/internal/cli"
@@ -65,15 +64,8 @@ func main() {
 		if err != nil {
 			cli.Fatal("attack", err)
 		}
-		risks := core.SortedRisks(rep)
-		mean := 0.0
-		for _, r := range risks {
-			mean += r
-		}
-		mean /= float64(len(risks))
-		sort.Float64s(risks)
-		p90 := risks[int(0.9*float64(len(risks)))]
+		prof := core.Profile(rep.Risks)
 		fmt.Printf("%-6.2f %-10.4f %-10.4f %-10.4f %-10.4f %-10d\n",
-			bp, sharp, mean, p90, rep.WorstRisk, rep.Vulnerable)
+			bp, sharp, prof.Mean, prof.P90, rep.WorstRisk, rep.Vulnerable)
 	}
 }

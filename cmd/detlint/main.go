@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	detlint [-md file] [-json file] [-baseline file] [-ignore-budget file] [packages]
+//	detlint [-md file] [-json file] [-ignore-budget file] [packages]
 //
 // With no package patterns it analyzes ./... . Each analyzer applies
 // only to the packages where its invariant is load-bearing (see
@@ -19,9 +19,6 @@
 //   - -json writes the machine-readable report: every finding
 //     (including the ones lint:ignore suppressed, flagged as such)
 //     plus the package and suppression-budget counters;
-//   - -baseline reads a previous -json report and gates only on NEW
-//     findings — known ones are printed as baselined but do not fail,
-//     so an invariant can be introduced before its backlog is paid;
 //   - -ignore-budget reads an integer from a committed file and fails
 //     if the tree's lint:ignore directive count exceeds it, so
 //     suppressions can be retired but never quietly accrue.
@@ -158,8 +155,7 @@ var suite = []scoped{
 	{atomicmix.Analyzer, everywhere},
 }
 
-// jsonFinding is one diagnostic in the -json report and the -baseline
-// key space.
+// jsonFinding is one diagnostic in the -json report.
 type jsonFinding struct {
 	File       string `json:"file"`
 	Line       int    `json:"line"`
@@ -167,7 +163,6 @@ type jsonFinding struct {
 	Analyzer   string `json:"analyzer"`
 	Message    string `json:"message"`
 	Suppressed bool   `json:"suppressed"`
-	Baselined  bool   `json:"baselined,omitempty"`
 }
 
 // jsonReport is the -json payload.
@@ -181,10 +176,9 @@ type jsonReport struct {
 func main() {
 	mdPath := flag.String("md", "", "write a markdown report (for CI step summaries) to this file")
 	jsonPath := flag.String("json", "", "write the machine-readable findings report to this file")
-	baselinePath := flag.String("baseline", "", "read a previous -json report and fail only on findings not in it")
 	budgetPath := flag.String("ignore-budget", "", "read the allowed lint:ignore count from this file and fail if the tree exceeds it")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: detlint [-md file] [-json file] [-baseline file] [-ignore-budget file] [packages]\n\nanalyzers:\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: detlint [-md file] [-json file] [-ignore-budget file] [packages]\n\nanalyzers:\n")
 		for _, s := range suite {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-14s %s\n", s.analyzer.Name, s.analyzer.Doc)
 		}
@@ -233,37 +227,15 @@ func main() {
 		return path
 	}
 
-	// The baseline gate: a finding already in the committed report is
-	// shown but does not fail the run.
-	baseline := map[string]int{}
-	if *baselinePath != "" {
-		b, err := loadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "detlint: reading baseline: %v\n", err)
-			os.Exit(2)
-		}
-		baseline = b
-	}
-
 	findings := make([]jsonFinding, 0, len(diags)+len(suppressedDiags))
-	newFindings := 0
 	for _, d := range diags {
-		f := jsonFinding{
+		findings = append(findings, jsonFinding{
 			File:     rel(d.Pos.Filename),
 			Line:     d.Pos.Line,
 			Col:      d.Pos.Column,
 			Analyzer: d.Analyzer,
 			Message:  d.Message,
-		}
-		// Line and column shift with unrelated edits; file, analyzer,
-		// and message identify a finding across them.
-		if k := f.File + "|" + f.Analyzer + "|" + f.Message; baseline[k] > 0 {
-			baseline[k]--
-			f.Baselined = true
-		} else {
-			newFindings++
-		}
-		findings = append(findings, f)
+		})
 	}
 	for _, d := range suppressedDiags {
 		findings = append(findings, jsonFinding{
@@ -280,11 +252,7 @@ func main() {
 		if f.Suppressed {
 			continue
 		}
-		marker := ""
-		if f.Baselined {
-			marker = " (baselined)"
-		}
-		fmt.Printf("%s:%d:%d: [%s] %s%s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message, marker)
+		fmt.Printf("%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
 	}
 	fmt.Printf("detlint: %d package(s), %d finding(s), %d suppressed by lint:ignore, %d lint:ignore directive(s)\n",
 		len(loaded), len(diags), len(suppressedDiags), ignoreDirectives)
@@ -312,7 +280,7 @@ func main() {
 		}
 	}
 
-	failed := false
+	failed := len(diags) > 0
 	if *budgetPath != "" {
 		budget, err := readBudget(*budgetPath)
 		if err != nil {
@@ -324,14 +292,6 @@ func main() {
 				ignoreDirectives, budget, *budgetPath)
 			failed = true
 		}
-	}
-	if *baselinePath != "" {
-		if newFindings > 0 {
-			fmt.Fprintf(os.Stderr, "detlint: %d finding(s) not in baseline %s\n", newFindings, *baselinePath)
-			failed = true
-		}
-	} else if len(diags) > 0 {
-		failed = true
 	}
 	if failed {
 		os.Exit(1)
@@ -354,28 +314,6 @@ func sortDiags(diags []analysis.Diagnostic) {
 		}
 		return a.Analyzer < b.Analyzer
 	})
-}
-
-// loadBaseline reads a previous -json report into the multiset of
-// known-finding keys (suppressed entries are skipped: un-suppressing a
-// finding should surface it as new).
-func loadBaseline(path string) (map[string]int, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var report jsonReport
-	if err := json.Unmarshal(b, &report); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	out := map[string]int{}
-	for _, f := range report.Findings {
-		if f.Suppressed {
-			continue
-		}
-		out[f.File+"|"+f.Analyzer+"|"+f.Message]++
-	}
-	return out, nil
 }
 
 // readBudget parses the committed suppression budget: one integer,
@@ -412,13 +350,9 @@ func writeMarkdown(path string, packages, suppressed int, findings []jsonFinding
 			if f.Suppressed {
 				continue
 			}
-			note := ""
-			if f.Baselined {
-				note = " _(baselined)_"
-			}
-			fmt.Fprintf(&b, "| `%s:%d:%d` | %s | %s%s |\n",
+			fmt.Fprintf(&b, "| `%s:%d:%d` | %s | %s |\n",
 				f.File, f.Line, f.Col,
-				f.Analyzer, strings.ReplaceAll(f.Message, "|", "\\|"), note)
+				f.Analyzer, strings.ReplaceAll(f.Message, "|", "\\|"))
 		}
 	}
 	return os.WriteFile(path, []byte(b.String()), 0o644)

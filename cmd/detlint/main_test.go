@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -25,45 +24,5 @@ func TestReadBudget(t *testing.T) {
 	}
 	if _, err := readBudget(filepath.Join(tmp, "missing")); err == nil {
 		t.Error("readBudget accepted a missing file")
-	}
-}
-
-func TestLoadBaseline(t *testing.T) {
-	report := jsonReport{
-		Packages: 1,
-		Findings: []jsonFinding{
-			{File: "a.go", Line: 3, Col: 1, Analyzer: "lockheld", Message: "m1"},
-			{File: "a.go", Line: 9, Col: 1, Analyzer: "lockheld", Message: "m1"},
-			{File: "b.go", Line: 2, Col: 5, Analyzer: "shapepass", Message: "m2"},
-			// Suppressed entries must not seed the baseline: removing a
-			// lint:ignore should surface the finding as new.
-			{File: "c.go", Line: 1, Col: 1, Analyzer: "hotalloc", Message: "m3", Suppressed: true},
-		},
-	}
-	b, err := json.Marshal(report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := loadBaseline(path)
-	if err != nil {
-		t.Fatalf("loadBaseline: %v", err)
-	}
-	// The same finding twice is a multiset entry of two: two occurrences
-	// in the tree stay baselined, a third is new.
-	want := map[string]int{
-		"a.go|lockheld|m1":  2,
-		"b.go|shapepass|m2": 1,
-	}
-	if len(got) != len(want) {
-		t.Errorf("baseline has %d keys, want %d: %v", len(got), len(want), got)
-	}
-	for k, n := range want {
-		if got[k] != n {
-			t.Errorf("baseline[%q] = %d, want %d", k, got[k], n)
-		}
 	}
 }

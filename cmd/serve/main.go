@@ -11,8 +11,7 @@
 //	serve [-addr :8080] [-workers W] [-releases 128] [-datasets 8]
 //	      [-data-dir DIR] [-job-workers 2] [-job-queue 128]
 //	      [-schema spec.json[,spec2.json...]]
-//	      [-debug-addr ADDR] [-trace-ring 128] [-slow-trace-ms 0]
-//	      [-no-tracing]
+//	      [-debug-addr ADDR] [-trace-ring 128] [-no-tracing]
 //
 // -debug-addr starts a second listener with the diagnostics surface:
 // GET /debug/traces (recent request/job traces with per-stage spans,
@@ -68,7 +67,6 @@ func main() {
 	jobQueue := flag.Int("job-queue", 128, "async anonymize queue depth")
 	debugAddr := flag.String("debug-addr", "", "diagnostics listen address for /debug/traces and /debug/pprof (empty = disabled)")
 	traceRing := flag.Int("trace-ring", 128, "recent traces retained for /debug/traces")
-	slowTraceMS := flag.Int("slow-trace-ms", 0, "default /debug/traces min_ms filter")
 	noTracing := flag.Bool("no-tracing", false, "disable request tracing and the stage ledger")
 	schemas := cli.Schema("comma-separated JSON dataset specs to preload at boot")
 	workers := cli.Workers()
@@ -76,16 +74,15 @@ func main() {
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	srv, err := service.New(service.Config{
-		Workers:         *workers,
-		ReleaseCap:      *releases,
-		DatasetCap:      *datasets,
-		DataDir:         *dataDir,
-		JobWorkers:      *jobWorkers,
-		JobQueueDepth:   *jobQueue,
-		DisableTracing:  *noTracing,
-		TraceRing:       *traceRing,
-		SlowTraceMillis: *slowTraceMS,
-		Logger:          logger,
+		Workers:        *workers,
+		ReleaseCap:     *releases,
+		DatasetCap:     *datasets,
+		DataDir:        *dataDir,
+		JobWorkers:     *jobWorkers,
+		JobQueueDepth:  *jobQueue,
+		DisableTracing: *noTracing,
+		TraceRing:      *traceRing,
+		Logger:         logger,
 	})
 	if err != nil {
 		cli.Fatal("serve", err)

@@ -9,6 +9,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/anatomy"
@@ -460,6 +461,42 @@ type AttackReport struct {
 	WorstRisk float64
 }
 
+// RiskProfile summarizes per-record disclosure risks: their mean and
+// nearest-rank quantiles.
+type RiskProfile struct {
+	Mean, P50, P90, P99 float64
+}
+
+// Profile is the one risk summary every report uses. Quantiles take the
+// ceil nearest rank: the q-quantile is the smallest risk with at least
+// a q fraction of records at or below it. The mean sums the risks in
+// ascending order. risks is not modified; an empty slice profiles to
+// zeros.
+func Profile(risks []float64) RiskProfile {
+	if len(risks) == 0 {
+		return RiskProfile{}
+	}
+	sorted := append([]float64(nil), risks...)
+	sort.Float64s(sorted)
+	mean := 0.0
+	for _, v := range sorted {
+		mean += v
+	}
+	q := func(p float64) float64 {
+		idx := int(math.Ceil(p*float64(len(sorted)))) - 1
+		if idx < 0 {
+			idx = 0
+		}
+		return sorted[idx]
+	}
+	return RiskProfile{
+		Mean: mean / float64(len(sorted)),
+		P50:  q(0.50),
+		P90:  q(0.90),
+		P99:  q(0.99),
+	}
+}
+
 // groupAttack is one equivalence class's contribution to an attack:
 // per-record risks in group-row order plus the class's breach count
 // and worst gain. Classes are independent, so they evaluate on the
@@ -529,22 +566,11 @@ func InferenceStage(method string) obs.Stage {
 	return obs.StageInference
 }
 
-// groupCounts is one class's sensitive multiset — bandwidth-invariant,
-// so an attack decodes it once per class and shares it across the
-// grid.
-func (e *Engine) groupCounts(g *anonymize.Group) []int {
-	svals := make([]int, g.Size())
-	for i, ri := range g.Rows {
-		svals[i] = e.Table.Records[ri].S
-	}
-	return inference.GroupCounts(svals, e.Table.Schema.M())
-}
-
 // attackGroup evaluates one equivalence class at one bandwidth:
-// posterior inference over its tuples, per-record knowledge gains, and
-// the breach count (the computed gain against t when breach is nil).
-// It is self-contained, so the per-class fan-out stays bit-identical
-// to the sequential path. A method that refuses the group (Exact on an
+// privacy.ClassGains' per-record knowledge gains, and the breach count
+// (the computed gain against t when breach is nil). It is
+// self-contained, so the per-class fan-out stays bit-identical to the
+// sequential path. A method that refuses the group (Exact on an
 // oversized class) records its error for the ordered fan-in instead of
 // panicking the worker.
 func (e *Engine) attackGroup(m inference.Method, g *anonymize.Group, priors []prob.Dist, counts []int, breach Breach, t float64) groupAttack {
@@ -552,14 +578,12 @@ func (e *Engine) attackGroup(m inference.Method, g *anonymize.Group, priors []pr
 	for i, ri := range g.Rows {
 		gp[i] = priors[ri]
 	}
-	posts, err := inference.TryPosteriors(m, gp, counts)
+	risks, posts, err := privacy.ClassGains(m, e.Measure, gp, counts)
 	if err != nil {
 		return groupAttack{err: err}
 	}
-	ga := groupAttack{risks: make([]float64, g.Size())}
-	for i := range g.Rows {
-		risk := e.Measure.Distance(gp[i], posts[i])
-		ga.risks[i] = risk
+	ga := groupAttack{risks: risks}
+	for i, risk := range risks {
 		if breach == nil {
 			if risk > t {
 				ga.vulnerable++
@@ -643,7 +667,7 @@ func (e *Engine) attackSweepSpan(sp *obs.Span, m inference.Method, res *anonymiz
 	perGroup := make([]groupAttack, nb*ng)
 	parallel.For(e.Workers(), ng, func(gi int) {
 		g := res.Groups[gi]
-		counts := e.groupCounts(g)
+		counts := e.Table.SensitiveCounts(g.Rows)
 		for bi, priors := range priorsByB {
 			perGroup[bi*ng+gi] = e.attackGroup(method, g, priors, counts, breach, t)
 		}
@@ -683,12 +707,4 @@ func (e *Engine) WorstCaseRisk(res *anonymize.Result, bvec []float64) (float64, 
 		return 0, err
 	}
 	return rep.WorstRisk, nil
-}
-
-// SortedRisks returns the attack risks in decreasing order; useful for
-// risk-profile reporting.
-func SortedRisks(rep *AttackReport) []float64 {
-	out := append([]float64(nil), rep.Risks...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(out)))
-	return out
 }

@@ -148,6 +148,43 @@ func TestBTReleaseHasNoVulnerableTuplesAtEnforcedB(t *testing.T) {
 	}
 }
 
+func TestAttackRisksMatchRequirementGains(t *testing.T) {
+	// A (B,t) check and an attack by Adv(B) evaluate each class through
+	// the same ClassGains call, so the gains the requirement enforced
+	// are, bit for bit, the risks the attack reports.
+	p := Table5()[0]
+	for _, method := range []inference.Method{inference.Omega{}, inference.Adaptive{}} {
+		t.Run(method.Name(), func(t *testing.T) {
+			e, err := New(adult.Generate(160, 42), adult.Hierarchies(), nil, method)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.AnonymizeModel(BTPrivacy, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bt, err := e.btRequirementSpan(nil, nil, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := e.Attack(res, kernel.UniformBandwidth(e.Table.Schema.D(), p.B), p.T, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Vulnerable != 0 {
+				t.Errorf("vulnerable = %d, want 0", rep.Vulnerable)
+			}
+			for gi, g := range res.Groups {
+				for i, gain := range bt.GroupRisks(g.Rows) {
+					if got := rep.Risks[g.Rows[i]]; math.Float64bits(got) != math.Float64bits(gain) {
+						t.Fatalf("group %d row %d: attack risk %v != requirement gain %v", gi, g.Rows[i], got, gain)
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestBTProtectsBetterThanLDiversity(t *testing.T) {
 	// The paper's headline comparison at the enforced bandwidth.
 	e := testEngine(t, 600)
@@ -272,15 +309,39 @@ func TestWorstCaseRiskMatchesAttack(t *testing.T) {
 	}
 }
 
-func TestSortedRisks(t *testing.T) {
-	rep := &AttackReport{Risks: []float64{0.2, 0.5, 0.1}}
-	got := SortedRisks(rep)
-	if got[0] != 0.5 || got[2] != 0.1 {
-		t.Errorf("SortedRisks = %v", got)
+func TestProfile(t *testing.T) {
+	// 100 risks 0.01..1.00, shuffled: each quantile is its own rank.
+	risks := make([]float64, 100)
+	for i := range risks {
+		risks[i] = float64((i*37)%100+1) / 100
 	}
-	// Input untouched.
-	if rep.Risks[0] != 0.2 {
-		t.Error("SortedRisks mutated input")
+	in := append([]float64(nil), risks...)
+	got := Profile(risks)
+	if got.P50 != 0.50 || got.P90 != 0.90 || got.P99 != 0.99 {
+		t.Errorf("Profile quantiles = %+v, want 0.50/0.90/0.99", got)
+	}
+	if math.Abs(got.Mean-0.505) > 1e-12 {
+		t.Errorf("Profile mean = %g, want 0.505", got.Mean)
+	}
+	for i := range risks {
+		if risks[i] != in[i] {
+			t.Fatal("Profile mutated its input")
+		}
+	}
+	// At n=20, p90 is the 18th smallest (rank ceil(0.9·20) = 18); the
+	// floor rule risks[int(0.9*n)] would read the 19th.
+	twenty := make([]float64, 20)
+	for i := range twenty {
+		twenty[i] = float64(20 - i)
+	}
+	if p := Profile(twenty); p.P90 != 18 || p.P50 != 10 || p.P99 != 20 {
+		t.Errorf("Profile(1..20) = %+v, want P50 10, P90 18, P99 20", p)
+	}
+	if p := Profile([]float64{0.3}); p != (RiskProfile{Mean: 0.3, P50: 0.3, P90: 0.3, P99: 0.3}) {
+		t.Errorf("Profile of one record = %+v", p)
+	}
+	if p := Profile(nil); p != (RiskProfile{}) {
+		t.Errorf("Profile of no records = %+v, want zeros", p)
 	}
 }
 

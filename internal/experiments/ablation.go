@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -10,6 +9,7 @@ import (
 	"repro/internal/inference"
 	"repro/internal/injector"
 	"repro/internal/kernel"
+	"repro/internal/privacy"
 	"repro/internal/prob"
 )
 
@@ -176,39 +176,23 @@ func (r *Runner) AblationSmoothing() (*Report, error) {
 	for _, sb := range []float64{0.01, 0.51, 0.6, 0.75, 1.0} {
 		measure := distance.NewSmoothedJS(r.Engine.SensMatrix, r.Engine.Kernel, sb)
 		risks := make([]float64, 0, r.Table.N())
+		worst := 0.0
 		for _, g := range tr.res.Groups {
 			gp := make([]prob.Dist, g.Size())
-			svals := make([]int, g.Size())
 			for i, ri := range g.Rows {
 				gp[i] = priors[ri]
-				svals[i] = r.Table.Records[ri].S
 			}
-			posts := inference.Omega{}.Posteriors(gp, inference.GroupCounts(svals, r.Table.Schema.M()))
-			for i := range g.Rows {
-				risks = append(risks, measure.Distance(gp[i], posts[i]))
+			gains, _, err := privacy.ClassGains(inference.Omega{}, measure, gp, r.Table.SensitiveCounts(g.Rows))
+			if err != nil {
+				return nil, err
 			}
+			for _, v := range gains {
+				worst = math.Max(worst, v)
+			}
+			risks = append(risks, gains...)
 		}
-		mean, p99, worst := riskStats(risks)
-		rep.Rows = append(rep.Rows, []string{fmtF(sb), fmtF(mean), fmtF(p99), fmtF(worst)})
+		prof := core.Profile(risks)
+		rep.Rows = append(rep.Rows, []string{fmtF(sb), fmtF(prof.Mean), fmtF(prof.P99), fmtF(worst)})
 	}
 	return rep, nil
-}
-
-func riskStats(risks []float64) (mean, p99, worst float64) {
-	if len(risks) == 0 {
-		return 0, 0, 0
-	}
-	sorted := append([]float64(nil), risks...)
-	sort.Float64s(sorted)
-	for _, x := range sorted {
-		mean += x
-	}
-	mean /= float64(len(sorted))
-	worst = sorted[len(sorted)-1]
-	idx := int(math.Ceil(0.99*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	p99 = sorted[idx]
-	return mean, p99, worst
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"repro/internal/inference"
+	"repro/internal/privacy"
 	"repro/internal/prob"
 )
 
@@ -30,7 +31,6 @@ func (r *Runner) Fig2() (*Report, error) {
 		rep.Header = append(rep.Header, "b="+fmtF(b))
 	}
 	rng := rand.New(rand.NewSource(r.Cfg.Seed + 2))
-	m := r.Table.Schema.M()
 	for _, n := range r.Cfg.GroupSizes {
 		row := []string{fmtI(n)}
 		for _, b := range r.Cfg.BPrimes {
@@ -42,22 +42,21 @@ func (r *Runner) Fig2() (*Report, error) {
 			for trial := 0; trial < r.Cfg.Trials; trial++ {
 				rows := rng.Perm(r.Table.N())[:n]
 				gp := make([]prob.Dist, n)
-				svals := make([]int, n)
 				for i, ri := range rows {
 					gp[i] = priors[ri]
-					svals[i] = r.Table.Records[ri].S
 				}
-				counts := inference.GroupCounts(svals, m)
-				exact, err := inference.ExactPosteriors(gp, counts)
+				counts := r.Table.SensitiveCounts(rows)
+				exact, _, err := privacy.ClassGains(inference.Exact{}, r.Engine.Measure, gp, counts)
 				if err != nil {
 					return nil, err
 				}
-				omega := inference.Omega{}.Posteriors(gp, counts)
+				omega, _, err := privacy.ClassGains(inference.Omega{}, r.Engine.Measure, gp, counts)
+				if err != nil {
+					return nil, err
+				}
 				rho := 0.0
 				for i := range rows {
-					de := r.Engine.Measure.Distance(gp[i], exact[i])
-					do := r.Engine.Measure.Distance(gp[i], omega[i])
-					rho += math.Abs(de - do)
+					rho += math.Abs(exact[i] - omega[i])
 				}
 				total += rho / float64(n)
 			}

@@ -171,22 +171,39 @@ func (b BTPrivacy) method() inference.Method {
 }
 
 // GroupRisks returns, per record in rows, the adversary's knowledge
-// gain D[prior, posterior] for the candidate group.
+// gain D[prior, posterior] for the candidate group. A method that
+// refuses the group (Exact on an oversized class) panics here, as
+// Exact.Posteriors does.
 func (b BTPrivacy) GroupRisks(rows []int) []float64 {
-	k := len(rows)
-	priors := make([]prob.Dist, k)
-	svals := make([]int, k)
+	priors := make([]prob.Dist, len(rows))
 	for i, ri := range rows {
 		priors[i] = b.Priors[ri]
-		svals[i] = b.Table.Records[ri].S
 	}
-	counts := inference.GroupCounts(svals, b.Table.Schema.M())
-	posts := b.method().Posteriors(priors, counts)
-	risks := make([]float64, k)
-	for i := range rows {
-		risks[i] = b.Measure.Distance(priors[i], posts[i])
+	gains, _, err := ClassGains(b.method(), b.Measure, priors, b.Table.SensitiveCounts(rows))
+	if err != nil {
+		panic(err)
 	}
-	return risks
+	return gains
+}
+
+// ClassGains is the one evaluation of an equivalence class shared by
+// (B,t) checks, attacks and the experiments: the method's posteriors
+// for the class, then per tuple the knowledge gain
+// gains[i] = D[priors[i], posts[i]]. counts is the class's sensitive
+// histogram. A method that refuses the class (Exact on an oversized
+// group) returns its error instead of panicking.
+//
+//detlint:hotpath
+func ClassGains(m inference.Method, d distance.Measure, priors []prob.Dist, counts []int) (gains []float64, posts []prob.Dist, err error) {
+	posts, err = inference.TryPosteriors(m, priors, counts)
+	if err != nil {
+		return nil, nil, err
+	}
+	gains = make([]float64, len(priors))
+	for i, prior := range priors {
+		gains[i] = d.Distance(prior, posts[i])
+	}
+	return gains, posts, nil
 }
 
 // WorstRisk returns the maximum knowledge gain over the group.

@@ -169,6 +169,21 @@ func TestBTPrivacyRisksMatchWorst(t *testing.T) {
 	}
 }
 
+func TestBTPrivacyEmptyGroup(t *testing.T) {
+	// No rows: no risks and an unsatisfied check under every method,
+	// although SensitiveCounts(nil) is the whole table's histogram.
+	bt := btFixture(t, testTable(), 0.5)
+	for _, m := range []inference.Method{inference.Omega{}, inference.Exact{}, inference.Adaptive{}} {
+		bt.Method = m
+		if r := bt.GroupRisks(nil); r == nil || len(r) != 0 {
+			t.Errorf("%s: GroupRisks(nil) = %#v, want empty", m.Name(), r)
+		}
+		if bt.WorstRisk(nil) != 0 || bt.Satisfied(nil) {
+			t.Errorf("%s: WorstRisk(nil) = %g, Satisfied(nil) = %v", m.Name(), bt.WorstRisk(nil), bt.Satisfied(nil))
+		}
+	}
+}
+
 func TestBTPrivacyDefaultsToOmega(t *testing.T) {
 	tab := testTable()
 	bt := btFixture(t, tab, 0.5)

@@ -36,13 +36,12 @@ func (s *Server) DebugHandler() http.Handler {
 }
 
 // handleDebugTraces serves the ring of recent finished traces. The
-// min_ms query overrides the configured SlowTraceMillis threshold
-// (traces faster than the threshold are omitted) and endpoint narrows
-// to one operation, e.g. ?endpoint=POST+/v1/attack. With tracing
-// disabled the list is empty rather than an error, so probes stay
-// cheap.
+// min_ms query omits traces faster than its threshold (default 0 —
+// keep everything) and endpoint narrows to one operation, e.g.
+// ?endpoint=POST+/v1/attack. With tracing disabled the list is empty
+// rather than an error, so probes stay cheap.
 func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
-	min := time.Duration(s.cfg.SlowTraceMillis) * time.Millisecond
+	var min time.Duration
 	if q := r.URL.Query().Get("min_ms"); q != "" {
 		ms, err := strconv.ParseFloat(q, 64)
 		if err != nil || ms < 0 {
@@ -59,9 +58,8 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDebugTrace serves one retained trace by id (the trace_id the
-// X-Trace-Id response header and the request log carry), bypassing the
-// slow-trace threshold — a trace an operator can name is worth showing
-// however fast it was. 404s when the id has rotated out of the ring.
+// X-Trace-Id response header and the request log carry), however fast
+// it was. 404s when the id has rotated out of the ring.
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/debug/traces/")
 	if id == "" || strings.Contains(id, "/") {

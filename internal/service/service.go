@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -66,10 +65,6 @@ type Config struct {
 	// TraceRing bounds the recent-trace ring GET /debug/traces serves
 	// (default 128).
 	TraceRing int
-	// SlowTraceMillis is the default min_ms filter of /debug/traces:
-	// only traces at least this slow are listed unless the query
-	// overrides it (default 0 — keep everything).
-	SlowTraceMillis int
 	// Logger, when set, receives one structured line per request
 	// (request id, endpoint, status, duration, cache outcome). Nil
 	// disables request logging.
@@ -828,33 +823,17 @@ func breachModelFor(model string) core.Model {
 // breach count plus the risk-profile quantiles. inf is echoed when a
 // non-default method produced the numbers.
 func attackResponse(entry *releaseEntry, bprime float64, inf string, rep *core.AttackReport) *AttackResponse {
-	risks := append([]float64(nil), rep.Risks...)
-	sort.Float64s(risks)
-	mean := 0.0
-	for _, v := range risks {
-		mean += v
-	}
-	mean /= float64(len(risks))
-	// Ceil nearest-rank: the q-quantile is the smallest risk with at
-	// least a q fraction of records at or below it (the truncating form
-	// reported ~p98.9 as "p99").
-	q := func(p float64) float64 {
-		idx := int(math.Ceil(p*float64(len(risks)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		return risks[idx]
-	}
+	prof := core.Profile(rep.Risks)
 	return &AttackResponse{
 		Release:    entry.id,
 		BPrime:     bprime,
 		Inference:  inf,
-		Records:    len(risks),
+		Records:    len(rep.Risks),
 		Vulnerable: rep.Vulnerable,
-		MeanRisk:   mean,
-		P50Risk:    q(0.50),
-		P90Risk:    q(0.90),
-		P99Risk:    q(0.99),
+		MeanRisk:   prof.Mean,
+		P50Risk:    prof.P50,
+		P90Risk:    prof.P90,
+		P99Risk:    prof.P99,
 		WorstRisk:  rep.WorstRisk,
 	}
 }
