@@ -8,11 +8,12 @@
 # perf-structure regression that a single pass hides, cheap enough for
 # every run), vet and the short self-tests of the perfbench module (its
 # own go.mod, so `go build ./...` here never compiles it and an API
-# change that breaks it would otherwise pass), a short fuzz smoke over the
-# untrusted-input decoders (CSV rows, JSON schema specs, attack/risk and
-# anonymize request bodies, estimate query strings), and the
-# serve-restart smoke (boot, ingest, kill, reboot, verify
-# byte-identical disk recovery with zero pipeline runs), the
+# change that breaks it would otherwise pass), a run of every example
+# program (the build compiles them; only this executes them), a short
+# fuzz smoke over the untrusted-input decoders (CSV rows, JSON schema
+# specs, attack/risk and anonymize request bodies, estimate query
+# strings), and the serve-restart smoke (boot, ingest, kill, reboot,
+# verify byte-identical disk recovery with zero pipeline runs), the
 # observability smoke (boot with a diagnostics listener, drive load,
 # verify the stages ledger, /debug/traces, and pprof answer), and the
 # cost smoke (calibrate the per-stage cost model under load, verify
@@ -20,9 +21,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet lint build test race bench bench-smoke perfbench-check fuzz cover serve loadgen restart-smoke obs-smoke cost-smoke
+.PHONY: ci fmt vet lint build test race bench bench-smoke perfbench-check examples fuzz cover serve loadgen restart-smoke obs-smoke cost-smoke
 
-ci: fmt vet lint build race bench bench-smoke perfbench-check fuzz restart-smoke obs-smoke cost-smoke
+ci: fmt vet lint build race bench bench-smoke perfbench-check examples fuzz restart-smoke obs-smoke cost-smoke
 
 # gofmt -l as a check: fails listing any file that needs formatting.
 fmt:
@@ -66,6 +67,12 @@ bench-smoke:
 # removal it depends on fails here rather than at benchmark time.
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
+
+# Run every example program end to end from the repo root; any
+# non-zero exit fails the target.
+examples:
+	@for d in examples/*/main.go; do d=$$(dirname $$d); echo "$$d"; \
+		$(GO) run ./$$d >/dev/null || exit 1; done
 
 # Short fuzz smoke over the decoders that face untrusted input: CSV
 # rows, JSON schema specs, attack/risk and anonymize request bodies,

@@ -55,7 +55,7 @@ func benchEngineWorkers(b *testing.B, n, workers int) *core.Engine {
 func BenchmarkFig1aAttack(b *testing.B) {
 	e := benchEngine(b, 1000)
 	p := core.Table5()[0]
-	res, err := e.AnonymizeModel(core.DistinctLDiversity, p)
+	res, _, err := e.RunAlgorithm("mondrian", core.DistinctLDiversity.Key(), p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func BenchmarkFig1aAttack(b *testing.B) {
 func BenchmarkFig1bAttack(b *testing.B) {
 	e := benchEngine(b, 1000)
 	p := core.Table5()[0]
-	res, err := e.AnonymizeModel(core.BTPrivacy, p)
+	res, _, err := e.RunAlgorithm("mondrian", core.BTPrivacy.Key(), p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func BenchmarkFig2ExactVsOmega(b *testing.B) {
 // — the per-point cost of the Figure 3(a) continuity sweep.
 func BenchmarkFig3aRisk(b *testing.B) {
 	e := benchEngine(b, 1000)
-	res, err := e.AnonymizeModel(core.BTPrivacy, core.Table5()[0])
+	res, _, err := e.RunAlgorithm("mondrian", core.BTPrivacy.Key(), core.Table5()[0])
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func BenchmarkFig3bRisk(b *testing.B) {
 	}
 	p := core.Table5()[0]
 	p.BVec = bvec
-	res, err := e.AnonymizeModel(core.BTPrivacy, p)
+	res, _, err := e.RunAlgorithm("mondrian", core.BTPrivacy.Key(), p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func BenchmarkFig4aAnonymize(b *testing.B) {
 	e := benchEngine(b, 1000)
 	p := core.Table5()[0]
 	for _, m := range core.AllModels() {
-		req, err := e.Requirement(m, p)
+		req, err := e.RequirementByName(m.Key(), p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -226,7 +226,7 @@ func sizeName(n int) string {
 // release — Figure 5's metrics.
 func BenchmarkFig5Utility(b *testing.B) {
 	e := benchEngine(b, 1000)
-	res, err := e.AnonymizeModel(core.DistinctLDiversity, core.Table5()[0])
+	res, _, err := e.RunAlgorithm("mondrian", core.DistinctLDiversity.Key(), core.Table5()[0])
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func BenchmarkFig5Utility(b *testing.B) {
 // Figure 6 workload — per query.
 func BenchmarkFig6Queries(b *testing.B) {
 	e := benchEngine(b, 1000)
-	res, err := e.AnonymizeModel(core.TCloseness, core.Table5()[0])
+	res, _, err := e.RunAlgorithm("mondrian", core.TCloseness.Key(), core.Table5()[0])
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func BenchmarkAttackSweep(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := core.Table5()[0]
-	res, err := setup.AnonymizeModel(core.BTPrivacy, p)
+	res, _, err := setup.RunAlgorithm("mondrian", core.BTPrivacy.Key(), p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func BenchmarkSmoothedJS(b *testing.B) {
 func BenchmarkMondrianScaling(b *testing.B) {
 	for _, n := range []int{500, 2000} {
 		e := benchEngine(b, n)
-		req, err := e.Requirement(core.DistinctLDiversity, core.Table5()[0])
+		req, err := e.RequirementByName(core.DistinctLDiversity.Key(), core.Table5()[0])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -390,7 +390,7 @@ func BenchmarkMondrianScaling(b *testing.B) {
 func benchBreachPass(b *testing.B, workers int) {
 	e := benchEngineWorkers(b, 2000, workers)
 	p := core.Table5()[0]
-	res, err := e.AnonymizeModel(core.BTPrivacy, p)
+	res, _, err := e.RunAlgorithm("mondrian", core.BTPrivacy.Key(), p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -462,7 +462,7 @@ func BenchmarkServeAttack(b *testing.B) {
 // under (ℓ-diversity ∧ k-anonymity) at a given pool size.
 func benchMondrian(b *testing.B, workers int) {
 	e := benchEngineWorkers(b, 2000, workers)
-	req, err := e.Requirement(core.DistinctLDiversity, core.Table5()[0])
+	req, err := e.RequirementByName(core.DistinctLDiversity.Key(), core.Table5()[0])
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -514,7 +514,7 @@ func BenchmarkPriorsLanes(b *testing.B) {
 func BenchmarkAttackAdaptive(b *testing.B) {
 	e := benchEngineWorkers(b, 1000, -1)
 	p := core.Table5()[0]
-	res, err := e.AnonymizeModel(core.BTPrivacy, p)
+	res, _, err := e.RunAlgorithm("mondrian", core.BTPrivacy.Key(), p)
 	if err != nil {
 		b.Fatal(err)
 	}

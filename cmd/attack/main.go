@@ -1,7 +1,9 @@
 // Command attack anonymizes a synthetic Adult table under a chosen
 // privacy model and simulates probabilistic background-knowledge
 // attacks by adversaries Adv(b') across a bandwidth sweep, reporting
-// prior sharpness, risk quantiles, and vulnerable-tuple counts.
+// prior sharpness, risk quantiles, and vulnerable-tuple counts. A model
+// no release satisfies (e.g. -k above the table size) exits 1 with an
+// error wrapping privacy.ErrUnsatisfiable.
 //
 // Usage:
 //
@@ -38,7 +40,7 @@ func main() {
 		cli.Fatal("attack", err)
 	}
 	params := model.Params()
-	res, err := eng.AnonymizeModel(m, params)
+	res, _, err := eng.RunAlgorithm("mondrian", m.Key(), params)
 	if err != nil {
 		cli.Fatal("attack", err)
 	}

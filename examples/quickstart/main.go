@@ -33,7 +33,7 @@ func main() {
 	//    against the adversary Adv(B = 0.3,…,0.3), no tuple's belief
 	//    may move more than t = 0.25.
 	params := core.Params{K: 3, L: 3, T: 0.25, B: 0.3}
-	release, err := engine.AnonymizeModel(core.BTPrivacy, params)
+	release, _, err := engine.RunAlgorithm("mondrian", "bt", params)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func main() {
 
 	// What did the extra protection cost? Compare utility with a plain
 	// single-(B,t) release.
-	single, err := engine.AnonymizeModel(core.BTPrivacy, core.Params{K: 3, T: 0.25, B: 0.3})
+	single, _, err := engine.RunAlgorithm("mondrian", "bt", core.Params{K: 3, T: 0.25, B: 0.3})
 	if err != nil {
 		log.Fatal(err)
 	}

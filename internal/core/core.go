@@ -48,14 +48,30 @@ const (
 	BTPrivacy
 )
 
-var modelNames = map[Model]string{
-	DistinctLDiversity:      "distinct-l-diversity",
-	ProbabilisticLDiversity: "probabilistic-l-diversity",
-	TCloseness:              "t-closeness",
-	BTPrivacy:               "(B,t)-privacy",
+type modelName struct{ key, display string }
+
+// modelNames is the one table of model names, indexed by Model: the
+// CLI/API key ParseModel accepts and Key returns, and the paper's
+// display name String returns.
+var modelNames = [...]modelName{
+	DistinctLDiversity:      {"distinct", "distinct-l-diversity"},
+	ProbabilisticLDiversity: {"prob", "probabilistic-l-diversity"},
+	TCloseness:              {"tclose", "t-closeness"},
+	BTPrivacy:               {"bt", "(B,t)-privacy"},
 }
 
-func (m Model) String() string { return modelNames[m] }
+// names is m's modelNames entry; an out-of-range value has empty names.
+func (m Model) names() modelName {
+	if m < 0 || int(m) >= len(modelNames) {
+		return modelName{}
+	}
+	return modelNames[m]
+}
+
+func (m Model) String() string { return m.names().display }
+
+// Key is the model's CLI/API name, the inverse of ParseModel.
+func (m Model) Key() string { return m.names().key }
 
 // AllModels lists the four models in the paper's reporting order.
 func AllModels() []Model {
@@ -66,18 +82,12 @@ func AllModels() []Model {
 // to the Model enum. The composite "skyline" requirement is not a
 // Model; callers that accept it use RequirementByName.
 func ParseModel(name string) (Model, bool) {
-	switch name {
-	case "distinct":
-		return DistinctLDiversity, true
-	case "prob":
-		return ProbabilisticLDiversity, true
-	case "tclose":
-		return TCloseness, true
-	case "bt":
-		return BTPrivacy, true
-	default:
-		return 0, false
+	for m, n := range modelNames {
+		if n.key == name {
+			return Model(m), true
+		}
 	}
+	return 0, false
 }
 
 // Params is one privacy parameter set in the style of the paper's
@@ -213,18 +223,32 @@ func (e *Engine) UniformPriors(b float64) ([]prob.Dist, error) {
 	return e.Priors(kernel.UniformBandwidth(e.Table.Schema.D(), b))
 }
 
-// Requirement builds the composed requirement (model ∧ K-anonymity)
-// for a parameter set, as the evaluation enforces (§V).
-func (e *Engine) Requirement(m Model, p Params) (privacy.Requirement, error) {
-	return e.requirementSpan(nil, nil, m, p)
+// RequirementByName builds the composed requirement (model ∧
+// K-anonymity, as the evaluation enforces, §V) for a CLI/API model
+// name: distinct, prob, tclose, bt (see Model.Key), or skyline. The
+// skyline variant enforces the fixed three-entry (B_i, t_i) ladder
+// around the requested (B, t) that the binaries expose: {(0.2, t),
+// (B, t), (0.5, t+0.05)}, composed with K-anonymity.
+func (e *Engine) RequirementByName(name string, p Params) (privacy.Requirement, error) {
+	return e.requirementByNameSpan(nil, nil, name, p)
 }
 
-// requirementSpan is Requirement with a recorder: the (B,t) model runs
-// a prior pass during construction, which the span attributes. method
-// overrides the engine's inference method inside (B,t) checks when
-// non-nil (nil everywhere except the serving layer's release-level
-// override).
-func (e *Engine) requirementSpan(sp *obs.Span, method inference.Method, m Model, p Params) (privacy.Requirement, error) {
+// requirementByNameSpan is RequirementByName with a recorder for the
+// (B,t) prior pass. method overrides the engine's inference method
+// inside (B,t) checks when non-nil (nil everywhere except the serving
+// layer's release-level override).
+func (e *Engine) requirementByNameSpan(sp *obs.Span, method inference.Method, name string, p Params) (privacy.Requirement, error) {
+	if name == "skyline" {
+		return e.skylineRequirementSpan(sp, method, p.K, []Params{
+			{B: 0.2, T: p.T},
+			{B: p.B, T: p.T},
+			{B: 0.5, T: p.T + 0.05},
+		})
+	}
+	m, ok := ParseModel(name)
+	if !ok {
+		return nil, fmt.Errorf("core: unknown model %q", name)
+	}
 	var attr privacy.Requirement
 	switch m {
 	case DistinctLDiversity:
@@ -238,42 +262,14 @@ func (e *Engine) requirementSpan(sp *obs.Span, method inference.Method, m Model,
 			Whole: e.Estimator.WholeTableDist(),
 			M:     e.SensMatrix,
 		}
-	case BTPrivacy:
+	default: // BTPrivacy, the one model left
 		bt, err := e.btRequirementSpan(sp, method, p)
 		if err != nil {
 			return nil, err
 		}
 		attr = bt
-	default:
-		return nil, fmt.Errorf("core: unknown model %d", int(m))
 	}
 	return privacy.And{Parts: []privacy.Requirement{privacy.KAnonymity{K: p.K}, attr}}, nil
-}
-
-// RequirementByName builds the composed requirement for a CLI/API
-// model name: distinct, prob, tclose, bt, or skyline. The skyline
-// variant enforces the fixed three-entry (B_i, t_i) ladder around the
-// requested (B, t) that the binaries expose: {(0.2, t), (B, t),
-// (0.5, t+0.05)}, composed with K-anonymity.
-func (e *Engine) RequirementByName(name string, p Params) (privacy.Requirement, error) {
-	return e.requirementByNameSpan(nil, nil, name, p)
-}
-
-// requirementByNameSpan is RequirementByName with a recorder and an
-// optional inference-method override for the (B,t) checks.
-func (e *Engine) requirementByNameSpan(sp *obs.Span, method inference.Method, name string, p Params) (privacy.Requirement, error) {
-	if name == "skyline" {
-		return e.skylineRequirementSpan(sp, method, p.K, []Params{
-			{B: 0.2, T: p.T},
-			{B: p.B, T: p.T},
-			{B: 0.5, T: p.T + 0.05},
-		})
-	}
-	m, ok := ParseModel(name)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown model %q", name)
-	}
-	return e.requirementSpan(sp, method, m, p)
 }
 
 // btRequirementSpan builds the bare (B,t) requirement for a parameter
@@ -318,7 +314,11 @@ func (e *Engine) skylineRequirementSpan(sp *obs.Span, method inference.Method, k
 }
 
 // Anonymize runs the Mondrian variant with the given requirement,
-// partitioning subtrees on the engine's worker pool.
+// partitioning subtrees on the engine's worker pool. The result is the
+// raw partition: its root group is never checked, so a single-group
+// result may fail req. RunAlgorithm is the checked path; Anonymize
+// serves requirements it cannot name (a custom skyline ladder) and
+// timing the partitioner alone.
 func (e *Engine) Anonymize(req privacy.Requirement) *anonymize.Result {
 	return e.anonymizeSpan(nil, req)
 }
@@ -328,15 +328,6 @@ func (e *Engine) Anonymize(req privacy.Requirement) *anonymize.Result {
 func (e *Engine) anonymizeSpan(sp *obs.Span, req privacy.Requirement) *anonymize.Result {
 	p := &mondrian.Partitioner{Table: e.Table, Req: req, Workers: e.Workers(), Span: sp}
 	return p.Anonymize()
-}
-
-// AnonymizeModel anonymizes under (model ∧ k-anonymity) for params p.
-func (e *Engine) AnonymizeModel(m Model, p Params) (*anonymize.Result, error) {
-	req, err := e.Requirement(m, p)
-	if err != nil {
-		return nil, err
-	}
-	return e.Anonymize(req), nil
 }
 
 // RunAlgorithm is the shared dispatch for the CLI and the serving

@@ -67,7 +67,7 @@ func TestPriorsCached(t *testing.T) {
 func TestPriorCacheBounded(t *testing.T) {
 	e := testEngine(t, 200)
 	p := Table5()[0]
-	res, err := e.AnonymizeModel(DistinctLDiversity, p)
+	res, _, err := e.RunAlgorithm("mondrian", DistinctLDiversity.Key(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestAllModelsAnonymizeAndValidate(t *testing.T) {
 	e := testEngine(t, 400)
 	p := Table5()[0]
 	for _, m := range AllModels() {
-		res, err := e.AnonymizeModel(m, p)
+		res, _, err := e.RunAlgorithm("mondrian", m.Key(), p)
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -131,7 +131,7 @@ func TestBTReleaseHasNoVulnerableTuplesAtEnforcedB(t *testing.T) {
 	// and worst-case risk ≤ t.
 	e := testEngine(t, 500)
 	p := Table5()[0]
-	res, err := e.AnonymizeModel(BTPrivacy, p)
+	res, _, err := e.RunAlgorithm("mondrian", BTPrivacy.Key(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestAttackRisksMatchRequirementGains(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := e.AnonymizeModel(BTPrivacy, p)
+			res, _, err := e.RunAlgorithm("mondrian", BTPrivacy.Key(), p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,7 +191,7 @@ func TestBTProtectsBetterThanLDiversity(t *testing.T) {
 	p := Table5()[0]
 	bvec := kernel.UniformBandwidth(e.Table.Schema.D(), p.B)
 
-	ldiv, err := e.AnonymizeModel(DistinctLDiversity, p)
+	ldiv, _, err := e.RunAlgorithm("mondrian", DistinctLDiversity.Key(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestBTProtectsBetterThanLDiversity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bt, err := e.AnonymizeModel(BTPrivacy, p)
+	bt, _, err := e.RunAlgorithm("mondrian", BTPrivacy.Key(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestBreachTests(t *testing.T) {
 func TestWorstCaseRiskMatchesAttack(t *testing.T) {
 	e := testEngine(t, 300)
 	p := Table5()[0]
-	res, err := e.AnonymizeModel(DistinctLDiversity, p)
+	res, _, err := e.RunAlgorithm("mondrian", DistinctLDiversity.Key(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestExactMethodEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := Params{K: 3, L: 3, T: 0.25, B: 0.3}
-	res, err := e.AnonymizeModel(BTPrivacy, p)
+	res, _, err := e.RunAlgorithm("mondrian", BTPrivacy.Key(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,11 +395,23 @@ func TestModelStrings(t *testing.T) {
 	if len(AllModels()) != 4 {
 		t.Error("AllModels should list the four evaluated models")
 	}
+	// Every key parses back to its model; an out-of-range value has
+	// empty names instead of panicking.
+	for _, m := range AllModels() {
+		if got, ok := ParseModel(m.Key()); !ok || got != m {
+			t.Errorf("ParseModel(%q) = %v, %v; want %v", m.Key(), got, ok, m)
+		}
+	}
+	for _, m := range []Model{-1, BTPrivacy + 1} {
+		if m.String() != "" || m.Key() != "" {
+			t.Errorf("Model(%d) names = %q, %q; want empty", int(m), m.String(), m.Key())
+		}
+	}
 }
 
 func TestRequirementUnknownModel(t *testing.T) {
 	e := testEngine(t, 100)
-	if _, err := e.Requirement(Model(99), Table5()[0]); err == nil {
+	if _, err := e.RequirementByName("nope", Table5()[0]); err == nil {
 		t.Error("accepted unknown model")
 	}
 }
@@ -407,7 +419,7 @@ func TestRequirementUnknownModel(t *testing.T) {
 func TestRequirementNames(t *testing.T) {
 	e := testEngine(t, 100)
 	p := Table5()[1]
-	req, err := e.Requirement(TCloseness, p)
+	req, err := e.RequirementByName(TCloseness.Key(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func engineWithWorkers(t *testing.T, n, workers int) *Engine {
 // strings certifies bit-identical output.
 func attackFingerprint(t *testing.T, e *Engine, m Model, p Params) string {
 	t.Helper()
-	res, err := e.AnonymizeModel(m, p)
+	res, _, err := e.RunAlgorithm("mondrian", m.Key(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

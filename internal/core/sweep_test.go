@@ -34,7 +34,7 @@ func TestAttackSweepMatchesIndependentAttacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ref.AnonymizeModel(BTPrivacy, p)
+	res, _, err := ref.RunAlgorithm("mondrian", BTPrivacy.Key(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestAttackSweepWarmCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.AnonymizeModel(DistinctLDiversity, p)
+	res, _, err := e.RunAlgorithm("mondrian", DistinctLDiversity.Key(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestWorstCaseRiskSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.AnonymizeModel(BTPrivacy, Table5()[0])
+	res, _, err := e.RunAlgorithm("mondrian", BTPrivacy.Key(), Table5()[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,7 +85,7 @@ func meanTV(a, b []prob.Dist) float64 {
 // risk, and wall-clock time, at the enforced bandwidth.
 func (r *Runner) AblationInference() (*Report, error) {
 	p := core.Table5()[0]
-	tr, err := r.anonymized(core.BTPrivacy, p)
+	res, err := r.release(core.BTPrivacy, p)
 	if err != nil {
 		return nil, err
 	}
@@ -103,7 +103,7 @@ func (r *Runner) AblationInference() (*Report, error) {
 	for _, m := range []inference.Method{inference.Omega{}, inference.Adaptive{}} {
 		r.Engine.Method = m
 		start := time.Now()
-		att, err := r.Engine.Attack(tr.res, bvec, p.T, nil)
+		att, err := r.Engine.Attack(res, bvec, p.T, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -159,7 +159,7 @@ func (r *Runner) AblationInjector() (*Report, error) {
 // for the paper's "at least 0.5" guidance (§IV-B.2).
 func (r *Runner) AblationSmoothing() (*Report, error) {
 	p := core.Table5()[0]
-	tr, err := r.anonymized(core.DistinctLDiversity, p)
+	res, err := r.release(core.DistinctLDiversity, p)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +177,7 @@ func (r *Runner) AblationSmoothing() (*Report, error) {
 		measure := distance.NewSmoothedJS(r.Engine.SensMatrix, r.Engine.Kernel, sb)
 		risks := make([]float64, 0, r.Table.N())
 		worst := 0.0
-		for _, g := range tr.res.Groups {
+		for _, g := range res.Groups {
 			gp := make([]prob.Dist, g.Size())
 			for i, ri := range g.Rows {
 				gp[i] = priors[ri]

@@ -8,8 +8,10 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"text/tabwriter"
 
@@ -17,7 +19,9 @@ import (
 	"repro/internal/anonymize"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/kernel"
 	"repro/internal/parallel"
+	"repro/internal/privacy"
 )
 
 // Config scales and seeds the experiment suite.
@@ -121,17 +125,12 @@ type Runner struct {
 	Table  *dataset.Table
 	Engine *core.Engine
 
-	// anonCache memoizes releases by parameter key with singleflight
-	// semantics: parameter points running concurrently that need the
-	// same release block on one anonymization instead of duplicating it.
-	// The key space is finite (figures × parameter sets), so the cache
-	// is sized never to evict.
-	anonCache *parallel.Cache[*timedResult]
-}
-
-type timedResult struct {
-	res     *anonymize.Result
-	seconds float64
+	// releases memoizes checked releases by parameter key with
+	// singleflight semantics: parameter points running concurrently that
+	// need the same release block on one anonymization instead of
+	// duplicating it. The key space is finite (figures × parameter sets),
+	// so the cache is sized never to evict.
+	releases *parallel.Cache[*anonymize.Result]
 }
 
 // NewRunner generates the dataset and builds the engine.
@@ -143,17 +142,89 @@ func NewRunner(cfg Config) (*Runner, error) {
 		return nil, err
 	}
 	return &Runner{Cfg: cfg, Table: table, Engine: eng,
-		anonCache: parallel.NewCache[*timedResult](math.MaxInt)}, nil
+		releases: parallel.NewCache[*anonymize.Result](math.MaxInt)}, nil
 }
 
 // workers resolves the configured pool size for figure-level fan-out.
 func (r *Runner) workers() int { return parallel.Resolve(r.Cfg.Workers) }
 
-// cached runs compute once for key and memoizes the result (a failed
-// computation is not memoized; the harness stops on its first error).
-func (r *Runner) cached(key string, compute func() (*timedResult, error)) (*timedResult, error) {
-	res, _, err := r.anonCache.Do(key, compute)
-	return res, err
+// release returns the Mondrian release of (m ∧ k-anonymity) at p, built
+// by the engine's checked path on first use and shared after. Safe for
+// concurrent parameter points. A request no release satisfies fails
+// with an error wrapping privacy.ErrUnsatisfiable; failures are not
+// memoized.
+func (r *Runner) release(m core.Model, p core.Params) (*anonymize.Result, error) {
+	key := fmt.Sprintf("%s|k=%d,l=%d,t=%g,b=%g|%s", m.Key(), p.K, p.L, p.T, p.B, kernel.BandwidthKey(p.BVec))
+	res, _, err := r.releases.Do(key, func() (*anonymize.Result, error) {
+		res, _, err := r.Engine.RunAlgorithm("mondrian", m.Key(), p)
+		return res, err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: anonymizing %s: %w", key, err)
+	}
+	return res, nil
+}
+
+// unsat marks a report cell whose model no release satisfies.
+const unsat = "unsat"
+
+// cells renders n report cells from model m's release at p: fill
+// computes them from the checked release, and a model no release
+// satisfies reads unsat in all n. Any other error fails the figure.
+func (r *Runner) cells(m core.Model, p core.Params, n int, fill func(*anonymize.Result) ([]string, error)) ([]string, error) {
+	res, err := r.release(m, p)
+	if errors.Is(err, privacy.ErrUnsatisfiable) {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = unsat
+		}
+		return out, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	return fill(res)
+}
+
+// modelRows fills rep with n rows of one cell per model in
+// core.AllModels() order: row(i) gives row i's label and parameter set,
+// and cell renders row i's value for a model from its checked release
+// (see cells). Rows run on w workers.
+func (r *Runner) modelRows(rep *Report, w, n int, row func(i int) (string, core.Params),
+	cell func(i int, m core.Model, p core.Params, res *anonymize.Result) (string, error)) (*Report, error) {
+	rows, err := parallel.MapErr(w, n, func(i int) ([]string, error) {
+		label, p := row(i)
+		out := []string{label}
+		for _, m := range core.AllModels() {
+			c, err := r.cells(m, p, 1, func(res *anonymize.Result) ([]string, error) {
+				v, err := cell(i, m, p, res)
+				return []string{v}, err
+			})
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, c...)
+		}
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	rep.Rows = rows
+	return noteUnsat(rep), nil
+}
+
+// noteUnsat says in rep's note why some of its cells read unsat, if any
+// do.
+func noteUnsat(rep *Report) *Report {
+	for _, row := range rep.Rows {
+		if slices.Contains(row, unsat) {
+			rep.Notes += "; unsat: no release satisfies the model at these parameters " +
+				"(e.g. probabilistic l-diversity needs each sensitive value's table-wide frequency <= 1/l)"
+			break
+		}
+	}
+	return rep
 }
 
 // All regenerates every figure in paper order.

@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/privacy"
 )
 
 // tinyConfig keeps the full suite fast enough for CI.
@@ -116,5 +120,40 @@ func TestConfigs(t *testing.T) {
 	}
 	if p.Fig3aStep >= d.Fig3aStep {
 		t.Error("PaperConfig should sweep b more finely")
+	}
+}
+
+// TestUnsatisfiableCellsAreMarked pins the figures to checked releases.
+// The table's most common occupation is more frequent than 1/6, so no
+// release satisfies para4's probabilistic 6-diversity: its cell reads
+// unsat instead of measuring the one-group table Mondrian returns.
+// Every other cell still holds a number.
+func TestUnsatisfiableCellsAreMarked(t *testing.T) {
+	r := newTestRunner(t)
+	for _, fig := range []func() (*Report, error){r.Fig1b, r.Fig5a, r.Fig5b} {
+		rep, err := fig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range rep.Rows {
+			for ci, cell := range row[1:] {
+				wantUnsat := row[0] == "para4" && rep.Header[ci+1] == "probabilistic-l-diversity"
+				if wantUnsat {
+					if cell != unsat {
+						t.Errorf("%s %s %s = %q, want %q", rep.ID, row[0], rep.Header[ci+1], cell, unsat)
+					}
+					continue
+				}
+				if _, err := strconv.ParseFloat(cell, 64); err != nil {
+					t.Errorf("%s %s %s = %q, want a number", rep.ID, row[0], rep.Header[ci+1], cell)
+				}
+			}
+		}
+		if !strings.Contains(rep.Notes, "unsat:") {
+			t.Errorf("%s note does not explain unsat: %q", rep.ID, rep.Notes)
+		}
+	}
+	if _, err := r.release(core.DistinctLDiversity, core.Params{K: 1000, L: 50}); !errors.Is(err, privacy.ErrUnsatisfiable) {
+		t.Errorf("release(k=1000, l=50) err = %v, want privacy.ErrUnsatisfiable", err)
 	}
 }

@@ -2,45 +2,16 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
+	"repro/internal/anonymize"
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/parallel"
 )
 
-// paraName labels the paper's Table V parameter sets.
-func paraName(i int) string { return fmt.Sprintf("para%d", i+1) }
-
-// anonymized returns the cached release for (model, para), anonymizing
-// and timing it on first use. Safe for concurrent parameter points:
-// the first caller computes, later ones share the result.
-func (r *Runner) anonymized(m core.Model, p core.Params) (*timedResult, error) {
-	key := fmt.Sprintf("%s|k=%d,l=%d,t=%g,b=%g", m, p.K, p.L, p.T, p.B)
-	tr, err := r.cached(key, func() (*timedResult, error) { return r.anonymizeNow(m, p) })
-	if err != nil {
-		return nil, fmt.Errorf("experiments: anonymizing %s: %w", key, err)
-	}
-	return tr, nil
-}
-
-// anonymizeNow anonymizes without caching. Priors for (B,t) are
-// computed inside Requirement construction; the timed section covers
-// partitioning only, matching the paper's Figure 4(a) protocol ("does
-// not include the time to run the kernel estimation method").
-func (r *Runner) anonymizeNow(m core.Model, p core.Params) (*timedResult, error) {
-	req, err := r.Engine.Requirement(m, p)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	res := r.Engine.Anonymize(req)
-	tr := &timedResult{res: res, seconds: time.Since(start).Seconds()}
-	if err := res.Validate(); err != nil {
-		return nil, fmt.Errorf("invalid anonymization: %w", err)
-	}
-	return tr, nil
-}
+// para is the i-th row of the paper's Table V: its label and parameter
+// set, for figures with one row per parameter set.
+func para(i int) (string, core.Params) { return fmt.Sprintf("para%d", i+1), core.Table5()[i] }
 
 // bprimeVecs renders the configured adversary bandwidths b' as the
 // uniform bandwidth grid the sweep entry points consume.
@@ -72,21 +43,19 @@ func (r *Runner) Fig1a() (*Report, error) {
 	}
 	bvecs := r.bprimeVecs()
 	models := core.AllModels()
-	cols, err := parallel.MapErr(r.workers(), len(models), func(mi int) ([]int, error) {
+	cols, err := parallel.MapErr(r.workers(), len(models), func(mi int) ([]string, error) {
 		m := models[mi]
-		tr, err := r.anonymized(m, p)
-		if err != nil {
-			return nil, err
-		}
-		atts, err := r.Engine.AttackSweep(tr.res, bvecs, p.T, r.Engine.BreachTest(m, p))
-		if err != nil {
-			return nil, err
-		}
-		col := make([]int, len(atts))
-		for i, att := range atts {
-			col[i] = att.Vulnerable
-		}
-		return col, nil
+		return r.cells(m, p, len(bvecs), func(res *anonymize.Result) ([]string, error) {
+			atts, err := r.Engine.AttackSweep(res, bvecs, p.T, r.Engine.BreachTest(m, p))
+			if err != nil {
+				return nil, err
+			}
+			col := make([]string, len(atts))
+			for i, att := range atts {
+				col[i] = fmtI(att.Vulnerable)
+			}
+			return col, nil
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -94,11 +63,11 @@ func (r *Runner) Fig1a() (*Report, error) {
 	for i, bp := range r.Cfg.BPrimes {
 		row := []string{fmtF(bp)}
 		for mi := range models {
-			row = append(row, fmtI(cols[mi][i]))
+			row = append(row, cols[mi][i])
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
-	return rep, nil
+	return noteUnsat(rep), nil
 }
 
 // Fig1b reproduces Figure 1(b): vulnerable tuples for para1..para4
@@ -112,26 +81,12 @@ func (r *Runner) Fig1b() (*Report, error) {
 		Notes:  "cells: number of vulnerable tuples; expected shape: (B,t) lowest in every row",
 	}
 	bvec := kernel.UniformBandwidth(r.Table.Schema.D(), bPrime)
-	paras := core.Table5()
-	rows, err := parallel.MapErr(r.workers(), len(paras), func(pi int) ([]string, error) {
-		p := paras[pi]
-		row := []string{paraName(pi)}
-		for _, m := range core.AllModels() {
-			tr, err := r.anonymized(m, p)
+	return r.modelRows(rep, r.workers(), len(core.Table5()), para,
+		func(_ int, m core.Model, p core.Params, res *anonymize.Result) (string, error) {
+			att, err := r.Engine.Attack(res, bvec, p.T, r.Engine.BreachTest(m, p))
 			if err != nil {
-				return nil, err
+				return "", err
 			}
-			att, err := r.Engine.Attack(tr.res, bvec, p.T, r.Engine.BreachTest(m, p))
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmtI(att.Vulnerable))
-		}
-		return row, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep.Rows = rows
-	return rep, nil
+			return fmtI(att.Vulnerable), nil
+		})
 }

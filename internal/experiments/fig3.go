@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"repro/internal/anonymize"
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/parallel"
@@ -36,25 +37,27 @@ func (r *Runner) Fig3a() (*Report, error) {
 	rows, err := parallel.MapErr(r.workers(), len(sweep), func(i int) ([]string, error) {
 		p := base
 		p.B = sweep[i]
-		tr, err := r.anonymized(core.BTPrivacy, p)
+		cells, err := r.cells(core.BTPrivacy, p, len(bvecs), func(res *anonymize.Result) ([]string, error) {
+			risks, err := r.Engine.WorstCaseRiskSweep(res, bvecs)
+			if err != nil {
+				return nil, err
+			}
+			out := make([]string, len(risks))
+			for i, risk := range risks {
+				out[i] = fmtF(risk)
+			}
+			return out, nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		risks, err := r.Engine.WorstCaseRiskSweep(tr.res, bvecs)
-		if err != nil {
-			return nil, err
-		}
-		row := []string{fmtF(sweep[i])}
-		for _, risk := range risks {
-			row = append(row, fmtF(risk))
-		}
-		return row, nil
+		return append([]string{fmtF(sweep[i])}, cells...), nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	rep.Rows = rows
-	return rep, nil
+	return noteUnsat(rep), nil
 }
 
 // Fig3b reproduces Figure 3(b): risk continuity over a two-component
@@ -93,15 +96,17 @@ func (r *Runner) Fig3b() (*Report, error) {
 		p := base
 		p.BVec = bvec
 		p.B = 0
-		tr, err := r.anonymized2(core.BTPrivacy, p, "b1="+fmtF(b1)+",b2="+fmtF(b2))
+		cell, err := r.cells(core.BTPrivacy, p, 1, func(res *anonymize.Result) ([]string, error) {
+			risk, err := r.Engine.WorstCaseRisk(res, adv)
+			if err != nil {
+				return nil, err
+			}
+			return []string{fmtF(risk)}, nil
+		})
 		if err != nil {
 			return "", err
 		}
-		risk, err := r.Engine.WorstCaseRisk(tr.res, adv)
-		if err != nil {
-			return "", err
-		}
-		return fmtF(risk), nil
+		return cell[0], nil
 	})
 	if err != nil {
 		return nil, err
@@ -110,12 +115,5 @@ func (r *Runner) Fig3b() (*Report, error) {
 		row := append([]string{fmtF(b1)}, cells[i*n:(i+1)*n]...)
 		rep.Rows = append(rep.Rows, row)
 	}
-	return rep, nil
-}
-
-// anonymized2 is anonymized with an explicit extra cache-key suffix,
-// for parameter sets that differ in BVec rather than scalar fields.
-func (r *Runner) anonymized2(m core.Model, p core.Params, suffix string) (*timedResult, error) {
-	key := m.String() + "|" + suffix
-	return r.cached(key, func() (*timedResult, error) { return r.anonymizeNow(m, p) })
+	return noteUnsat(rep), nil
 }

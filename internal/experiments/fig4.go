@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/adult"
+	"repro/internal/anonymize"
 	"repro/internal/core"
 	"repro/internal/kernel"
 )
@@ -15,11 +16,13 @@ import (
 // stringent parameters (Mondrian is top-down: stricter requirements
 // prune the recursion earlier) and (B,t) comparable to the rest.
 //
-// Timings are re-measured here with a fresh one-at-a-time
-// anonymization pass rather than read from the shared release cache:
-// earlier figures populate that cache from concurrent parameter
+// Each cell times a fresh one-at-a-time Anonymize of the requirement
+// the checked release was built from, with the requirement (and so the
+// (B,t) prior pass) built before the timer starts. The cached releases
+// are not timed: earlier figures build them from concurrent parameter
 // points, and wall-clock recorded under contention would not be
-// comparable across models.
+// comparable across models. A model no release satisfies is not timed
+// and reads unsat.
 func (r *Runner) Fig4a() (*Report, error) {
 	rep := &Report{
 		ID:     "fig4a",
@@ -27,18 +30,16 @@ func (r *Runner) Fig4a() (*Report, error) {
 		Header: []string{"param", "distinct-l-diversity", "probabilistic-l-diversity", "t-closeness", "(B,t)-privacy"},
 		Notes:  "expected shape: decreasing with stricter parameters; (B,t) same order as baselines",
 	}
-	for pi, p := range core.Table5() {
-		row := []string{paraName(pi)}
-		for _, m := range core.AllModels() {
-			tr, err := r.anonymizeNow(m, p)
+	return r.modelRows(rep, -1, len(core.Table5()), para,
+		func(_ int, m core.Model, p core.Params, _ *anonymize.Result) (string, error) {
+			req, err := r.Engine.RequirementByName(m.Key(), p)
 			if err != nil {
-				return nil, err
+				return "", err
 			}
-			row = append(row, fmtF(tr.seconds))
-		}
-		rep.Rows = append(rep.Rows, row)
-	}
-	return rep, nil
+			start := time.Now()
+			r.Engine.Anonymize(req)
+			return fmtF(time.Since(start).Seconds()), nil
+		})
 }
 
 // Fig4b reproduces Figure 4(b): the time to compute background

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"repro/internal/anonymize"
 	"repro/internal/core"
 	"repro/internal/utility"
 )
@@ -9,33 +10,23 @@ import (
 // four releases across para1..para4. Expected shape: DM grows with
 // stricter parameters and (B,t) stays comparable to the baselines.
 func (r *Runner) Fig5a() (*Report, error) {
-	return r.utilityFigure("fig5a", "General utility: Discernibility Metric (DM)",
-		func(tr *timedResult) float64 { return utility.Discernibility(tr.res) })
+	return r.utilityFigure("fig5a", "General utility: Discernibility Metric (DM)", utility.Discernibility)
 }
 
 // Fig5b reproduces Figure 5(b): the Global Certainty Penalty.
 func (r *Runner) Fig5b() (*Report, error) {
-	return r.utilityFigure("fig5b", "General utility: Global Certainty Penalty (GCP)",
-		func(tr *timedResult) float64 { return utility.GCP(tr.res) })
+	return r.utilityFigure("fig5b", "General utility: Global Certainty Penalty (GCP)", utility.GCP)
 }
 
-func (r *Runner) utilityFigure(id, title string, metric func(*timedResult) float64) (*Report, error) {
+func (r *Runner) utilityFigure(id, title string, metric func(*anonymize.Result) float64) (*Report, error) {
 	rep := &Report{
 		ID:     id,
 		Title:  title,
 		Header: []string{"param", "distinct-l-diversity", "probabilistic-l-diversity", "t-closeness", "(B,t)-privacy"},
 		Notes:  "expected shape: cost grows with stricter parameters; (B,t) comparable to baselines",
 	}
-	for pi, p := range core.Table5() {
-		row := []string{paraName(pi)}
-		for _, m := range core.AllModels() {
-			tr, err := r.anonymized(m, p)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmtF(metric(tr)))
-		}
-		rep.Rows = append(rep.Rows, row)
-	}
-	return rep, nil
+	return r.modelRows(rep, r.workers(), len(core.Table5()), para,
+		func(_ int, _ core.Model, _ core.Params, res *anonymize.Result) (string, error) {
+			return fmtF(metric(res)), nil
+		})
 }

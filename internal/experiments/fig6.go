@@ -3,8 +3,8 @@ package experiments
 import (
 	"math/rand"
 
+	"repro/internal/anonymize"
 	"repro/internal/core"
-	"repro/internal/parallel"
 	"repro/internal/utility"
 )
 
@@ -26,33 +26,20 @@ func (r *Runner) Fig6a() (*Report, error) {
 		Header: []string{"qd", "distinct-l-diversity", "probabilistic-l-diversity", "t-closeness", "(B,t)-privacy"},
 		Notes:  "cells: average relative error (%); expected shape: decreasing in qd",
 	}
-	p := core.Table5()[0]
 	qds := []int{2, 3, 4, 5, 6}
-	rows, err := parallel.MapErr(r.workers(), len(qds), func(i int) ([]string, error) {
-		qd := qds[i]
-		row := []string{fmtI(qd)}
-		for _, m := range core.AllModels() {
-			tr, err := r.anonymized(m, p)
-			if err != nil {
-				return nil, err
-			}
-			// Each point owns its seeded Rng, so rows are independent
-			// and identical to the sequential run.
+	// Each point owns its seeded Rng, so rows are independent and
+	// identical to the sequential run.
+	return r.modelRows(rep, r.workers(), len(qds),
+		func(i int) (string, core.Params) { return fmtI(qds[i]), core.Table5()[0] },
+		func(i int, _ core.Model, _ core.Params, res *anonymize.Result) (string, error) {
 			w := &utility.Workload{
-				QD:      qd,
+				QD:      qds[i],
 				Sel:     fig6FixedSel,
 				Queries: r.Cfg.Queries,
-				Rng:     rand.New(rand.NewSource(r.Cfg.Seed + int64(qd))),
+				Rng:     rand.New(rand.NewSource(r.Cfg.Seed + int64(qds[i]))),
 			}
-			row = append(row, fmtF(100*w.RelativeError(tr.res)))
-		}
-		return row, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep.Rows = rows
-	return rep, nil
+			return fmtF(100 * w.RelativeError(res)), nil
+		})
 }
 
 // Fig6b reproduces Figure 6(b): average relative error versus query
@@ -65,28 +52,16 @@ func (r *Runner) Fig6b() (*Report, error) {
 		Header: []string{"sel", "distinct-l-diversity", "probabilistic-l-diversity", "t-closeness", "(B,t)-privacy"},
 		Notes:  "cells: average relative error (%); expected shape: decreasing in sel",
 	}
-	p := core.Table5()[0]
 	sels := []float64{0.03, 0.05, 0.07, 0.1, 0.12}
-	rows, err := parallel.MapErr(r.workers(), len(sels), func(si int) ([]string, error) {
-		row := []string{fmtF(sels[si])}
-		for _, m := range core.AllModels() {
-			tr, err := r.anonymized(m, p)
-			if err != nil {
-				return nil, err
-			}
+	return r.modelRows(rep, r.workers(), len(sels),
+		func(i int) (string, core.Params) { return fmtF(sels[i]), core.Table5()[0] },
+		func(i int, _ core.Model, _ core.Params, res *anonymize.Result) (string, error) {
 			w := &utility.Workload{
 				QD:      fig6FixedQD,
-				Sel:     sels[si],
+				Sel:     sels[i],
 				Queries: r.Cfg.Queries,
-				Rng:     rand.New(rand.NewSource(r.Cfg.Seed + int64(1000+si))),
+				Rng:     rand.New(rand.NewSource(r.Cfg.Seed + int64(1000+i))),
 			}
-			row = append(row, fmtF(100*w.RelativeError(tr.res)))
-		}
-		return row, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep.Rows = rows
-	return rep, nil
+			return fmtF(100 * w.RelativeError(res)), nil
+		})
 }

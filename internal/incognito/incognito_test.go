@@ -94,9 +94,9 @@ func TestHierarchyLadderRejectsWrongOrder(t *testing.T) {
 	}
 }
 
-func TestAdultLaddersCoverSchema(t *testing.T) {
+func TestLaddersCoverSchema(t *testing.T) {
 	sch := adult.NewSchema()
-	ladders, err := AdultLadders(sch, adult.Hierarchies())
+	ladders, err := Ladders(sch, adult.Hierarchies())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestAdultLaddersCoverSchema(t *testing.T) {
 
 func TestSearchFindsMinimalKAnonymous(t *testing.T) {
 	tab := adult.Generate(300, 21)
-	ladders, err := AdultLadders(tab.Schema, adult.Hierarchies())
+	ladders, err := Ladders(tab.Schema, adult.Hierarchies())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestSearchFindsMinimalKAnonymous(t *testing.T) {
 
 func TestSearchWithDiversity(t *testing.T) {
 	tab := adult.Generate(400, 23)
-	ladders, err := AdultLadders(tab.Schema, adult.Hierarchies())
+	ladders, err := Ladders(tab.Schema, adult.Hierarchies())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestSearchWithDiversity(t *testing.T) {
 
 func TestSearchImpossible(t *testing.T) {
 	tab := adult.Generate(50, 25)
-	ladders, err := AdultLadders(tab.Schema, adult.Hierarchies())
+	ladders, err := Ladders(tab.Schema, adult.Hierarchies())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestFullDomainVsMondrianUtility(t *testing.T) {
 	// beat Mondrian's local recoding on discernibility — a classic
 	// result worth pinning as a regression guard.
 	tab := adult.Generate(500, 27)
-	ladders, err := AdultLadders(tab.Schema, adult.Hierarchies())
+	ladders, err := Ladders(tab.Schema, adult.Hierarchies())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestFullDomainVsMondrianUtility(t *testing.T) {
 
 func TestRecode(t *testing.T) {
 	tab := adult.Generate(100, 29)
-	ladders, err := AdultLadders(tab.Schema, adult.Hierarchies())
+	ladders, err := Ladders(tab.Schema, adult.Hierarchies())
 	if err != nil {
 		t.Fatal(err)
 	}

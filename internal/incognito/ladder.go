@@ -158,9 +158,3 @@ func Ladders(sch *dataset.Schema, hiers map[string]*hierarchy.Hierarchy) ([]*Lad
 	}
 	return out, nil
 }
-
-// AdultLadders is the historical name of Ladders, kept for callers
-// predating the schema registry.
-func AdultLadders(sch *dataset.Schema, hiers map[string]*hierarchy.Hierarchy) ([]*Ladder, error) {
-	return Ladders(sch, hiers)
-}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/anonymize"
 	"repro/internal/dataset"
 	"repro/internal/privacy"
+	"repro/internal/utility"
 )
 
 // Generalizer searches the full-domain generalization lattice for the
@@ -68,7 +69,7 @@ func (g *Generalizer) Search() (Node, *anonymize.Result, error) {
 			if !ok {
 				continue
 			}
-			cost := discernibility(res)
+			cost := utility.Discernibility(res)
 			if best == nil || cost < best.cost {
 				best = &hit{node: node, res: res, cost: cost}
 			}
@@ -133,15 +134,6 @@ func (g *Generalizer) check(node Node) (*anonymize.Result, bool) {
 		})
 	}
 	return res, true
-}
-
-func discernibility(r *anonymize.Result) float64 {
-	c := 0.0
-	for _, g := range r.Groups {
-		n := float64(g.Size())
-		c += n * n
-	}
-	return c
 }
 
 // Recode materializes a generalized table at a level vector: a fresh

@@ -56,6 +56,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -181,9 +182,7 @@ func (r *AnonymizeRequest) validate() error {
 	default:
 		return fmt.Errorf("unknown algo %q (want mondrian|anatomy|incognito)", r.Algo)
 	}
-	switch r.Model {
-	case "distinct", "prob", "tclose", "bt", "skyline":
-	default:
+	if _, ok := core.ParseModel(r.Model); !ok && r.Model != "skyline" {
 		return fmt.Errorf("unknown model %q (want distinct|prob|tclose|bt|skyline)", r.Model)
 	}
 	if r.K < 1 || r.L < 1 {

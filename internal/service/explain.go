@@ -129,27 +129,22 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	var shapes []stageShape
 	switch op {
 	case "anonymize":
-		dsRef := q.Get("dataset")
-		if dsRef == "" {
+		req := AnonymizeRequest{Dataset: q.Get("dataset"), Algo: q.Get("algo")}
+		if req.Dataset == "" {
 			writeErr(w, http.StatusBadRequest, "op=anonymize needs dataset={id}")
 			return
 		}
-		algo := q.Get("algo")
-		if algo == "" {
-			algo = "mondrian"
-		}
-		switch algo {
-		case "mondrian", "anatomy", "incognito":
-		default:
-			writeErr(w, http.StatusBadRequest, "unknown algo %q (want mondrian|anatomy|incognito)", algo)
+		req.normalize()
+		if err := req.validate(); err != nil {
+			writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		ds, ok := s.getDataset(obs.SpanFromContext(r.Context()), dsRef)
+		ds, ok := s.getDataset(obs.SpanFromContext(r.Context()), req.Dataset)
 		if !ok {
-			writeErr(w, http.StatusNotFound, "unknown dataset %q", dsRef)
+			writeErr(w, http.StatusNotFound, "unknown dataset %q", req.Dataset)
 			return
 		}
-		shapes = s.anonymizeShapes(ds, algo)
+		shapes = s.anonymizeShapes(ds, req.Algo)
 	case "attack", "risk":
 		relRef := q.Get("release")
 		if relRef == "" {

@@ -180,17 +180,3 @@ func (w *Workload) RelativeError(r *anonymize.Result) float64 {
 	}
 	return sum / float64(n)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
