@@ -21,7 +21,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet lint build test race bench bench-smoke perfbench-check examples fuzz cover serve loadgen restart-smoke obs-smoke cost-smoke
+.PHONY: ci fmt vet lint build test race bench bench-smoke perfbench-check examples fuzz cover serve loadgen restart-smoke obs-smoke cost-smoke loc
 
 ci: fmt vet lint build race bench bench-smoke perfbench-check examples fuzz restart-smoke obs-smoke cost-smoke
 
@@ -89,6 +89,17 @@ fuzz:
 cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -n 1
+
+# Go line delta of the working tree against BASE (default HEAD):
+# added, deleted and net lines of non-test Go and of test Go (_test.go
+# files and testdata/), from `git diff --numstat`. Git diffs tracked
+# files only, so `git add -N` new files first. Not part of ci.
+BASE ?= HEAD
+loc:
+	@git diff --numstat $(BASE) -- '*.go' | awk ' \
+		{ k = ($$3 ~ /_test\.go$$/ || $$3 ~ /(^|\/)testdata\//) ? "test" : "non-test"; add[k] += $$1; del[k] += $$2 } \
+		END { split("non-test test", ks, " "); for (i = 1; i <= 2; i++) { k = ks[i]; \
+			printf "%s Go: +%d -%d net %d\n", k, add[k], del[k], add[k] - del[k] } }'
 
 # Serving layer: `make serve` runs the HTTP service on :8080;
 # `make loadgen` drives a running instance with the default mixed

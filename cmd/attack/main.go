@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	attack [-n N] [-seed S] [-model distinct|prob|tclose|bt] [-k K] [-l L] [-t T] [-b B] [-workers W]
+//	attack [-n N] [-seed S] [-model distinct|prob|tclose|bt|skyline] [-k K] [-l L] [-t T] [-b B] [-workers W]
 package main
 
 import (
@@ -24,7 +24,7 @@ import (
 func main() {
 	n := cli.N(5000, "table size")
 	seed := cli.Seed()
-	model := cli.ModelFlags("distinct", "distinct|prob|tclose|bt")
+	model := cli.ModelFlags("distinct", "distinct|prob|tclose|bt|skyline")
 	workers := cli.Workers()
 	flag.Parse()
 

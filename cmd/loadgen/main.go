@@ -57,6 +57,7 @@ import (
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/costmodel"
+	"repro/internal/inference"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/service"
@@ -303,8 +304,9 @@ func main() {
 	printStageDeltas(before.Stages, after.Stages, after.CostModel)
 }
 
-// parseInferences decodes the -inference list; "omega" canonicalizes
-// to the empty no-override form, so mixing "omega,adaptive" alternates
+// parseInferences decodes the -inference list, validating each entry
+// with inference.ByName; "omega" canonicalizes to the empty
+// no-override form, so mixing "omega,adaptive" alternates
 // default-keyed and adaptive-keyed traffic.
 func parseInferences(spec string) ([]string, error) {
 	if spec == "" {
@@ -313,12 +315,11 @@ func parseInferences(spec string) ([]string, error) {
 	var out []string
 	for _, part := range strings.Split(spec, ",") {
 		m := strings.TrimSpace(part)
-		switch m {
-		case "omega":
+		if _, err := inference.ByName(m, 0); err != nil {
+			return nil, err
+		}
+		if m == inference.NameOmega {
 			m = ""
-		case "", "exact", "adaptive":
-		default:
-			return nil, fmt.Errorf("unknown inference %q (want omega|exact|adaptive)", part)
 		}
 		out = append(out, m)
 	}

@@ -9,8 +9,6 @@ package anonymize
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"repro/internal/dataset"
 )
@@ -156,23 +154,7 @@ func (r *Result) SensitiveCounts(g *Group) []int {
 // Render writes the generalized table in the style of the paper's
 // Table I(b): one line per record, QI attributes replaced by their
 // group extent, sensitive value in the clear. Records appear grouped.
+// It is RenderWith without hierarchies.
 func (r *Result) Render() string {
-	var b strings.Builder
-	sch := r.Table.Schema
-	fmt.Fprintf(&b, "%s | %s\n", strings.Join(sch.QINames(), " | "), sch.Sensitive.Name)
-	for gi, g := range r.Groups {
-		rows := append([]int(nil), g.Rows...)
-		sort.Ints(rows)
-		for _, ri := range rows {
-			cells := make([]string, sch.D())
-			for i, a := range sch.QI {
-				cells[i] = g.Extent.Format(a, i)
-			}
-			fmt.Fprintf(&b, "%s | %s\n", strings.Join(cells, " | "), sch.Sensitive.Value(r.Table.Records[ri].S))
-		}
-		if gi != len(r.Groups)-1 {
-			b.WriteString("---\n")
-		}
-	}
-	return b.String()
+	return r.RenderWith(nil)
 }

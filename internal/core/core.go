@@ -46,6 +46,9 @@ const (
 	TCloseness
 	// BTPrivacy is the paper's (B,t)-privacy model.
 	BTPrivacy
+	// Skyline is skyline (B,t)-privacy (Definition 2) over the fixed
+	// three-entry ladder RequirementByName builds.
+	Skyline
 )
 
 type modelName struct{ key, display string }
@@ -58,6 +61,7 @@ var modelNames = [...]modelName{
 	ProbabilisticLDiversity: {"prob", "probabilistic-l-diversity"},
 	TCloseness:              {"tclose", "t-closeness"},
 	BTPrivacy:               {"bt", "(B,t)-privacy"},
+	Skyline:                 {"skyline", "skyline-(B,t)-privacy"},
 }
 
 // names is m's modelNames entry; an out-of-range value has empty names.
@@ -73,14 +77,14 @@ func (m Model) String() string { return m.names().display }
 // Key is the model's CLI/API name, the inverse of ParseModel.
 func (m Model) Key() string { return m.names().key }
 
-// AllModels lists the four models in the paper's reporting order.
+// AllModels lists the four models the paper's figures compare, in its
+// reporting order; Skyline is not among them.
 func AllModels() []Model {
 	return []Model{DistinctLDiversity, ProbabilisticLDiversity, TCloseness, BTPrivacy}
 }
 
-// ParseModel maps the CLI/API model names (distinct, prob, tclose, bt)
-// to the Model enum. The composite "skyline" requirement is not a
-// Model; callers that accept it use RequirementByName.
+// ParseModel maps a CLI/API model name (distinct, prob, tclose, bt,
+// skyline) to the Model enum; it is the one parser of that vocabulary.
 func ParseModel(name string) (Model, bool) {
 	for m, n := range modelNames {
 		if n.key == name {
@@ -225,8 +229,8 @@ func (e *Engine) UniformPriors(b float64) ([]prob.Dist, error) {
 
 // RequirementByName builds the composed requirement (model ∧
 // K-anonymity, as the evaluation enforces, §V) for a CLI/API model
-// name: distinct, prob, tclose, bt (see Model.Key), or skyline. The
-// skyline variant enforces the fixed three-entry (B_i, t_i) ladder
+// name, as ParseModel accepts it: distinct, prob, tclose, bt or
+// skyline. Skyline enforces the fixed three-entry (B_i, t_i) ladder
 // around the requested (B, t) that the binaries expose: {(0.2, t),
 // (B, t), (0.5, t+0.05)}, composed with K-anonymity.
 func (e *Engine) RequirementByName(name string, p Params) (privacy.Requirement, error) {
@@ -238,13 +242,6 @@ func (e *Engine) RequirementByName(name string, p Params) (privacy.Requirement, 
 // inside (B,t) checks when non-nil (nil everywhere except the serving
 // layer's release-level override).
 func (e *Engine) requirementByNameSpan(sp *obs.Span, method inference.Method, name string, p Params) (privacy.Requirement, error) {
-	if name == "skyline" {
-		return e.skylineRequirementSpan(sp, method, p.K, []Params{
-			{B: 0.2, T: p.T},
-			{B: p.B, T: p.T},
-			{B: 0.5, T: p.T + 0.05},
-		})
-	}
 	m, ok := ParseModel(name)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown model %q", name)
@@ -262,6 +259,12 @@ func (e *Engine) requirementByNameSpan(sp *obs.Span, method inference.Method, na
 			Whole: e.Estimator.WholeTableDist(),
 			M:     e.SensMatrix,
 		}
+	case Skyline:
+		return e.skylineRequirementSpan(sp, method, p.K, []Params{
+			{B: 0.2, T: p.T},
+			{B: p.B, T: p.T},
+			{B: 0.5, T: p.T + 0.05},
+		})
 	default: // BTPrivacy, the one model left
 		bt, err := e.btRequirementSpan(sp, method, p)
 		if err != nil {
@@ -418,11 +421,12 @@ type Breach func(prior, post prob.Dist) bool
 //   - t-closeness: the release moves the adversary's belief by more
 //     than t in EMD — the model's own distance — so the breach counts
 //     release-caused drift, not pre-existing prior deviation.
-//   - (B,t)-privacy: the knowledge gain D[prior, posterior] exceeds t.
-//     This is Attack's nil-breach criterion — BreachTest returns nil so
-//     the attack reuses the gain it already computed instead of running
-//     the smoothed measure twice per record. (Every attack entry point
-//     passes p.T as its threshold, so the semantics are unchanged.)
+//   - (B,t)-privacy and skyline: the knowledge gain D[prior, posterior]
+//     exceeds t. This is Attack's nil-breach criterion — BreachTest
+//     returns nil so the attack reuses the gain it already computed
+//     instead of running the smoothed measure twice per record. (Every
+//     attack entry point passes p.T as its threshold, so the semantics
+//     are unchanged.)
 func (e *Engine) BreachTest(m Model, p Params) Breach {
 	switch m {
 	case DistinctLDiversity, ProbabilisticLDiversity:
@@ -435,7 +439,7 @@ func (e *Engine) BreachTest(m Model, p Params) Breach {
 		return func(prior, post prob.Dist) bool {
 			return distance.EMD(prior, post, e.SensMatrix) > p.T
 		}
-	default: // BTPrivacy and skyline entries
+	default: // BTPrivacy and Skyline
 		return nil
 	}
 }

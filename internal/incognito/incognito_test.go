@@ -208,44 +208,3 @@ func TestFullDomainVsMondrianUtility(t *testing.T) {
 			utility.Discernibility(full), utility.Discernibility(local))
 	}
 }
-
-func TestRecode(t *testing.T) {
-	tab := adult.Generate(100, 29)
-	ladders, err := Ladders(tab.Schema, adult.Hierarchies())
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := &Generalizer{Table: tab, Ladders: ladders}
-	// Fully generalize everything.
-	node := make(Node, len(ladders))
-	for i, l := range ladders {
-		node[i] = l.Levels() - 1
-	}
-	out, err := g.Recode(node)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := out.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if out.N() != tab.N() {
-		t.Fatalf("N = %d, want %d", out.N(), tab.N())
-	}
-	for _, a := range out.Schema.QI {
-		if a.Size() != 1 {
-			t.Errorf("%s not fully generalized: %d values", a.Name, a.Size())
-		}
-	}
-	// Sensitive values untouched.
-	for i := range out.Records {
-		if out.Records[i].S != tab.Records[i].S {
-			t.Fatal("recode changed sensitive values")
-		}
-	}
-	// Bad node rejected.
-	bad := node.clone()
-	bad[0] = 99
-	if _, err := g.Recode(bad); err == nil {
-		t.Error("accepted out-of-range level")
-	}
-}

@@ -135,29 +135,3 @@ func (g *Generalizer) check(node Node) (*anonymize.Result, bool) {
 	}
 	return res, true
 }
-
-// Recode materializes a generalized table at a level vector: a fresh
-// table whose QI domains are the generalized groups. Useful for
-// exporting the full-domain release as data rather than extents.
-func (g *Generalizer) Recode(node Node) (*dataset.Table, error) {
-	if len(node) != len(g.Ladders) {
-		return nil, fmt.Errorf("incognito: node arity %d != %d ladders", len(node), len(g.Ladders))
-	}
-	sch := &dataset.Schema{Sensitive: g.Table.Schema.Sensitive}
-	for i, l := range g.Ladders {
-		lv := node[i]
-		if lv < 0 || lv >= l.Levels() {
-			return nil, fmt.Errorf("incognito: level %d out of range for %s", lv, l.Attr.Name)
-		}
-		sch.QI = append(sch.QI, dataset.NewCategorical(l.Attr.Name, l.Labels[lv]))
-	}
-	out := &dataset.Table{Schema: sch}
-	for _, rec := range g.Table.Records {
-		qi := make([]int, len(node))
-		for i, lv := range node {
-			qi[i] = g.Ladders[i].Group[lv][rec.QI[i]]
-		}
-		out.Records = append(out.Records, dataset.Record{QI: qi, S: rec.S})
-	}
-	return out, nil
-}

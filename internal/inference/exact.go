@@ -52,83 +52,21 @@ func ExactPosteriors(priors []prob.Dist, counts []int) ([]prob.Dist, error) {
 	if k == 0 {
 		return nil, nil
 	}
-	m := len(counts)
-
-	// Compress to the values present in the group.
-	vals := make([]int, 0, m) // sensitive domain indexes present
-	n := make([]int, 0, m)    // their counts
-	total := 0
-	for i, c := range counts {
-		if c > 0 {
-			vals = append(vals, i)
-			n = append(n, c)
-			total += c
-		}
+	dp, err := newStateDP(priors, counts)
+	if err != nil {
+		return nil, err
 	}
-	if total != k {
-		return nil, fmt.Errorf("inference: counts sum to %d but group has %d tuples", total, k)
-	}
-	r := len(vals)
-
-	// Mixed-radix encoding of remaining-count vectors.
-	radix := make([]int, r)
-	states := 1
-	for i, ni := range n {
-		radix[i] = states
-		states *= ni + 1
-		if states > MaxExactStates {
-			return nil, fmt.Errorf("%w: %d tuples, %d distinct values", ErrTooLarge, k, r)
-		}
-	}
-	full := 0
-	for i, ni := range n {
-		full += ni * radix[i]
-	}
-
-	// Scratch is carved from three backing arrays — the prior matrix,
-	// the k+1 forward and backward state rows, and one digits buffer —
-	// instead of allocating per tuple-step; every row starts zeroed, so
-	// the arithmetic is untouched.
-	prBack := make([]float64, k*r)
-	pr := make([][]float64, k) // pr[j][i] = prior of tuple j on present value i
-	for j, p := range priors {
-		pr[j] = prBack[j*r : (j+1)*r]
-		for i, v := range vals {
-			pr[j][i] = p[v]
-		}
-	}
-	fBack := make([]float64, (k+1)*states)
-	bBack := make([]float64, (k+1)*states)
-	digits := make([]int, r)
-
-	// Forward: f[j] maps state -> weight of assigning tuples 0..j-1
-	// starting from full counts. States unreachable stay 0.
-	f := make([][]float64, k+1)
-	for j := range f {
-		f[j] = fBack[j*states : (j+1)*states]
-	}
-	f[0][full] = 1
-	for j := 0; j < k; j++ {
-		cur, nxt := f[j], f[j+1]
-		for s, w := range cur {
-			if w == 0 {
-				continue
-			}
-			decode(s, radix, n, digits)
-			for i := 0; i < r; i++ {
-				if digits[i] > 0 && pr[j][i] > 0 {
-					nxt[s-radix[i]] += w * pr[j][i]
-				}
-			}
-		}
-	}
+	f := dp.forward()
 	totalWeight := f[k][0]
 	if totalWeight == 0 {
 		return nil, fmt.Errorf("inference: zero likelihood — priors are inconsistent with the group's sensitive values")
 	}
+	vals, n, radix, pr, digits := dp.vals, dp.n, dp.radix, dp.pr, dp.digits
+	r, states := len(vals), dp.states
 
 	// Backward: b[j] maps state -> weight of tuples j..k-1 consuming
 	// exactly that state's counts.
+	bBack := make([]float64, (k+1)*states)
 	b := make([][]float64, k+1)
 	for j := range b {
 		b[j] = bBack[j*states : (j+1)*states]
@@ -151,7 +89,7 @@ func ExactPosteriors(priors []prob.Dist, counts []int) ([]prob.Dist, error) {
 
 	out := make([]prob.Dist, k)
 	for j := 0; j < k; j++ {
-		post := make(prob.Dist, m)
+		post := make(prob.Dist, len(counts))
 		for s, wf := range f[j] {
 			if wf == 0 {
 				continue
@@ -171,6 +109,98 @@ func ExactPosteriors(priors []prob.Dist, counts []int) ([]prob.Dist, error) {
 	return out, nil
 }
 
+// stateDP is one group's exact-inference state space, shared by
+// ExactPosteriors and GroupLikelihood: the sensitive values present in
+// the group, the mixed-radix encoding of remaining-count vectors over
+// them, and the prior matrix restricted to them.
+type stateDP struct {
+	vals   []int       // sensitive domain indexes present
+	n      []int       // their counts
+	radix  []int       // radix[i] is value i's place in the state encoding
+	states int         // number of encoded states
+	full   int         // the state of the full counts n
+	pr     [][]float64 // pr[j][i] = prior of tuple j on present value i
+	digits []int       // decode scratch
+}
+
+// newStateDP compresses a non-empty group to the values present in it
+// and lays out its state space, refusing one past MaxExactStates.
+//
+//detlint:hotpath
+func newStateDP(priors []prob.Dist, counts []int) (stateDP, error) {
+	k, m := len(priors), len(counts)
+	vals := make([]int, 0, m)
+	n := make([]int, 0, m)
+	total := 0
+	for i, c := range counts {
+		if c > 0 {
+			vals = append(vals, i)
+			n = append(n, c)
+			total += c
+		}
+	}
+	if total != k {
+		return stateDP{}, fmt.Errorf("inference: counts sum to %d but group has %d tuples", total, k)
+	}
+	r := len(vals)
+	radix := make([]int, r)
+	states := 1
+	for i, ni := range n {
+		radix[i] = states
+		states *= ni + 1
+		if states > MaxExactStates {
+			return stateDP{}, fmt.Errorf("%w: %d tuples, %d distinct values", ErrTooLarge, k, r)
+		}
+	}
+	full := 0
+	for i, ni := range n {
+		full += ni * radix[i]
+	}
+	// The prior matrix is carved from one backing array rather than
+	// allocated per tuple.
+	prBack := make([]float64, k*r)
+	pr := make([][]float64, k)
+	for j, p := range priors {
+		pr[j] = prBack[j*r : (j+1)*r]
+		for i, v := range vals {
+			pr[j][i] = p[v]
+		}
+	}
+	return stateDP{vals: vals, n: n, radix: radix, states: states, full: full, pr: pr, digits: make([]int, r)}, nil
+}
+
+// forward runs the forward pass over the k+1 state rows, carved from
+// one backing array: f[j] maps state -> weight of assigning tuples
+// 0..j-1 starting from full counts, so f[k][0] is the group likelihood
+// P(S|E). Unreachable states stay 0.
+//
+//detlint:hotpath
+func (dp *stateDP) forward() [][]float64 {
+	n, radix, pr, digits := dp.n, dp.radix, dp.pr, dp.digits
+	k, r, states := len(pr), len(n), dp.states
+	fBack := make([]float64, (k+1)*states)
+	f := make([][]float64, k+1)
+	for j := range f {
+		f[j] = fBack[j*states : (j+1)*states]
+	}
+	f[0][dp.full] = 1
+	for j := 0; j < k; j++ {
+		cur, nxt := f[j], f[j+1]
+		for s, w := range cur {
+			if w == 0 {
+				continue
+			}
+			decode(s, radix, n, digits)
+			for i := 0; i < r; i++ {
+				if digits[i] > 0 && pr[j][i] > 0 {
+					nxt[s-radix[i]] += w * pr[j][i]
+				}
+			}
+		}
+	}
+	return f
+}
+
 // decode writes the mixed-radix digits of state s into out.
 func decode(s int, radix, n []int, out []int) {
 	for i := len(radix) - 1; i >= 0; i-- {
@@ -181,66 +211,14 @@ func decode(s int, radix, n []int, out []int) {
 // GroupLikelihood returns P(S|E): the total weight of all assignments
 // between tuples and the sensitive multiset, each distinct value
 // mapping counted once. It is perm(M)/Π n_i! for the k×k prior matrix.
-//
-//detlint:hotpath
 func GroupLikelihood(priors []prob.Dist, counts []int) (float64, error) {
 	k := len(priors)
 	if k == 0 {
 		return 1, nil
 	}
-	vals := make([]int, 0, len(counts))
-	n := make([]int, 0, len(counts))
-	total := 0
-	for i, c := range counts {
-		if c > 0 {
-			vals = append(vals, i)
-			n = append(n, c)
-			total += c
-		}
+	dp, err := newStateDP(priors, counts)
+	if err != nil {
+		return 0, err
 	}
-	if total != k {
-		return 0, fmt.Errorf("inference: counts sum to %d but group has %d tuples", total, k)
-	}
-	r := len(vals)
-	radix := make([]int, r)
-	states := 1
-	for i, ni := range n {
-		radix[i] = states
-		states *= ni + 1
-		if states > MaxExactStates {
-			return 0, fmt.Errorf("%w: %d tuples, %d distinct values", ErrTooLarge, k, r)
-		}
-	}
-	full := 0
-	for i, ni := range n {
-		full += ni * radix[i]
-	}
-	// Two state rows, swapped and re-zeroed per tuple-step, replace the
-	// per-step allocation; zeroing writes the same starting state the
-	// fresh slice had.
-	cur := make([]float64, states)
-	nxt := make([]float64, states)
-	cur[full] = 1
-	digits := make([]int, r)
-	for j := 0; j < k; j++ {
-		for s, w := range cur {
-			if w == 0 {
-				continue
-			}
-			decode(s, radix, n, digits)
-			for i := 0; i < r; i++ {
-				if digits[i] > 0 {
-					p := priors[j][vals[i]]
-					if p > 0 {
-						nxt[s-radix[i]] += w * p
-					}
-				}
-			}
-		}
-		cur, nxt = nxt, cur
-		for i := range nxt {
-			nxt[i] = 0
-		}
-	}
-	return cur[0], nil
+	return dp.forward()[k][0], nil
 }

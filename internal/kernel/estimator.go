@@ -224,7 +224,9 @@ func (e *Estimator) weightTables(sp *obs.Span, b []float64) *flatTables {
 }
 
 // WholeTableDist returns the sensitive distribution of the entire
-// table, the prior of the t-closeness adversary (§II-D).
+// table, the prior of the t-closeness adversary (§II-D). It is the
+// estimator's own copy, shared with every caller: read it, never
+// modify it.
 func (e *Estimator) WholeTableDist() prob.Dist {
-	return prob.FromCounts(e.Table.SensitiveCounts(nil))
+	return e.whole
 }

@@ -99,22 +99,3 @@ func (Gaussian) Weight(x, b float64) float64 {
 
 // Name implements Func.
 func (Gaussian) Name() string { return "gaussian" }
-
-// ByName returns the kernel with the given name, defaulting to
-// Epanechnikov for an empty string.
-func ByName(name string) (Func, bool) {
-	switch name {
-	case "", "epanechnikov":
-		return Epanechnikov{}, true
-	case "uniform":
-		return Uniform{}, true
-	case "triangular":
-		return Triangular{}, true
-	case "biweight":
-		return Biweight{}, true
-	case "gaussian":
-		return Gaussian{}, true
-	default:
-		return nil, false
-	}
-}

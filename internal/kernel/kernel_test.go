@@ -54,17 +54,6 @@ func TestEpanechnikovValue(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, name := range []string{"", "epanechnikov", "uniform", "triangular", "biweight", "gaussian"} {
-		if _, ok := ByName(name); !ok {
-			t.Errorf("ByName(%q) failed", name)
-		}
-	}
-	if _, ok := ByName("boxcar"); ok {
-		t.Error("ByName accepted unknown kernel")
-	}
-}
-
 // smallTable builds a 1-QI-attribute table matching the paper's §II
 // structure: Age → Disease with strong age-disease correlation.
 func smallTable() *dataset.Table {

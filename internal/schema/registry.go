@@ -1,8 +1,6 @@
 package schema
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -48,8 +46,7 @@ func (r *Registry) Register(s *Spec) (id string, existed bool, err error) {
 	// the stored spec can then never drift from its content address,
 	// however the caller mutates its own copy afterwards.
 	canon := s.canonicalJSON()
-	sum := sha256.Sum256(canon)
-	id = "sch_" + hex.EncodeToString(sum[:8])
+	id = fingerprintOf(canon)
 	var cp Spec
 	if err := json.Unmarshal(canon, &cp); err != nil {
 		return "", false, fmt.Errorf("schema: round-tripping spec %s: %w", s.Name, err)

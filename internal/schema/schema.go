@@ -593,6 +593,11 @@ func (s *Spec) canonicalJSON() []byte {
 // with the same declarative content — regardless of how they were
 // built or formatted — share an id.
 func (s *Spec) Fingerprint() string {
-	sum := sha256.Sum256(s.canonicalJSON())
+	return fingerprintOf(s.canonicalJSON())
+}
+
+// fingerprintOf is the content-addressed id of a canonical JSON form.
+func fingerprintOf(canon []byte) string {
+	sum := sha256.Sum256(canon)
 	return "sch_" + hex.EncodeToString(sum[:8])
 }

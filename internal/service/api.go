@@ -57,6 +57,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/inference"
 	"repro/internal/obs"
 )
 
@@ -128,17 +129,61 @@ type AnonymizeRequest struct {
 	// never enters the release key or the persisted request, and with it
 	// off the body is byte-identical to an unexplained request.
 	Explain bool `json:"explain,omitempty"`
-	// Inference selects the posterior-inference method for the (B,t)
-	// breach checks the pipeline runs: "omega" (the default Ω-estimate)
-	// or "adaptive" (exact below a state bound, Ω above). "exact" is
-	// rejected for releases — Mondrian's first candidate group is the
-	// whole table, far past any exact bound. "omega" canonicalizes to
-	// the empty default, so the release key (and therefore the release
-	// id and persisted artifact) of default-method requests is unchanged.
+	// methodSel selects the posterior-inference method for the (B,t)
+	// breach checks the pipeline runs: omega (default) or adaptive.
+	// "exact" is rejected for releases — Mondrian's first candidate
+	// group is the whole table, far past any exact bound.
+	methodSel
+}
+
+// methodSel is the inference-method selection both request bodies
+// embed; inference.ByName owns its vocabulary.
+type methodSel struct {
+	// Inference names the posterior-inference method: "omega" (the
+	// default Ω-estimate), "exact" or "adaptive" (exact below a state
+	// bound, Ω above). "omega" canonicalizes to the empty default, so
+	// the keys of default-method requests — release ids and persisted
+	// artifacts included — carry no method.
 	Inference string `json:"inference,omitempty"`
 	// MaxStates overrides the adaptive method's exact-inference state
 	// bound (default inference.MaxExactStates); ignored otherwise.
 	MaxStates int `json:"max_states,omitempty"`
+}
+
+// normalize canonicalizes the selection in place: "omega" is the
+// default spelled out, and max_states means something only to
+// adaptive.
+func (m *methodSel) normalize() {
+	if m.Inference == inference.NameOmega {
+		m.Inference = ""
+	}
+	if m.Inference != inference.NameAdaptive {
+		m.MaxStates = 0
+	}
+}
+
+// method validates the selection and resolves it; the empty default is
+// Ω, every service engine's own default.
+func (m methodSel) method() (inference.Method, error) {
+	if m.MaxStates < 0 {
+		return nil, fmt.Errorf("max_states must be >= 0 (got %d)", m.MaxStates)
+	}
+	return inference.ByName(m.Inference, m.MaxStates)
+}
+
+// key renders the selection for cache keys — release keys and the
+// attack/sweep singleflight keys — as a suffix that is empty for the
+// default method, keeping default keys (and the ids hashed from them)
+// identical to those from before methods were selectable.
+func (m methodSel) key() string {
+	if m.Inference == "" {
+		return ""
+	}
+	s := "|inference=" + m.Inference
+	if m.MaxStates > 0 {
+		s += "|max_states=" + strconv.Itoa(m.MaxStates)
+	}
+	return s
 }
 
 // normalize applies defaults in place.
@@ -165,14 +210,7 @@ func (r *AnonymizeRequest) normalize() {
 	if r.B == 0 {
 		r.B = 0.3
 	}
-	// "omega" is the default spelled out: canonicalize so both forms
-	// share one release key.
-	if r.Inference == "omega" {
-		r.Inference = ""
-	}
-	if r.Inference != "adaptive" {
-		r.MaxStates = 0
-	}
+	r.methodSel.normalize()
 }
 
 // validate rejects out-of-range or unknown fields after normalize.
@@ -182,7 +220,7 @@ func (r *AnonymizeRequest) validate() error {
 	default:
 		return fmt.Errorf("unknown algo %q (want mondrian|anatomy|incognito)", r.Algo)
 	}
-	if _, ok := core.ParseModel(r.Model); !ok && r.Model != "skyline" {
+	if _, ok := core.ParseModel(r.Model); !ok {
 		return fmt.Errorf("unknown model %q (want distinct|prob|tclose|bt|skyline)", r.Model)
 	}
 	if r.K < 1 || r.L < 1 {
@@ -194,17 +232,11 @@ func (r *AnonymizeRequest) validate() error {
 	if r.B <= 0 || r.B > 1 {
 		return fmt.Errorf("b must be in (0, 1] (got %g)", r.B)
 	}
-	switch r.Inference {
-	case "", "adaptive":
-	case "exact":
+	if r.Inference == inference.NameExact {
 		return fmt.Errorf("inference %q is not available for releases (the pipeline checks table-sized groups); use adaptive", r.Inference)
-	default:
-		return fmt.Errorf("unknown inference %q (want omega|adaptive)", r.Inference)
 	}
-	if r.MaxStates < 0 {
-		return fmt.Errorf("max_states must be >= 0 (got %d)", r.MaxStates)
-	}
-	return nil
+	_, err := r.method()
+	return err
 }
 
 // key is the canonical cache key of the release this request denotes:
@@ -222,22 +254,7 @@ func (r *AnonymizeRequest) key() string {
 		"t=" + strconv.FormatFloat(r.T, 'g', -1, 64),
 		"b=" + strconv.FormatFloat(r.B, 'g', -1, 64),
 	}, "|")
-	return k + inferenceKeySuffix(r.Inference, r.MaxStates)
-}
-
-// inferenceKeySuffix renders a method selection for cache keys —
-// release keys, attack/sweep singleflight keys — as a suffix that is
-// empty for the default method, keeping default keys (and the ids
-// hashed from them) identical to the pre-inference-selection era.
-func inferenceKeySuffix(name string, maxStates int) string {
-	if name == "" {
-		return ""
-	}
-	s := "|inference=" + name
-	if maxStates > 0 {
-		s += "|max_states=" + strconv.Itoa(maxStates)
-	}
-	return s
+	return k + r.methodSel.key()
 }
 
 // AnonymizeResponse is the release handle plus summary statistics.
@@ -270,40 +287,13 @@ type AttackRequest struct {
 	// Explain attaches the opt-in cost block to the response (the
 	// ?explain=1 query form is equivalent). Transport, not content.
 	Explain bool `json:"explain,omitempty"`
-	// Inference selects the posterior-inference method for this attack:
-	// "omega" (default), "exact" (refuses oversized groups with a 422),
-	// or "adaptive" — the documented recommendation for large groups
-	// (exact answers where affordable, Ω elsewhere). The selection is
-	// part of the attack's cache identity: mixed-method traffic against
-	// one release never shares results.
-	Inference string `json:"inference,omitempty"`
-	// MaxStates overrides the adaptive state bound (see AnonymizeRequest).
-	MaxStates int `json:"max_states,omitempty"`
-}
-
-// normalizeInference canonicalizes the attack/risk method selection:
-// "omega" is the default spelled out, and max_states is meaningful
-// only for adaptive.
-func (r *AttackRequest) normalizeInference() {
-	if r.Inference == "omega" {
-		r.Inference = ""
-	}
-	if r.Inference != "adaptive" {
-		r.MaxStates = 0
-	}
-}
-
-// validateInference rejects unknown methods after normalizeInference.
-func (r *AttackRequest) validateInference() error {
-	switch r.Inference {
-	case "", "exact", "adaptive":
-	default:
-		return fmt.Errorf("unknown inference %q (want omega|exact|adaptive)", r.Inference)
-	}
-	if r.MaxStates < 0 {
-		return fmt.Errorf("max_states must be >= 0 (got %d)", r.MaxStates)
-	}
-	return nil
+	// methodSel selects the posterior-inference method for this attack:
+	// omega (default), exact (refuses oversized groups with a 422), or
+	// adaptive — the documented recommendation for large groups (exact
+	// answers where affordable, Ω elsewhere). The selection is part of
+	// the attack's cache identity: mixed-method traffic against one
+	// release never shares results.
+	methodSel
 }
 
 // MaxSweepPoints caps the bprimes grid of one attack/risk request: each

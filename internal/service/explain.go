@@ -151,9 +151,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, "op=%s needs release={id}", op)
 			return
 		}
-		sel := AttackRequest{Inference: q.Get("inference")}
-		sel.normalizeInference()
-		if err := sel.validateInference(); err != nil {
+		sel := methodSel{Inference: q.Get("inference")}
+		sel.normalize()
+		if _, err := sel.method(); err != nil {
 			writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}

@@ -261,7 +261,8 @@ func (d *diskStore) saveRelease(rec releaseRecord) error {
 
 // loadRelease reads a persisted release, verifying that the stored
 // request still hashes to the id the file claims — the end-to-end
-// "loaded release hashes to the id it was stored under" guarantee.
+// "loaded release hashes to the id it was stored under" guarantee —
+// and that it passes the validation a live request does.
 func (d *diskStore) loadRelease(id string) (releaseRecord, error) {
 	var rec releaseRecord
 	if !validID("rel", id) {
@@ -276,6 +277,11 @@ func (d *diskStore) loadRelease(id string) (releaseRecord, error) {
 	}
 	if rec.ID != id || hashID("rel", rec.Request.key()) != id {
 		return rec, fmt.Errorf("service: release file %s fails its content-address check", id)
+	}
+	// Attacks rebuild the breach criterion from the stored request, so
+	// it must be one a client could have sent.
+	if err := rec.Request.validate(); err != nil {
+		return rec, fmt.Errorf("service: release file %s: %w", id, err)
 	}
 	return rec, nil
 }
@@ -483,12 +489,11 @@ func (s *Server) recoverRelease(sp *obs.Span, id string, ds *datasetEntry) (*rel
 	}
 	s.metrics.PersistReleaseLoads.Add(1)
 	return &releaseEntry{
-		id:          id,
-		ds:          ds,
-		res:         res,
-		req:         rec.Request,
-		breachModel: breachModelFor(rec.Request.Model),
-		seconds:     rec.Seconds,
+		id:      id,
+		ds:      ds,
+		res:     res,
+		req:     rec.Request,
+		seconds: rec.Seconds,
 	}, true
 }
 

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -326,6 +327,44 @@ func TestCorruptFilesDegradeToRecompute(t *testing.T) {
 	_, ts3 := diskServer(t, dir)
 	if code, b := post(t, ts3, "/v1/anonymize", anonBody); code != http.StatusNotFound {
 		t.Errorf("anonymize on corrupt dataset manifest: status %d (want 404): %s", code, b)
+	}
+}
+
+// TestRecoveredReleaseRequestIsValidated: a persisted release whose
+// request passes the content-address check but names no model is
+// absent, not served — attacks rebuild the breach criterion from that
+// request's model name.
+func TestRecoveredReleaseRequestIsValidated(t *testing.T) {
+	dir := t.TempDir()
+	_, ts1 := diskServer(t, dir)
+	ds := createDataset(t, ts1, 150, 3)
+	code, body := post(t, ts1, "/v1/anonymize", fmt.Sprintf(`{"dataset":%q,"model":"distinct"}`, ds))
+	if code != http.StatusOK {
+		t.Fatalf("anonymize: status %d: %s", code, body)
+	}
+	rel := mustJSON[AnonymizeResponse](t, body).Release
+	ts1.Close()
+
+	doc, err := os.ReadFile(filepath.Join(dir, "releases", rel+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := mustJSON[releaseRecord](t, doc)
+	rec.Request.Model = "nope"
+	rec.ID = hashID("rel", rec.Request.key())
+	forged, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "releases", rec.ID+".json"), forged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, ts2 := diskServer(t, dir)
+	if code, b := post(t, ts2, "/v1/attack", fmt.Sprintf(`{"release":%q}`, rec.ID)); code != http.StatusNotFound {
+		t.Errorf("attack on a release with an unknown model: status %d (want 404): %s", code, b)
+	}
+	if got := s2.Metrics().PersistErrors.Value(); got == 0 {
+		t.Error("the invalid record was not counted as a persist error")
 	}
 }
 

@@ -42,8 +42,6 @@ type Config struct {
 	DatasetCap int
 	// MaxUploadBytes caps CSV ingestion bodies (default 64 MiB).
 	MaxUploadBytes int64
-	// MaxSyntheticN caps synthetic table sizes (default 1,000,000).
-	MaxSyntheticN int
 	// DataDir, when non-empty, enables the durable tier: schemas,
 	// dataset manifests, and releases write through to
 	// content-addressed files under this directory, lookups fall
@@ -71,6 +69,9 @@ type Config struct {
 	Logger *slog.Logger
 }
 
+// maxSyntheticN caps the size of a table synthesized by (n, seed).
+const maxSyntheticN = 1_000_000
+
 func (c Config) withDefaults() Config {
 	if c.ReleaseCap == 0 {
 		c.ReleaseCap = 128
@@ -80,9 +81,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxUploadBytes == 0 {
 		c.MaxUploadBytes = 64 << 20
-	}
-	if c.MaxSyntheticN == 0 {
-		c.MaxSyntheticN = 1_000_000
 	}
 	if c.JobWorkers == 0 {
 		c.JobWorkers = 2
@@ -113,14 +111,11 @@ type datasetEntry struct {
 // everything attacks need (the owning dataset entry keeps the engine
 // alive even if the dataset store later evicts it).
 type releaseEntry struct {
-	id  string
-	ds  *datasetEntry
-	res *anonymize.Result
-	req AnonymizeRequest
-	// breachModel is the criterion later attacks test the release
-	// against: the release's own model (skyline breaches like bt).
-	breachModel core.Model
-	seconds     float64
+	id      string
+	ds      *datasetEntry
+	res     *anonymize.Result
+	req     AnonymizeRequest
+	seconds float64
 	// stages is the pipeline's per-stage breakdown, captured when this
 	// process ran the pipeline under tracing (nil for disk-recovered
 	// entries and untraced servers). Served only behind ?stages=1 and
@@ -508,8 +503,8 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 		writeBodyErr(w, "decoding request", err)
 		return
 	}
-	if req.N < 1 || req.N > s.cfg.MaxSyntheticN {
-		writeErr(w, http.StatusBadRequest, "n must be in [1, %d] (got %d)", s.cfg.MaxSyntheticN, req.N)
+	if req.N < 1 || req.N > maxSyntheticN {
+		writeErr(w, http.StatusBadRequest, "n must be in [1, %d] (got %d)", maxSyntheticN, req.N)
 		return
 	}
 	// The CSV path names its schema with ?schema=; accept the same
@@ -774,9 +769,8 @@ func (s *Server) resolveOrCompute(ctx context.Context, ds *datasetEntry, req Ano
 func (s *Server) runPipeline(sp *obs.Span, id string, ds *datasetEntry, req AnonymizeRequest) (*releaseEntry, error) {
 	s.metrics.PipelineRuns.Add(1)
 	params := core.Params{K: req.K, L: req.L, T: req.T, B: req.B}
-	// A nil method keeps the engine's own default; only an explicit
-	// selection overrides it (validate already rejected "exact" here).
-	method, err := methodFor(req.Inference, req.MaxStates)
+	// validate already rejected "exact" here.
+	method, err := req.method()
 	if err != nil {
 		return nil, err
 	}
@@ -790,33 +784,13 @@ func (s *Server) runPipeline(sp *obs.Span, id string, ds *datasetEntry, req Anon
 		return nil, err
 	}
 	return &releaseEntry{
-		id:          id,
-		ds:          ds,
-		res:         res,
-		req:         req,
-		breachModel: breachModelFor(req.Model),
-		seconds:     seconds,
-		stages:      obs.Breakdown(psp),
+		id:      id,
+		ds:      ds,
+		res:     res,
+		req:     req,
+		seconds: seconds,
+		stages:  obs.Breakdown(psp),
 	}, nil
-}
-
-// methodFor resolves a request's method selection: empty keeps the
-// engine default (nil method — the engine substitutes its own), a name
-// resolves through inference.ByName.
-func methodFor(name string, maxStates int) (inference.Method, error) {
-	if name == "" {
-		return nil, nil
-	}
-	return inference.ByName(name, maxStates)
-}
-
-// breachModelFor maps a request's model name to the criterion attacks
-// test the release against; the composite skyline breaches like (B,t).
-func breachModelFor(model string) core.Model {
-	if m, ok := core.ParseModel(model); ok {
-		return m
-	}
-	return core.BTPrivacy
 }
 
 // attackResponse folds one attack report into its response body:
@@ -838,10 +812,12 @@ func attackResponse(entry *releaseEntry, bprime float64, inf string, rep *core.A
 	}
 }
 
-// breachFor rebuilds the criterion attacks test a release against.
+// breachFor rebuilds the criterion attacks test a release against: the
+// release's own model, which validate admitted by name.
 func breachFor(entry *releaseEntry) core.Breach {
 	params := core.Params{K: entry.req.K, L: entry.req.L, T: entry.req.T, B: entry.req.B}
-	return entry.ds.engine.BreachTest(entry.breachModel, params)
+	m, _ := core.ParseModel(entry.req.Model)
+	return entry.ds.engine.BreachTest(m, params)
 }
 
 // computeSweep runs (or joins) one attack evaluation against a stored
@@ -854,19 +830,18 @@ func breachFor(entry *releaseEntry) core.Breach {
 // bandwidths share one engine pass while requests under different
 // methods never share a result. The return maps each distinct
 // bandwidth to its response; callers assemble request order from it.
-func (s *Server) computeSweep(ctx context.Context, entry *releaseEntry, bprimes []float64, inf string, maxStates int) (map[float64]*AttackResponse, error) {
+func (s *Server) computeSweep(ctx context.Context, entry *releaseEntry, bprimes []float64, sel methodSel) (map[float64]*AttackResponse, error) {
 	norm := normalizeGrid(bprimes)
 	parts := make([]string, len(norm))
 	for i, bp := range norm {
 		parts[i] = strconv.FormatFloat(bp, 'g', -1, 64)
 	}
-	key := entry.id + "|sweep=" + strings.Join(parts, ",") +
-		inferenceKeySuffix(inf, maxStates)
+	key := entry.id + "|sweep=" + strings.Join(parts, ",") + sel.key()
 	results, shared, err := s.sweeps.Do(key, func() (map[float64]*AttackResponse, error) {
 		// The singleflight leader runs here on its own goroutine's
 		// context, so the prior and inference spans land on exactly one
 		// trace; followers just share the responses.
-		method, err := methodFor(inf, maxStates)
+		method, err := sel.method()
 		if err != nil {
 			return nil, err
 		}
@@ -882,7 +857,7 @@ func (s *Server) computeSweep(ctx context.Context, entry *releaseEntry, bprimes 
 		}
 		out := make(map[float64]*AttackResponse, len(norm))
 		for i, bp := range norm {
-			out[bp] = attackResponse(entry, bp, inf, reps[i])
+			out[bp] = attackResponse(entry, bp, sel.Inference, reps[i])
 		}
 		return out, nil
 	})
@@ -928,12 +903,11 @@ func validateGrid(bprimes []float64) error {
 // the bandwidth grid to evaluate, and the (canonicalized) method
 // selection.
 type attackQuery struct {
-	entry     *releaseEntry
-	bprimes   []float64
-	sweep     bool
-	explain   bool
-	inference string
-	maxStates int
+	entry   *releaseEntry
+	bprimes []float64
+	sweep   bool
+	explain bool
+	sel     methodSel
 }
 
 // getRelease resolves an attack/risk request body to a stored release
@@ -949,13 +923,12 @@ func (s *Server) getRelease(w http.ResponseWriter, r *http.Request) (q attackQue
 		writeBodyErr(w, "decoding request", err)
 		return q, false
 	}
-	req.normalizeInference()
-	if err := req.validateInference(); err != nil {
+	req.methodSel.normalize()
+	if _, err := req.method(); err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return q, false
 	}
-	q.inference = req.Inference
-	q.maxStates = req.MaxStates
+	q.sel = req.methodSel
 	q.explain = wantExplain(r, req.Explain)
 	switch {
 	case req.BPrimes != nil:
@@ -992,7 +965,7 @@ func (s *Server) sweepResponses(ctx context.Context, q attackQuery) ([]AttackRes
 		s.metrics.SweepRequests.Add(1)
 		s.metrics.SweepPoints.Add(int64(len(q.bprimes)))
 	}
-	results, err := s.computeSweep(ctx, q.entry, q.bprimes, q.inference, q.maxStates)
+	results, err := s.computeSweep(ctx, q.entry, q.bprimes, q.sel)
 	if err != nil {
 		return nil, err
 	}
@@ -1044,7 +1017,7 @@ func (s *Server) attackExplain(r *http.Request, q attackQuery) *ExplainBlock {
 		return nil
 	}
 	lanes := len(normalizeGrid(q.bprimes))
-	return s.explain(obs.SpanFromContext(r.Context()), attackShapes(q.entry, lanes, q.inference))
+	return s.explain(obs.SpanFromContext(r.Context()), attackShapes(q.entry, lanes, q.sel.Inference))
 }
 
 func (s *Server) handleRisk(w http.ResponseWriter, r *http.Request) {
