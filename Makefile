@@ -3,10 +3,10 @@
 # concurrency, and hot-path analyzers under internal/analysis), build,
 # the full test suite under the race detector (the parallel engine's
 # and the job queue's safety net), one pass over every benchmark so
-# the bench targets cannot rot, a 10-iteration smoke over the lane and
-# adaptive-inference benchmarks (enough iterations to catch a
-# perf-structure regression that a single pass hides, cheap enough for
-# every run), vet and the short self-tests of the perfbench module (its
+# the bench targets cannot rot, a 10-iteration smoke over the lane,
+# adaptive-inference and warm-attack benchmarks (enough iterations to
+# catch a perf-structure regression that a single pass hides, cheap
+# enough for every run), vet and the short self-tests of the perfbench module (its
 # own go.mod, so `go build ./...` here never compiles it and an API
 # change that breaks it would otherwise pass), a run of every example
 # program (the build compiles them; only this executes them), a short
@@ -57,10 +57,10 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 
 # Focused 10-iteration pass over the hot-path kernels this repo's perf
-# claims rest on: the lane-shaped prior pass and the adaptive-inference
-# attack.
+# claims rest on: the lane-shaped prior pass, the adaptive-inference
+# attack and the warm Ω attack, with their allocation counts.
 bench-smoke:
-	$(GO) test -run '^$$' -bench '(PriorsLanes|AttackAdaptive)' -benchtime=10x .
+	$(GO) test -run '^$$' -bench '(PriorsLanes|AttackAdaptive|BreachTest$$)' -benchtime=10x -benchmem .
 
 # The repository benchmark (perfbench/, run by `bash perfbench/run.sh`)
 # is a module of its own: vet it and run its short self-tests so an API

@@ -64,6 +64,7 @@ func BenchmarkFig1aAttack(b *testing.B) {
 		b.Fatal(err)
 	}
 	breach := e.BreachTest(core.DistinctLDiversity, p)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Attack(res, bvec, p.T, breach); err != nil {
@@ -83,6 +84,7 @@ func BenchmarkFig1bAttack(b *testing.B) {
 	}
 	bvec := kernel.UniformBandwidth(e.Table.Schema.D(), 0.3)
 	breach := e.BreachTest(core.BTPrivacy, p)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Attack(res, bvec, p.T, breach); err != nil {
@@ -321,6 +323,7 @@ func BenchmarkAttackSweep(b *testing.B) {
 		b.StartTimer()
 		return e
 	}
+	b.ReportAllocs()
 	b.Run("sweep8", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			e := freshEngine(b)
@@ -359,6 +362,7 @@ func BenchmarkSmoothedJS(b *testing.B) {
 	}
 	p.Normalize()
 	q.Normalize()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Distance(p, q)
@@ -399,6 +403,7 @@ func benchBreachPass(b *testing.B, workers int) {
 		b.Fatal(err)
 	}
 	breach := e.BreachTest(core.BTPrivacy, p)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Attack(res, bvec, p.T, breach); err != nil {
@@ -452,6 +457,7 @@ func BenchmarkServeAttack(b *testing.B) {
 	}
 	attackBody := fmt.Sprintf(`{"release":%q,"bprime":0.4}`, rel.Release)
 	post("/v1/attack", attackBody) // warm the prior cache for b'=0.4
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		post("/v1/attack", attackBody)
@@ -524,6 +530,7 @@ func BenchmarkAttackAdaptive(b *testing.B) {
 	}
 	breach := e.BreachTest(core.BTPrivacy, p)
 	method := inference.Adaptive{}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.AttackWith(context.Background(), method, res, bvec, p.T, breach); err != nil {

@@ -561,29 +561,38 @@ func InferenceStage(method string) obs.Stage {
 	return obs.StageInference
 }
 
-// attackGroup evaluates one equivalence class at one bandwidth:
+// attackGroup evaluates class gi of the release at bandwidth bi:
 // privacy.ClassGains' per-record knowledge gains, and the breach count
-// (the computed gain against t when breach is nil). It is
-// self-contained, so the per-class fan-out stays bit-identical to the
-// sequential path. A method that refuses the group (Exact on an
-// oversized class) records its error for the ordered fan-in instead of
-// panicking the worker.
-func (e *Engine) attackGroup(m inference.Method, g *anonymize.Group, priors []prob.Dist, counts []int, breach Breach, t float64) groupAttack {
-	gp := make([]prob.Dist, g.Size())
+// (the computed gain against t when breach is nil). A tuple whose gain
+// ClassGains copied from an earlier tuple (bit-identical prior and
+// posterior) copies that tuple's breach verdict too. The class works
+// only in its own cells of sc, so the per-class fan-out stays
+// bit-identical to the sequential path. A method that refuses the group
+// (Exact on an oversized class) records its error for the ordered
+// fan-in instead of panicking the worker.
+func (e *Engine) attackGroup(m inference.Method, g *anonymize.Group, priors []prob.Dist, sc *attackScratch, gi, bi int, breach Breach, t float64) groupAttack {
+	lo, hi := sc.off[gi], sc.off[gi+1]
+	gp, same, hits := sc.priors[lo:hi], sc.same[lo:hi], sc.hits[lo:hi]
 	for i, ri := range g.Rows {
 		gp[i] = priors[ri]
 	}
-	risks, posts, err := privacy.ClassGains(m, e.Measure, gp, counts)
+	risks := sc.risks(bi, gi)
+	posts, err := privacy.ClassGains(m, e.Measure, gp, sc.counts(gi), risks, same)
 	if err != nil {
 		return groupAttack{err: err}
 	}
 	ga := groupAttack{risks: risks}
 	for i, risk := range risks {
-		if breach == nil {
-			if risk > t {
-				ga.vulnerable++
+		hit := risk > t
+		if breach != nil {
+			if j := same[i]; j != i {
+				hit = hits[j]
+			} else {
+				hit = breach(gp[i], posts[i])
 			}
-		} else if breach(gp[i], posts[i]) {
+			hits[i] = hit
+		}
+		if hit {
 			ga.vulnerable++
 		}
 		if risk > ga.worst {
@@ -591,6 +600,46 @@ func (e *Engine) attackGroup(m inference.Method, g *anonymize.Group, priors []pr
 		}
 	}
 	return ga
+}
+
+// attackScratch is one attack's working memory. Class gi owns rows
+// [off[gi], off[gi+1]) of the row-indexed slices (gains holds one row
+// block per bandwidth) and hist[gi*m:(gi+1)*m]; classes are disjoint,
+// so concurrent tasks never share a cell.
+type attackScratch struct {
+	off    []int
+	m      int
+	priors []prob.Dist
+	same   []int
+	hits   []bool
+	hist   []int
+	gains  []float64
+}
+
+func newAttackScratch(res *anonymize.Result, m, bandwidths int) *attackScratch {
+	off := make([]int, len(res.Groups)+1)
+	for gi, g := range res.Groups {
+		off[gi+1] = off[gi] + g.Size()
+	}
+	rows := off[len(res.Groups)]
+	return &attackScratch{
+		off:    off,
+		m:      m,
+		priors: make([]prob.Dist, rows),
+		same:   make([]int, rows),
+		hits:   make([]bool, rows),
+		hist:   make([]int, len(res.Groups)*m),
+		gains:  make([]float64, bandwidths*rows),
+	}
+}
+
+// counts is class gi's sensitive histogram.
+func (a *attackScratch) counts(gi int) []int { return a.hist[gi*a.m : (gi+1)*a.m] }
+
+// risks is class gi's block of gains at bandwidth bi.
+func (a *attackScratch) risks(bi, gi int) []float64 {
+	base := bi * a.off[len(a.off)-1]
+	return a.gains[base+a.off[gi] : base+a.off[gi+1]]
 }
 
 // reduceAttack assembles one bandwidth's report from per-class results
@@ -660,11 +709,12 @@ func (e *Engine) attackSweepSpan(sp *obs.Span, m inference.Method, res *anonymiz
 	// so the task decodes it once and evaluates every bandwidth.
 	// perGroup[bi*ng+gi] is class gi at bandwidth bi.
 	perGroup := make([]groupAttack, nb*ng)
+	sc := newAttackScratch(res, e.Table.Schema.M(), nb)
 	parallel.For(e.Workers(), ng, func(gi int) {
 		g := res.Groups[gi]
-		counts := e.Table.SensitiveCounts(g.Rows)
+		e.Table.CountSensitive(sc.counts(gi), g.Rows)
 		for bi, priors := range priorsByB {
-			perGroup[bi*ng+gi] = e.attackGroup(method, g, priors, counts, breach, t)
+			perGroup[bi*ng+gi] = e.attackGroup(method, g, priors, sc, gi, bi, breach, t)
 		}
 	})
 	reports := make([]*AttackReport, nb)

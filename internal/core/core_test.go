@@ -506,12 +506,11 @@ func TestOmegaWithinPaperBoundOnReleaseClasses(t *testing.T) {
 				gp[i] = priors[ri]
 			}
 			counts := e.Table.SensitiveCounts(g.Rows)
-			exact, _, err := privacy.ClassGains(inference.Exact{}, e.Measure, gp, counts)
-			if err != nil {
+			exact, omega, same := make([]float64, g.Size()), make([]float64, g.Size()), make([]int, g.Size())
+			if _, err := privacy.ClassGains(inference.Exact{}, e.Measure, gp, counts, exact, same); err != nil {
 				t.Fatalf("b'=%g class %d (%d tuples): %v", bp, gi, g.Size(), err)
 			}
-			omega, _, err := privacy.ClassGains(inference.Omega{}, e.Measure, gp, counts)
-			if err != nil {
+			if _, err := privacy.ClassGains(inference.Omega{}, e.Measure, gp, counts, omega, same); err != nil {
 				t.Fatal(err)
 			}
 			rho := 0.0

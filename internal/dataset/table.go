@@ -74,16 +74,23 @@ func (t *Table) Validate() error {
 // the given record indexes (all records when rows is nil).
 func (t *Table) SensitiveCounts(rows []int) []int {
 	counts := make([]int, t.Schema.M())
+	t.CountSensitive(counts, rows)
+	return counts
+}
+
+// CountSensitive adds the sensitive histogram of the given record
+// indexes (all records when rows is nil) into counts, which has
+// Schema.M() elements — SensitiveCounts into caller memory.
+func (t *Table) CountSensitive(counts []int, rows []int) {
 	if rows == nil {
 		for _, r := range t.Records {
 			counts[r.S]++
 		}
-		return counts
+		return
 	}
 	for _, i := range rows {
 		counts[t.Records[i].S]++
 	}
-	return counts
 }
 
 // Subset returns a new table sharing the schema and containing copies of

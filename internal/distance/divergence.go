@@ -39,8 +39,35 @@ func JS(p, q prob.Dist) float64 {
 	if len(p) != len(q) {
 		panic("distance: JS over different domains")
 	}
-	m := prob.Average(p, q)
-	return 0.5*KL(p, m) + 0.5*KL(q, m)
+	return js(p, q)
+}
+
+// js is JS without allocating: the midpoint M = (P+Q)/2 is formed per
+// component, and KL(P‖M) and KL(Q‖M) accumulate in component order
+// into their own sums, exactly as two KL calls over a materialized M.
+// A positive component facing a zero midpoint makes KL, and so JS,
+// +Inf.
+//
+//detlint:hotpath
+func js(p, q []float64) float64 {
+	kp, kq := 0.0, 0.0
+	for i, pi := range p {
+		qi := q[i]
+		m := 0.5*pi + 0.5*qi
+		if pi != 0 {
+			if m == 0 {
+				return math.Inf(1)
+			}
+			kp += pi * math.Log2(pi/m)
+		}
+		if qi != 0 {
+			if m == 0 {
+				return math.Inf(1)
+			}
+			kq += qi * math.Log2(qi/m)
+		}
+	}
+	return 0.5*kp + 0.5*kq
 }
 
 // Measure is a distance between two probability distributions over the

@@ -182,8 +182,8 @@ func (r *Runner) AblationSmoothing() (*Report, error) {
 			for i, ri := range g.Rows {
 				gp[i] = priors[ri]
 			}
-			gains, _, err := privacy.ClassGains(inference.Omega{}, measure, gp, r.Table.SensitiveCounts(g.Rows))
-			if err != nil {
+			gains := make([]float64, g.Size())
+			if _, err := privacy.ClassGains(inference.Omega{}, measure, gp, r.Table.SensitiveCounts(g.Rows), gains, make([]int, g.Size())); err != nil {
 				return nil, err
 			}
 			for _, v := range gains {

@@ -46,12 +46,11 @@ func (r *Runner) Fig2() (*Report, error) {
 					gp[i] = priors[ri]
 				}
 				counts := r.Table.SensitiveCounts(rows)
-				exact, _, err := privacy.ClassGains(inference.Exact{}, r.Engine.Measure, gp, counts)
-				if err != nil {
+				exact, omega, same := make([]float64, n), make([]float64, n), make([]int, n)
+				if _, err := privacy.ClassGains(inference.Exact{}, r.Engine.Measure, gp, counts, exact, same); err != nil {
 					return nil, err
 				}
-				omega, _, err := privacy.ClassGains(inference.Omega{}, r.Engine.Measure, gp, counts)
-				if err != nil {
+				if _, err := privacy.ClassGains(inference.Omega{}, r.Engine.Measure, gp, counts, omega, same); err != nil {
 					return nil, err
 				}
 				rho := 0.0

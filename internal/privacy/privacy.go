@@ -179,8 +179,8 @@ func (b BTPrivacy) GroupRisks(rows []int) []float64 {
 	for i, ri := range rows {
 		priors[i] = b.Priors[ri]
 	}
-	gains, _, err := ClassGains(b.method(), b.Measure, priors, b.Table.SensitiveCounts(rows))
-	if err != nil {
+	gains := make([]float64, len(rows))
+	if _, err := ClassGains(b.method(), b.Measure, priors, b.Table.SensitiveCounts(rows), gains, make([]int, len(rows))); err != nil {
 		panic(err)
 	}
 	return gains
@@ -190,20 +190,34 @@ func (b BTPrivacy) GroupRisks(rows []int) []float64 {
 // (B,t) checks, attacks and the experiments: the method's posteriors
 // for the class, then per tuple the knowledge gain
 // gains[i] = D[priors[i], posts[i]]. counts is the class's sensitive
-// histogram. A method that refuses the class (Exact on an oversized
-// group) returns its error instead of panicking.
+// histogram; gains and same are caller scratch of len(priors).
+//
+// The measure runs once per distinct (prior, posterior) pair: same[i]
+// is tuple i's first sharer j ≤ i (inference.FirstSharers: the first
+// tuple with a bit-identical prior) when j's posterior is also
+// bit-identical to tuple i's, and then gains[i] copies gains[j];
+// otherwise same[i] = i. That is exact for any deterministic measure.
+// Ω shares one posterior per distinct prior, so each distinct prior is
+// measured once; exact inference reuses only where its posteriors
+// happen to agree bit for bit. A method that refuses the class (Exact
+// on an oversized group) returns its error instead of panicking.
 //
 //detlint:hotpath
-func ClassGains(m inference.Method, d distance.Measure, priors []prob.Dist, counts []int) (gains []float64, posts []prob.Dist, err error) {
+func ClassGains(m inference.Method, d distance.Measure, priors []prob.Dist, counts []int, gains []float64, same []int) (posts []prob.Dist, err error) {
 	posts, err = inference.TryPosteriors(m, priors, counts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	gains = make([]float64, len(priors))
+	inference.FirstSharers(priors, same)
 	for i, prior := range priors {
+		if j := same[i]; j != i && prob.Identical(posts[j], posts[i]) {
+			gains[i] = gains[j]
+			continue
+		}
+		same[i] = i
 		gains[i] = d.Distance(prior, posts[i])
 	}
-	return gains, posts, nil
+	return posts, nil
 }
 
 // WorstRisk returns the maximum knowledge gain over the group.

@@ -152,20 +152,24 @@ func (d Dist) Support() int {
 	return n
 }
 
-// Mix returns the convex combination a*p + (1-a)*q.
-func Mix(p, q Dist, a float64) Dist {
+// Identical reports whether p and q hold bit-identical components, so
+// any deterministic computation over them agrees bit for bit (unlike
+// Equal at tolerance 0, it tells -0 from +0). One slice seen twice is
+// decided without reading it.
+func Identical(p, q Dist) bool {
 	if len(p) != len(q) {
-		panic("prob: mixing distributions over different domains")
+		return false
 	}
-	d := make(Dist, len(p))
-	for i := range d {
-		d[i] = a*p[i] + (1-a)*q[i]
+	if len(p) == 0 || &p[0] == &q[0] {
+		return true
 	}
-	return d
+	for i := range p {
+		if math.Float64bits(p[i]) != math.Float64bits(q[i]) {
+			return false
+		}
+	}
+	return true
 }
-
-// Average returns the midpoint distribution (p+q)/2.
-func Average(p, q Dist) Dist { return Mix(p, q, 0.5) }
 
 // AddScaled accumulates w*src into dst in place. Domains must match.
 func AddScaled(dst, src Dist, w float64) {

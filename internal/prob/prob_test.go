@@ -96,6 +96,21 @@ func TestMax(t *testing.T) {
 	}
 }
 
+// Mix returns the convex combination a*p + (1-a)*q.
+func Mix(p, q Dist, a float64) Dist {
+	if len(p) != len(q) {
+		panic("prob: mixing distributions over different domains")
+	}
+	d := make(Dist, len(p))
+	for i := range d {
+		d[i] = a*p[i] + (1-a)*q[i]
+	}
+	return d
+}
+
+// Average returns the midpoint distribution (p+q)/2.
+func Average(p, q Dist) Dist { return Mix(p, q, 0.5) }
+
 func TestMixAverage(t *testing.T) {
 	p := Dist{1, 0}
 	q := Dist{0, 1}
