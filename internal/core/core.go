@@ -293,7 +293,7 @@ func (e *Engine) btRequirementSpan(sp *obs.Span, method inference.Method, p Para
 		Priors:  priors,
 		Measure: e.Measure,
 		Method:  e.methodOr(method),
-		Label:   "B=" + kernel.BandwidthKey(bvec),
+		B:       bvec,
 	}, nil
 }
 
@@ -319,9 +319,9 @@ func (e *Engine) skylineRequirementSpan(sp *obs.Span, method inference.Method, k
 // Anonymize runs the Mondrian variant with the given requirement,
 // partitioning subtrees on the engine's worker pool. The result is the
 // raw partition: its root group is never checked, so a single-group
-// result may fail req. RunAlgorithm is the checked path; Anonymize
-// serves requirements it cannot name (a custom skyline ladder) and
-// timing the partitioner alone.
+// result may fail req. RunAlgorithm is the checked path; a caller of
+// Anonymize with a requirement RunAlgorithm cannot name (a custom
+// skyline ladder) checks the result with Audit.
 func (e *Engine) Anonymize(req privacy.Requirement) *anonymize.Result {
 	return e.anonymizeSpan(nil, req)
 }
@@ -335,13 +335,14 @@ func (e *Engine) anonymizeSpan(sp *obs.Span, req privacy.Requirement) *anonymize
 
 // RunAlgorithm is the shared dispatch for the CLI and the serving
 // layer: it runs the named algorithm (mondrian, anatomy, incognito)
-// under the named model (see RequirementByName) and validates the
-// release. A requirement no release meets fails with an error wrapping
+// under the named model (see RequirementByName) and audits the release.
+// A requirement no release meets fails with an error wrapping
 // privacy.ErrUnsatisfiable. The levels return is Incognito's minimal
 // generalization node (nil for the other algorithms). Anatomy enforces
-// ℓ-diversity by construction and uses only p.L.
+// distinct ℓ-diversity, whatever the model, and uses only p.L.
 func (e *Engine) RunAlgorithm(algo, model string, p Params) (res *anonymize.Result, levels []int, err error) {
-	return e.runAlgorithm(nil, nil, algo, model, p)
+	res, levels, _, err = e.runAlgorithm(nil, nil, algo, model, p)
+	return res, levels, err
 }
 
 // RunAlgorithmWith is RunAlgorithm under a traced request, with a
@@ -352,96 +353,92 @@ func (e *Engine) RunAlgorithm(algo, model string, p Params) (res *anonymize.Resu
 // identically with zero recording overhead. Exact is rejected at the
 // request layer for releases — Mondrian's initial group is the whole
 // table, far past any exact bound — so only Ω and adaptive reach here.
-func (e *Engine) RunAlgorithmWith(ctx context.Context, m inference.Method, algo, model string, p Params) (res *anonymize.Result, levels []int, err error) {
+// It also returns the requirement, which judges attacks on the release.
+func (e *Engine) RunAlgorithmWith(ctx context.Context, m inference.Method, algo, model string, p Params) (res *anonymize.Result, levels []int, req privacy.Requirement, err error) {
 	return e.runAlgorithm(obs.SpanFromContext(ctx), m, algo, model, p)
 }
 
 // runAlgorithm is the span-threaded dispatch behind the entry points.
-func (e *Engine) runAlgorithm(sp *obs.Span, method inference.Method, algo, model string, p Params) (res *anonymize.Result, levels []int, err error) {
+func (e *Engine) runAlgorithm(sp *obs.Span, method inference.Method, algo, model string, p Params) (res *anonymize.Result, levels []int, req privacy.Requirement, err error) {
+	if req, err = e.releaseRequirement(sp, method, algo, model, p); err != nil {
+		return nil, nil, nil, err
+	}
 	switch algo {
 	case "anatomy":
 		asp := sp.StartStage(obs.StageAnatomy)
 		asp.SetShape(obs.Shape{Rows: e.Table.N(), Dims: e.Table.Schema.D()})
 		res, err = anatomy.Anatomize(e.Table, p.L)
 		asp.End()
-		if err != nil {
-			return nil, nil, err
-		}
 	case "incognito":
 		ladders, lerr := incognito.Ladders(e.Table.Schema, e.Hiers)
 		if lerr != nil {
-			return nil, nil, lerr
-		}
-		req, rerr := e.requirementByNameSpan(sp, method, model, p)
-		if rerr != nil {
-			return nil, nil, rerr
+			return nil, nil, nil, lerr
 		}
 		g := &incognito.Generalizer{Table: e.Table, Ladders: ladders, Req: req}
 		isp := sp.StartStage(obs.StageIncognito)
 		isp.SetShape(obs.Shape{Rows: e.Table.N(), Dims: e.Table.Schema.D()})
 		levels, res, err = g.Search()
 		isp.End()
-		if err != nil {
-			return nil, nil, err
-		}
-	case "mondrian":
-		req, rerr := e.requirementByNameSpan(sp, method, model, p)
-		if rerr != nil {
-			return nil, nil, rerr
-		}
+	default: // mondrian
 		res = e.anonymizeSpan(sp, req)
-		// Mondrian checks both halves of every split it makes, so the
-		// root is the one group it never checks: a single-group release
-		// may fail the requirement it claims.
-		if len(res.Groups) == 1 && !req.Satisfied(res.Groups[0].Rows) {
-			return nil, nil, fmt.Errorf("core: no mondrian release satisfies %s: %w", req.Name(), privacy.ErrUnsatisfiable)
-		}
-	default:
-		return nil, nil, fmt.Errorf("core: unknown algorithm %q", algo)
 	}
-	if err := res.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("core: invalid release: %w", err)
+	if err == nil {
+		err = Audit(res, req)
 	}
-	return res, levels, nil
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return res, levels, req, nil
 }
 
-// Breach decides whether one record's privacy — as promised by a
-// particular privacy model — fails given the adversary's prior and
-// posterior beliefs about it. A nil Breach is the (B,t) criterion:
-// the knowledge gain D[prior, posterior] — which Attack computes for
-// its risk report anyway — exceeds the attack's t threshold, with no
-// second measure evaluation.
-type Breach func(prior, post prob.Dist) bool
-
-// BreachTest returns the vulnerability criterion of a privacy model,
-// following the paper's Figure 1 protocol: a tuple is vulnerable when
-// the adversary's posterior violates the guarantee the model claims.
-//   - ℓ-diversity models: the adversary pins a value with probability
-//     above 1/ℓ — the "well-represented" promise fails.
-//   - t-closeness: the release moves the adversary's belief by more
-//     than t in EMD — the model's own distance — so the breach counts
-//     release-caused drift, not pre-existing prior deviation.
-//   - (B,t)-privacy and skyline: the knowledge gain D[prior, posterior]
-//     exceeds t. This is Attack's nil-breach criterion — BreachTest
-//     returns nil so the attack reuses the gain it already computed
-//     instead of running the smoothed measure twice per record. (Every
-//     attack entry point passes p.T as its threshold, so the semantics
-//     are unchanged.)
-func (e *Engine) BreachTest(m Model, p Params) Breach {
-	switch m {
-	case DistinctLDiversity, ProbabilisticLDiversity:
-		bound := 1 / float64(p.L)
-		return func(_, post prob.Dist) bool {
-			mx, _ := post.Max()
-			return mx > bound+prob.Epsilon
-		}
-	case TCloseness:
-		return func(prior, post prob.Dist) bool {
-			return distance.EMD(prior, post, e.SensMatrix) > p.T
-		}
-	default: // BTPrivacy and Skyline
-		return nil
+// releaseRequirement is what a release of algo under model must meet:
+// distinct ℓ-diversity for anatomy, else RequirementByName's.
+func (e *Engine) releaseRequirement(sp *obs.Span, method inference.Method, algo, model string, p Params) (privacy.Requirement, error) {
+	switch algo {
+	case "anatomy":
+		return privacy.DistinctLDiversity{L: p.L, Table: e.Table}, nil
+	case "mondrian", "incognito":
+		return e.requirementByNameSpan(sp, method, model, p)
 	}
+	return nil, fmt.Errorf("core: unknown algorithm %q", algo)
+}
+
+// Audit is the one check of a release, computed or recovered: res must
+// partition its table, be labelled req.Name(), and meet req in every
+// group; a failing group wraps privacy.ErrUnsatisfiable.
+func Audit(res *anonymize.Result, req privacy.Requirement) error {
+	if err := res.Validate(); err != nil {
+		return fmt.Errorf("core: invalid release: %w", err)
+	}
+	if res.Requirement != req.Name() {
+		return fmt.Errorf("core: release labelled %q is built to meet %s", res.Requirement, req.Name())
+	}
+	for gi, g := range res.Groups {
+		if !req.Satisfied(g.Rows) {
+			return fmt.Errorf("core: group %d of %d tuples fails %s: %w", gi, g.Size(), req.Name(), privacy.ErrUnsatisfiable)
+		}
+	}
+	return nil
+}
+
+// AuditWith audits a release recovered from disk: it rebuilds the
+// requirement of algo under model (method m in (B,t) checks, nil =
+// engine default), audits res against it and returns it.
+func (e *Engine) AuditWith(ctx context.Context, m inference.Method, algo, model string, p Params, res *anonymize.Result) (privacy.Requirement, error) {
+	req, err := e.releaseRequirement(obs.SpanFromContext(ctx), m, algo, model, p)
+	if err != nil {
+		return nil, err
+	}
+	return req, Audit(res, req)
+}
+
+// BreachTest judges attacks on model m's releases under p: it is the
+// requirement RequirementByName builds, or nil (gain > t) when that
+// fails on an invalid bandwidth.
+func (e *Engine) BreachTest(m Model, p Params) privacy.Judge {
+	req, _ := e.RequirementByName(m.Key(), p)
+	j, _ := req.(privacy.Judge)
+	return j
 }
 
 // AttackReport summarizes a probabilistic background-knowledge attack
@@ -449,8 +446,8 @@ func (e *Engine) BreachTest(m Model, p Params) Breach {
 type AttackReport struct {
 	// Risks is the per-record knowledge gain D[prior, posterior].
 	Risks []float64
-	// Vulnerable counts records breached under the release's own
-	// privacy criterion (see BreachTest).
+	// Vulnerable counts records breached under the attack's judge at
+	// its bandwidth: what the release's requirement promises there.
 	Vulnerable int
 	// WorstRisk is the maximum gain — the worst-case disclosure risk.
 	WorstRisk float64
@@ -507,15 +504,15 @@ type groupAttack struct {
 
 // Attack computes the posterior belief of adversary Adv(bvec) for every
 // record of the released table, records the knowledge gains, and counts
-// breaches under the given criterion. A nil breach counts records whose
-// knowledge gain exceeds t.
+// breaches under judge's criterion at bvec (the release's requirement,
+// or BreachTest's); with a nil judge, the gains above t.
 //
 // Equivalence classes are evaluated concurrently on the engine's
 // worker pool. Each class's inference and measurement is
 // self-contained and the reduction runs in group order, so the report
 // is bit-identical to the sequential path at any worker count.
-func (e *Engine) Attack(res *anonymize.Result, bvec []float64, t float64, breach Breach) (*AttackReport, error) {
-	return first(e.attackSweepSpan(nil, nil, res, [][]float64{bvec}, t, breach))
+func (e *Engine) Attack(res *anonymize.Result, bvec []float64, t float64, judge privacy.Judge) (*AttackReport, error) {
+	return first(e.attackSweepSpan(nil, nil, res, [][]float64{bvec}, t, judge))
 }
 
 // AttackWith is Attack under a traced request — the prior pass and the
@@ -524,8 +521,8 @@ func (e *Engine) Attack(res *anonymize.Result, bvec []float64, t float64, breach
 // layer threads through. A nil method uses the engine's default. Exact
 // refuses oversized groups with inference.ErrTooLarge (first failing
 // group in group order) instead of degrading silently.
-func (e *Engine) AttackWith(ctx context.Context, m inference.Method, res *anonymize.Result, bvec []float64, t float64, breach Breach) (*AttackReport, error) {
-	return first(e.attackSweepSpan(obs.SpanFromContext(ctx), m, res, [][]float64{bvec}, t, breach))
+func (e *Engine) AttackWith(ctx context.Context, m inference.Method, res *anonymize.Result, bvec []float64, t float64, judge privacy.Judge) (*AttackReport, error) {
+	return first(e.attackSweepSpan(obs.SpanFromContext(ctx), m, res, [][]float64{bvec}, t, judge))
 }
 
 // first unwraps a one-point sweep: an attack is the sweep over the
@@ -563,14 +560,15 @@ func InferenceStage(method string) obs.Stage {
 
 // attackGroup evaluates class gi of the release at bandwidth bi:
 // privacy.ClassGains' per-record knowledge gains, and the breach count
-// (the computed gain against t when breach is nil). A tuple whose gain
+// under crit (the computed gain against crit.Gain when crit.Breach is
+// nil). A tuple whose gain
 // ClassGains copied from an earlier tuple (bit-identical prior and
 // posterior) copies that tuple's breach verdict too. The class works
 // only in its own cells of sc, so the per-class fan-out stays
 // bit-identical to the sequential path. A method that refuses the group
 // (Exact on an oversized class) records its error for the ordered
 // fan-in instead of panicking the worker.
-func (e *Engine) attackGroup(m inference.Method, g *anonymize.Group, priors []prob.Dist, sc *attackScratch, gi, bi int, breach Breach, t float64) groupAttack {
+func (e *Engine) attackGroup(m inference.Method, g *anonymize.Group, priors []prob.Dist, sc *attackScratch, gi, bi int, crit privacy.Criterion) groupAttack {
 	lo, hi := sc.off[gi], sc.off[gi+1]
 	gp, same, hits := sc.priors[lo:hi], sc.same[lo:hi], sc.hits[lo:hi]
 	for i, ri := range g.Rows {
@@ -583,12 +581,12 @@ func (e *Engine) attackGroup(m inference.Method, g *anonymize.Group, priors []pr
 	}
 	ga := groupAttack{risks: risks}
 	for i, risk := range risks {
-		hit := risk > t
-		if breach != nil {
+		hit := risk > crit.Gain
+		if crit.Breach != nil {
 			if j := same[i]; j != i {
 				hit = hits[j]
 			} else {
-				hit = breach(gp[i], posts[i])
+				hit = crit.Breach(gp[i], posts[i])
 			}
 			hits[i] = hit
 		}
@@ -669,33 +667,38 @@ func (e *Engine) reduceAttack(res *anonymize.Result, perGroup []groupAttack) (*A
 // bandwidth's priors come through the same cache Priors uses. The
 // fan-out runs one task per equivalence class: the task decodes the
 // class's sensitive multiset once and evaluates it at every bandwidth.
-// out[i] is bit-identical to Attack(res, bvecs[i], t, breach) at any
-// worker count.
-func (e *Engine) AttackSweep(res *anonymize.Result, bvecs [][]float64, t float64, breach Breach) ([]*AttackReport, error) {
-	return e.attackSweepSpan(nil, nil, res, bvecs, t, breach)
+// The judge's criterion is resolved per bandwidth. out[i] is
+// bit-identical to Attack(res, bvecs[i], t, judge) at any worker count.
+func (e *Engine) AttackSweep(res *anonymize.Result, bvecs [][]float64, t float64, judge privacy.Judge) ([]*AttackReport, error) {
+	return e.attackSweepSpan(nil, nil, res, bvecs, t, judge)
 }
 
 // AttackSweepWith is AttackSweep under a traced request, with a
 // per-call inference method (see AttackWith); a nil method uses the
 // engine's default. One inference span covers the whole dispatch.
-func (e *Engine) AttackSweepWith(ctx context.Context, m inference.Method, res *anonymize.Result, bvecs [][]float64, t float64, breach Breach) ([]*AttackReport, error) {
-	return e.attackSweepSpan(obs.SpanFromContext(ctx), m, res, bvecs, t, breach)
+func (e *Engine) AttackSweepWith(ctx context.Context, m inference.Method, res *anonymize.Result, bvecs [][]float64, t float64, judge privacy.Judge) ([]*AttackReport, error) {
+	return e.attackSweepSpan(obs.SpanFromContext(ctx), m, res, bvecs, t, judge)
 }
 
 // attackSweepSpan is the span-threaded sweep behind every attack entry
 // point; m overrides the engine's inference method when non-nil.
-func (e *Engine) attackSweepSpan(sp *obs.Span, m inference.Method, res *anonymize.Result, bvecs [][]float64, t float64, breach Breach) ([]*AttackReport, error) {
+func (e *Engine) attackSweepSpan(sp *obs.Span, m inference.Method, res *anonymize.Result, bvecs [][]float64, t float64, judge privacy.Judge) ([]*AttackReport, error) {
 	if len(bvecs) == 0 {
 		return nil, nil
 	}
 	method := e.methodOr(m)
 	priorsByB := make([][]prob.Dist, len(bvecs))
+	crits := make([]privacy.Criterion, len(bvecs))
 	for i, b := range bvecs {
 		priors, err := e.priorsSpan(sp, b)
 		if err != nil {
 			return nil, err
 		}
 		priorsByB[i] = priors
+		crits[i] = privacy.Criterion{Gain: t}
+		if judge != nil {
+			crits[i] = judge.Criterion(b)
+		}
 	}
 	nb, ng := len(bvecs), len(res.Groups)
 	isp := sp.Child(InferenceStage(method.Name()), "inference "+method.Name())
@@ -714,7 +717,7 @@ func (e *Engine) attackSweepSpan(sp *obs.Span, m inference.Method, res *anonymiz
 		g := res.Groups[gi]
 		e.Table.CountSensitive(sc.counts(gi), g.Rows)
 		for bi, priors := range priorsByB {
-			perGroup[bi*ng+gi] = e.attackGroup(method, g, priors, sc, gi, bi, breach, t)
+			perGroup[bi*ng+gi] = e.attackGroup(method, g, priors, sc, gi, bi, crits[bi])
 		}
 	})
 	reports := make([]*AttackReport, nb)

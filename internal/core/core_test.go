@@ -249,15 +249,19 @@ func TestBreachTests(t *testing.T) {
 	spiky[0] = 0.9
 	spiky[1] = 0.1
 
-	ldiv := e.BreachTest(DistinctLDiversity, p)
-	if ldiv(uniform, uniform) {
-		t.Error("uniform posterior breached 4-diversity (1/14 < 1/4)")
-	}
-	if !ldiv(uniform, spiky) {
-		t.Error("0.9-peak posterior not breached under L=4")
+	bvec := kernel.UniformBandwidth(e.Table.Schema.D(), p.B)
+	criterion := func(m Model) privacy.Criterion { return e.BreachTest(m, p).Criterion(bvec) }
+	for _, m := range []Model{DistinctLDiversity, ProbabilisticLDiversity} {
+		ldiv := criterion(m).Breach
+		if ldiv(uniform, uniform) {
+			t.Errorf("%s: uniform posterior breached 4-diversity (1/14 < 1/4)", m)
+		}
+		if !ldiv(uniform, spiky) {
+			t.Errorf("%s: 0.9-peak posterior not breached under L=4", m)
+		}
 	}
 
-	tc := e.BreachTest(TCloseness, p)
+	tc := criterion(TCloseness).Breach
 	if tc(uniform, uniform) {
 		t.Error("identical prior/posterior breached t-closeness")
 	}
@@ -265,11 +269,11 @@ func TestBreachTests(t *testing.T) {
 		t.Error("large EMD drift not breached under t=0.2")
 	}
 
-	// (B,t) returns nil — Attack's built-in gain>t criterion, applied
-	// to the knowledge gain the attack computes anyway. The criterion
-	// itself is the measure threshold:
-	if bt := e.BreachTest(BTPrivacy, p); bt != nil {
-		t.Error("BreachTest((B,t)) should be nil — the default gain criterion")
+	// (B,t) is the gain criterion: no per-record test, the knowledge
+	// gain the attack computes anyway against t. The criterion itself
+	// is the measure threshold:
+	if bt := criterion(BTPrivacy); bt.Breach != nil || bt.Gain != p.T {
+		t.Errorf("(B,t) criterion = {Gain: %g, Breach set: %t}, want the gain criterion at t=%g", bt.Gain, bt.Breach != nil, p.T)
 	}
 	if gain := e.Measure.Distance(uniform, uniform); gain > p.T {
 		t.Errorf("no-gain pair measures %g > t=%g", gain, p.T)
@@ -461,7 +465,8 @@ func TestRunAlgorithmRejectsUnsatisfiableRoot(t *testing.T) {
 
 // TestSkylineIsAModel pins skyline as an entry of the one model table:
 // its key parses back, RequirementByName builds the skyline ladder from
-// it, and attacks breach it under the (B,t) gain criterion.
+// it, and attacks breach it under the gain criterion of the ladder
+// entry nearest the adversary's bandwidth, the stricter on a tie.
 func TestSkylineIsAModel(t *testing.T) {
 	if m, ok := ParseModel("skyline"); !ok || m != Skyline || m.Key() != "skyline" {
 		t.Fatalf(`ParseModel("skyline") = %v, %v; want Skyline, true`, m, ok)
@@ -475,8 +480,45 @@ func TestSkylineIsAModel(t *testing.T) {
 	if !strings.Contains(req.Name(), "skyline{") {
 		t.Errorf("skyline requirement name = %s", req.Name())
 	}
-	if e.BreachTest(Skyline, p) != nil {
-		t.Error("BreachTest(Skyline) should be the nil (B,t) gain criterion")
+	judge := e.BreachTest(Skyline, p)
+	d := e.Table.Schema.D()
+	for _, c := range []struct{ b, t float64 }{
+		{0.05, p.T}, {0.2, p.T}, {0.26, p.T}, {0.3, p.T},
+		{0.4, p.T}, // the midpoint of 0.3 and 0.5: a tie
+		{0.45, p.T + 0.05}, {0.5, p.T + 0.05}, {0.9, p.T + 0.05},
+	} {
+		if got := judge.Criterion(kernel.UniformBandwidth(d, c.b)); got.Breach != nil || got.Gain != c.t {
+			t.Errorf("b'=%g: criterion {Gain: %g, Breach set: %t}, want gain > %g", c.b, got.Gain, got.Breach != nil, c.t)
+		}
+	}
+	// At B=0.5 the (B,t) and (0.5, t+0.05) entries coincide; the
+	// stricter judges.
+	tie := e.BreachTest(Skyline, Params{K: 3, T: 0.2, B: 0.5})
+	if got := tie.Criterion(kernel.UniformBandwidth(d, 0.5)); got.Gain != 0.2 {
+		t.Errorf("tied entries at b'=0.5: criterion gain %g, want the stricter 0.2", got.Gain)
+	}
+}
+
+// TestSkylineReleaseHasNoVulnerableTuplesAtItsLadder is the skyline twin
+// of TestBTReleaseHasNoVulnerableTuplesAtEnforcedB: each entry (B_i,
+// t_i) promises gain ≤ t_i against Adv(B_i), so an attack at each
+// ladder point, judged by the release's own requirement, finds no
+// vulnerable tuple.
+func TestSkylineReleaseHasNoVulnerableTuplesAtItsLadder(t *testing.T) {
+	e := testEngine(t, 800)
+	p := Table5()[0]
+	res, _, err := e.RunAlgorithm("mondrian", Skyline.Key(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bp := range []float64{0.2, p.B, 0.5} {
+		rep, err := e.Attack(res, kernel.UniformBandwidth(e.Table.Schema.D(), bp), p.T, e.BreachTest(Skyline, p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Vulnerable != 0 {
+			t.Errorf("b'=%g: %d vulnerable tuples (worst risk %.4f), want 0", bp, rep.Vulnerable, rep.WorstRisk)
+		}
 	}
 }
 

@@ -26,8 +26,10 @@ func (r *Runner) bprimeVecs() [][]float64 {
 
 // Fig1a reproduces Figure 1(a): the number of vulnerable tuples in the
 // four para1 releases when attacked by adversaries Adv(b') for
-// b' ∈ BPrimes. A tuple is vulnerable when the adversary's knowledge
-// gain exceeds the release's t threshold.
+// b' ∈ BPrimes. A tuple is vulnerable when its posterior breaks what
+// its release's requirement promises (privacy.Judge): max > 1/ℓ for
+// the ℓ-diversity models, EMD(prior, posterior) > t for t-closeness,
+// knowledge gain > t for (B,t).
 //
 // Each model's release is attacked by the whole b' grid through one
 // AttackSweep — one inference dispatch for the whole grid instead of
@@ -70,8 +72,8 @@ func (r *Runner) Fig1a() (*Report, error) {
 	return noteUnsat(rep), nil
 }
 
-// Fig1b reproduces Figure 1(b): vulnerable tuples for para1..para4
-// releases attacked by the fixed adversary Adv(b' = 0.3).
+// Fig1b reproduces Figure 1(b): vulnerable tuples, judged as in Fig1a,
+// for para1..para4 releases attacked by the fixed adversary Adv(0.3).
 func (r *Runner) Fig1b() (*Report, error) {
 	const bPrime = 0.3
 	rep := &Report{

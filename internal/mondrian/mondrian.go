@@ -28,9 +28,8 @@ type Partitioner struct {
 	Table *dataset.Table
 	// Req is checked on both halves of every candidate split, never on
 	// the root: when no split is accepted, the result is the whole table
-	// as one group, which may itself fail Req. core.Engine.RunAlgorithm
-	// audits that case and is the checked path; core.Engine.Anonymize
-	// returns the raw partition. It must be safe for
+	// as one group, which may itself fail Req; core.Audit, which
+	// core.Engine.RunAlgorithm runs, catches that. It must be safe for
 	// concurrent calls when Workers permits more than one; every
 	// requirement in this module is read-only after construction.
 	Req privacy.Requirement

@@ -10,11 +10,13 @@ package privacy
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/dataset"
 	"repro/internal/distance"
 	"repro/internal/inference"
+	"repro/internal/kernel"
 	"repro/internal/prob"
 )
 
@@ -28,6 +30,19 @@ var ErrUnsatisfiable = errors.New("privacy: requirement unsatisfiable on this ta
 type Requirement interface {
 	Name() string
 	Satisfied(rows []int) bool
+}
+
+// Criterion is what a requirement promises each record against one
+// adversary (Figure 1's protocol): it is breached when Breach(prior,
+// posterior) holds or, for a nil Breach, when its gain exceeds Gain.
+type Criterion struct {
+	Gain   float64
+	Breach func(prior, post prob.Dist) bool
+}
+
+// Judge is a requirement's breach criterion against adversary Adv(b).
+type Judge interface {
+	Criterion(b []float64) Criterion
 }
 
 // And is the conjunction of several requirements; the paper composes
@@ -54,6 +69,17 @@ func (a And) Satisfied(rows []int) bool {
 		}
 	}
 	return true
+}
+
+// Criterion implements Judge: the first part that is a Judge decides;
+// with none, no record is ever breached.
+func (a And) Criterion(b []float64) Criterion {
+	for _, p := range a.Parts {
+		if j, ok := p.(Judge); ok {
+			return j.Criterion(b)
+		}
+	}
+	return Criterion{Gain: math.Inf(1)}
 }
 
 // KAnonymity requires every group to contain at least K records.
@@ -89,6 +115,11 @@ func (l DistinctLDiversity) Satisfied(rows []int) bool {
 	return false
 }
 
+// Criterion implements Judge as probabilistic ℓ-diversity does.
+func (l DistinctLDiversity) Criterion(b []float64) Criterion {
+	return ProbabilisticLDiversity{L: float64(l.L)}.Criterion(b)
+}
+
 // ProbabilisticLDiversity requires the most frequent sensitive value in
 // every group to have relative frequency at most 1/L.
 type ProbabilisticLDiversity struct {
@@ -116,6 +147,16 @@ func (l ProbabilisticLDiversity) Satisfied(rows []int) bool {
 	return float64(maxC) <= float64(len(rows))/l.L
 }
 
+// Criterion implements Judge: the adversary pins some value with
+// probability above 1/L, so the record's value is not well represented.
+func (l ProbabilisticLDiversity) Criterion([]float64) Criterion {
+	bound := 1 / l.L
+	return Criterion{Breach: func(_, post prob.Dist) bool {
+		mx, _ := post.Max()
+		return mx > bound+prob.Epsilon
+	}}
+}
+
 // TCloseness requires the EMD between each group's sensitive
 // distribution and the whole table's to be at most T. Ground distances
 // come from the sensitive attribute's semantic distance matrix.
@@ -138,6 +179,14 @@ func (t TCloseness) Satisfied(rows []int) bool {
 	return distance.EMD(p, t.Whole, t.M) <= t.T
 }
 
+// Criterion implements Judge: the release moves the adversary's belief
+// by more than T in EMD, the model's own distance.
+func (t TCloseness) Criterion([]float64) Criterion {
+	return Criterion{Breach: func(prior, post prob.Dist) bool {
+		return distance.EMD(prior, post, t.M) > t.T
+	}}
+}
+
 // BTPrivacy is the (B,t)-privacy principle (Definition 1): for the
 // adversary Adv(B) with per-record priors Priors, the distance between
 // prior and posterior belief must be at most T for every record in the
@@ -150,17 +199,21 @@ type BTPrivacy struct {
 	Priors  []prob.Dist // indexed by record, from kernel.Estimator
 	Measure distance.Measure
 	Method  inference.Method
-	// Label annotates the bandwidth in Name, e.g. "B=0.3".
-	Label string
+	// B is the bandwidth vector of Priors, shown in Name ("B=0.3").
+	B []float64
 }
 
 // Name implements Requirement.
 func (b BTPrivacy) Name() string {
-	if b.Label != "" {
-		return fmt.Sprintf("(%s,%g)-privacy", b.Label, b.T)
+	if b.B != nil {
+		return fmt.Sprintf("(B=%s,%g)-privacy", kernel.BandwidthKey(b.B), b.T)
 	}
 	return fmt.Sprintf("(B,%g)-privacy", b.T)
 }
+
+// Criterion implements Judge: the knowledge gain exceeds T, at every
+// adversary bandwidth.
+func (b BTPrivacy) Criterion([]float64) Criterion { return Criterion{Gain: b.T} }
 
 // method returns the configured inference method, defaulting to Ω.
 func (b BTPrivacy) method() inference.Method {
@@ -263,4 +316,21 @@ func (s Skyline) Satisfied(rows []int) bool {
 		}
 	}
 	return len(s.Entries) > 0
+}
+
+// Criterion implements Judge by the entry nearest b in max-norm, the
+// stricter (smaller t) when distances tie within prob.Epsilon; see
+// DESIGN.md "Skyline criterion" for what that promises off the ladder.
+func (s Skyline) Criterion(b []float64) Criterion {
+	c, best := Criterion{Gain: math.Inf(1)}, math.Inf(1)
+	for _, e := range s.Entries {
+		d := 0.0
+		for i := range e.B {
+			d = math.Max(d, math.Abs(e.B[i]-b[i]))
+		}
+		if d < best-prob.Epsilon || d <= best+prob.Epsilon && e.T < c.Gain {
+			c, best = e.Criterion(b), d
+		}
+	}
+	return c
 }

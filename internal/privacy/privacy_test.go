@@ -123,7 +123,7 @@ func btFixture(t *testing.T, tab *dataset.Table, tt float64) BTPrivacy {
 		Table:   tab,
 		Priors:  priors,
 		Measure: distance.NewSmoothedJS(flatMatrix(tab.Schema.M()), kernel.Epanechnikov{}, 0.6),
-		Label:   "B=0.3",
+		B:       []float64{0.3},
 	}
 }
 
@@ -273,7 +273,7 @@ func TestNames(t *testing.T) {
 		{DistinctLDiversity{L: 4, Table: tab}, "distinct-4-diversity"},
 		{ProbabilisticLDiversity{L: 2.5, Table: tab}, "probabilistic-2.5-diversity"},
 		{TCloseness{T: 0.2}, "0.2-closeness"},
-		{BTPrivacy{T: 0.1, Label: "B=0.3"}, "(B=0.3,0.1)-privacy"},
+		{BTPrivacy{T: 0.1, B: []float64{0.3}}, "(B=0.3,0.1)-privacy"},
 		{BTPrivacy{T: 0.1}, "(B,0.1)-privacy"},
 	} {
 		if got := c.req.Name(); got != c.want {

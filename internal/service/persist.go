@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"repro/internal/anonymize"
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -262,7 +263,8 @@ func (d *diskStore) saveRelease(rec releaseRecord) error {
 // loadRelease reads a persisted release, verifying that the stored
 // request still hashes to the id the file claims — the end-to-end
 // "loaded release hashes to the id it was stored under" guarantee —
-// and that it passes the validation a live request does.
+// that the unhashed dataset field agrees with the request's, and that
+// the request passes the validation a live request does.
 func (d *diskStore) loadRelease(id string) (releaseRecord, error) {
 	var rec releaseRecord
 	if !validID("rel", id) {
@@ -275,11 +277,11 @@ func (d *diskStore) loadRelease(id string) (releaseRecord, error) {
 	if err := json.Unmarshal(doc, &rec); err != nil {
 		return rec, fmt.Errorf("service: corrupt release file %s: %w", id, err)
 	}
-	if rec.ID != id || hashID("rel", rec.Request.key()) != id {
+	if rec.ID != id || hashID("rel", rec.Request.key()) != id || rec.Dataset != rec.Request.Dataset {
 		return rec, fmt.Errorf("service: release file %s fails its content-address check", id)
 	}
-	// Attacks rebuild the breach criterion from the stored request, so
-	// it must be one a client could have sent.
+	// Recovery rebuilds the release's requirement from the stored
+	// request, so it must be one a client could have sent.
 	if err := rec.Request.validate(); err != nil {
 		return rec, fmt.Errorf("service: release file %s: %w", id, err)
 	}
@@ -438,10 +440,11 @@ func (s *Server) resolveRelease(ctx context.Context, id string) (*releaseEntry, 
 // recoverRelease rebuilds a release entry from its persisted record:
 // the dataset resolves through memory→disk (rebuilding the engine if
 // needed — a dataset build, never a pipeline run), the group partition
-// is reconstituted verbatim, and the result is re-validated against
-// the table. Any integrity failure reports the release as absent so
-// callers degrade to recomputation or 404, never a 500. ds, when
-// non-nil, is the already-resolved owning dataset.
+// is reconstituted verbatim, and the result is audited against the
+// requirement rebuilt from the stored request (core.Engine.AuditWith).
+// Any integrity failure reports the release as absent so callers
+// degrade to recomputation or 404, never a 500. ds, when non-nil, is
+// the already-resolved owning dataset.
 func (s *Server) recoverRelease(sp *obs.Span, id string, ds *datasetEntry) (*releaseEntry, bool) {
 	if s.disk == nil {
 		return nil, false
@@ -483,17 +486,22 @@ func (s *Server) recoverRelease(sp *obs.Span, id string, ds *datasetEntry) (*rel
 			Extent: anonymize.Extent{Lo: g.Lo, Hi: g.Hi},
 		}
 	}
-	if len(res.Groups) == 0 || res.Validate() != nil {
+	r := rec.Request
+	method, _ := r.method() // loadRelease validated the request
+	requirement, err := ds.engine.AuditWith(obs.ContextWithSpan(context.Background(), sp), method,
+		r.Algo, r.Model, core.Params{K: r.K, L: r.L, T: r.T, B: r.B}, res)
+	if err != nil {
 		s.metrics.PersistErrors.Add(1)
 		return nil, false
 	}
 	s.metrics.PersistReleaseLoads.Add(1)
 	return &releaseEntry{
-		id:      id,
-		ds:      ds,
-		res:     res,
-		req:     rec.Request,
-		seconds: rec.Seconds,
+		id:          id,
+		ds:          ds,
+		res:         res,
+		req:         rec.Request,
+		requirement: requirement,
+		seconds:     rec.Seconds,
 	}, true
 }
 

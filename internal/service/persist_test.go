@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -330,41 +331,90 @@ func TestCorruptFilesDegradeToRecompute(t *testing.T) {
 	}
 }
 
-// TestRecoveredReleaseRequestIsValidated: a persisted release whose
-// request passes the content-address check but names no model is
-// absent, not served — attacks rebuild the breach criterion from that
-// request's model name.
+// TestRecoveredReleaseRequestIsValidated: a persisted release is served
+// only if it passes the audit a computed release passes, against the
+// requirement rebuilt from its content-addressed request. Each forged
+// record below is absent (404) and counted as a persist error: a
+// request naming no model, an unhashed dataset field that disagrees
+// with the request's (naming another upload of the same table, so the
+// partition itself still fits), a requirement label that is not the
+// rebuilt requirement's name, and a one-group Mondrian (B,t) release
+// whose group fails (B,t) at the forged request's t.
 func TestRecoveredReleaseRequestIsValidated(t *testing.T) {
-	dir := t.TempDir()
-	_, ts1 := diskServer(t, dir)
-	ds := createDataset(t, ts1, 150, 3)
-	code, body := post(t, ts1, "/v1/anonymize", fmt.Sprintf(`{"dataset":%q,"model":"distinct"}`, ds))
-	if code != http.StatusOK {
-		t.Fatalf("anonymize: status %d: %s", code, body)
+	cases := []struct {
+		name, model string
+		forge       func(rec *releaseRecord, otherDataset string)
+	}{
+		{"unknown model", "distinct", func(rec *releaseRecord, _ string) {
+			rec.Request.Model = "nope"
+			rec.ID = hashID("rel", rec.Request.key())
+		}},
+		{"dataset field differs", "distinct", func(rec *releaseRecord, other string) { rec.Dataset = other }},
+		{"requirement label differs", "distinct", func(rec *releaseRecord, _ string) {
+			rec.Requirement = "3-anonymity+distinct-2-diversity"
+		}},
+		{"one group fails (B,t)", "bt", func(rec *releaseRecord, _ string) {
+			rec.Request.T = 0.0001
+			rec.ID = hashID("rel", rec.Request.key())
+			rec.Requirement = strings.Replace(rec.Requirement, ",0.25)-privacy", ",0.0001)-privacy", 1)
+			all := groupRecord{Lo: rec.Groups[0].Lo, Hi: rec.Groups[0].Hi}
+			for _, g := range rec.Groups {
+				all.Rows = append(all.Rows, g.Rows...)
+				for i := range all.Lo {
+					all.Lo[i], all.Hi[i] = min(all.Lo[i], g.Lo[i]), max(all.Hi[i], g.Hi[i])
+				}
+			}
+			rec.Groups = []groupRecord{all}
+		}},
 	}
-	rel := mustJSON[AnonymizeResponse](t, body).Release
-	ts1.Close()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			_, ts1 := diskServer(t, dir)
+			// Two uploads of one table whose bytes differ only in a
+			// trailing blank line: two dataset ids, identical records.
+			var csvBody bytes.Buffer
+			if err := dataset.WriteCSV(&csvBody, adult.Generate(150, 3)); err != nil {
+				t.Fatal(err)
+			}
+			upload := func(body string) string {
+				resp, err := http.Post(ts1.URL+"/v1/datasets", "text/csv", strings.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				b, _ := io.ReadAll(resp.Body)
+				return mustJSON[DatasetResponse](t, b).ID
+			}
+			ds, other := upload(csvBody.String()), upload(csvBody.String()+"\n")
+			code, body := post(t, ts1, "/v1/anonymize", fmt.Sprintf(`{"dataset":%q,"model":%q}`, ds, tc.model))
+			if code != http.StatusOK {
+				t.Fatalf("anonymize: status %d: %s", code, body)
+			}
+			rel := mustJSON[AnonymizeResponse](t, body).Release
+			ts1.Close()
 
-	doc, err := os.ReadFile(filepath.Join(dir, "releases", rel+".json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := mustJSON[releaseRecord](t, doc)
-	rec.Request.Model = "nope"
-	rec.ID = hashID("rel", rec.Request.key())
-	forged, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "releases", rec.ID+".json"), forged, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s2, ts2 := diskServer(t, dir)
-	if code, b := post(t, ts2, "/v1/attack", fmt.Sprintf(`{"release":%q}`, rec.ID)); code != http.StatusNotFound {
-		t.Errorf("attack on a release with an unknown model: status %d (want 404): %s", code, b)
-	}
-	if got := s2.Metrics().PersistErrors.Value(); got == 0 {
-		t.Error("the invalid record was not counted as a persist error")
+			doc, err := os.ReadFile(filepath.Join(dir, "releases", rel+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := mustJSON[releaseRecord](t, doc)
+			tc.forge(&rec, other)
+			forged, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "releases", rec.ID+".json"), forged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s2, ts2 := diskServer(t, dir)
+			if code, b := post(t, ts2, "/v1/attack", fmt.Sprintf(`{"release":%q}`, rec.ID)); code != http.StatusNotFound {
+				t.Errorf("attack on the forged release: status %d (want 404): %s", code, b)
+			}
+			if got := s2.Metrics().PersistErrors.Value(); got == 0 {
+				t.Error("the forged record was not counted as a persist error")
+			}
+		})
 	}
 }
 

@@ -111,11 +111,13 @@ type datasetEntry struct {
 // everything attacks need (the owning dataset entry keeps the engine
 // alive even if the dataset store later evicts it).
 type releaseEntry struct {
-	id      string
-	ds      *datasetEntry
-	res     *anonymize.Result
-	req     AnonymizeRequest
-	seconds float64
+	id  string
+	ds  *datasetEntry
+	res *anonymize.Result
+	req AnonymizeRequest
+	// requirement is what the release meets; it judges every attack.
+	requirement privacy.Requirement
+	seconds     float64
 	// stages is the pipeline's per-stage breakdown, captured when this
 	// process ran the pipeline under tracing (nil for disk-recovered
 	// entries and untraced servers). Served only behind ?stages=1 and
@@ -776,7 +778,7 @@ func (s *Server) runPipeline(sp *obs.Span, id string, ds *datasetEntry, req Anon
 	}
 	psp := sp.Child(obs.StageNone, "pipeline "+req.Algo)
 	start := time.Now()
-	res, _, err := ds.engine.RunAlgorithmWith(
+	res, _, requirement, err := ds.engine.RunAlgorithmWith(
 		obs.ContextWithSpan(context.Background(), psp), method, req.Algo, req.Model, params)
 	seconds := time.Since(start).Seconds()
 	psp.End()
@@ -784,12 +786,13 @@ func (s *Server) runPipeline(sp *obs.Span, id string, ds *datasetEntry, req Anon
 		return nil, err
 	}
 	return &releaseEntry{
-		id:      id,
-		ds:      ds,
-		res:     res,
-		req:     req,
-		seconds: seconds,
-		stages:  obs.Breakdown(psp),
+		id:          id,
+		ds:          ds,
+		res:         res,
+		req:         req,
+		requirement: requirement,
+		seconds:     seconds,
+		stages:      obs.Breakdown(psp),
 	}, nil
 }
 
@@ -812,18 +815,10 @@ func attackResponse(entry *releaseEntry, bprime float64, inf string, rep *core.A
 	}
 }
 
-// breachFor rebuilds the criterion attacks test a release against: the
-// release's own model, which validate admitted by name.
-func breachFor(entry *releaseEntry) core.Breach {
-	params := core.Params{K: entry.req.K, L: entry.req.L, T: entry.req.T, B: entry.req.B}
-	m, _ := core.ParseModel(entry.req.Model)
-	return entry.ds.engine.BreachTest(m, params)
-}
-
 // computeSweep runs (or joins) one attack evaluation against a stored
 // release: adversary Adv(b') at every bandwidth of the grid — one point
-// for the single-bprime form — breached under the release's own
-// criterion. Classes fan out on the dataset's shared pool; responses
+// for the single-bprime form — judged by the release's own requirement
+// at each b'. Classes fan out on the dataset's shared pool; responses
 // are bit-identical at any worker count. The singleflight key is the
 // normalized grid — sorted and deduplicated — plus the method
 // selection, so concurrent requests that permute or repeat the same
@@ -851,7 +846,8 @@ func (s *Server) computeSweep(ctx context.Context, entry *releaseEntry, bprimes 
 		for i, bp := range norm {
 			bvecs[i] = kernel.UniformBandwidth(d, bp)
 		}
-		reps, err := eng.AttackSweepWith(ctx, method, entry.res, bvecs, entry.req.T, breachFor(entry))
+		judge, _ := entry.requirement.(privacy.Judge)
+		reps, err := eng.AttackSweepWith(ctx, method, entry.res, bvecs, entry.req.T, judge)
 		if err != nil {
 			return nil, err
 		}

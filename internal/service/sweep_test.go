@@ -139,3 +139,58 @@ func TestSweepMetrics(t *testing.T) {
 		t.Errorf("sweep ledger = %+v, want 1 request / 4 points", snap.Sweeps)
 	}
 }
+
+// TestSkylineAttackJudgedByItsLadder: a skyline release is judged at
+// each b' by the ladder entry the requirement's rule picks there, so
+// an attack at the ladder points {0.2, B, 0.5} finds no vulnerable
+// tuple — the guarantee the release was built to meet.
+func TestSkylineAttackJudgedByItsLadder(t *testing.T) {
+	_, ts := newTestServer(t, 2)
+	ds := createDataset(t, ts, 800, 42)
+	code, body := post(t, ts, "/v1/anonymize", fmt.Sprintf(`{"dataset":%q,"model":"skyline"}`, ds))
+	if code != http.StatusOK {
+		t.Fatalf("anonymize: %d %s", code, body)
+	}
+	rel := mustJSON[AnonymizeResponse](t, body).Release
+	code, body = post(t, ts, "/v1/attack", fmt.Sprintf(`{"release":%q,"bprimes":[0.2,0.3,0.5]}`, rel))
+	if code != http.StatusOK {
+		t.Fatalf("attack: %d %s", code, body)
+	}
+	for _, r := range mustJSON[AttackSweepResponse](t, body).Sweep {
+		if r.Vulnerable != 0 {
+			t.Errorf("b'=%g: %d vulnerable tuples (worst risk %.4f), want 0", r.BPrime, r.Vulnerable, r.WorstRisk)
+		}
+	}
+}
+
+// TestAnatomyAttackJudgedByDistinctDiversity: anatomy enforces distinct
+// ℓ-diversity whatever model the request names, so an anatomy release
+// requested under bt is judged by distinct ℓ-diversity, exactly as the
+// same release requested under distinct.
+func TestAnatomyAttackJudgedByDistinctDiversity(t *testing.T) {
+	_, ts := newTestServer(t, 2)
+	ds := createDataset(t, ts, 400, 5)
+	var sweeps []AttackSweepResponse
+	for _, model := range []string{"distinct", "bt"} {
+		code, body := post(t, ts, "/v1/anonymize", fmt.Sprintf(`{"dataset":%q,"algo":"anatomy","model":%q}`, ds, model))
+		if code != http.StatusOK {
+			t.Fatalf("anonymize %s: %d %s", model, code, body)
+		}
+		anon := mustJSON[AnonymizeResponse](t, body)
+		if anon.Requirement != "distinct-3-diversity" {
+			t.Errorf("%s: requirement %q, want distinct-3-diversity", model, anon.Requirement)
+		}
+		code, body = post(t, ts, "/v1/attack", fmt.Sprintf(`{"release":%q,"bprimes":[0.1,0.3,0.5]}`, anon.Release))
+		if code != http.StatusOK {
+			t.Fatalf("attack %s: %d %s", model, code, body)
+		}
+		sweep := mustJSON[AttackSweepResponse](t, body)
+		for i := range sweep.Sweep {
+			sweep.Sweep[i].Release = ""
+		}
+		sweeps = append(sweeps, sweep)
+	}
+	if !reflect.DeepEqual(sweeps[0].Sweep, sweeps[1].Sweep) {
+		t.Errorf("anatomy under bt judged differently from under distinct:\n%+v\n%+v", sweeps[1].Sweep, sweeps[0].Sweep)
+	}
+}

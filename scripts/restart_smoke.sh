@@ -1,10 +1,13 @@
 #!/bin/sh
 # restart_smoke.sh — the durability acceptance check as a black-box
 # process test: boot cmd/serve with a data dir, ingest a dataset and
-# compute a release over HTTP, kill the server, boot a fresh process on
-# the same dir, and verify it serves the same release byte-identically
-# with zero pipeline runs (pure disk recovery). Run via `make
-# restart-smoke` (part of `make ci`).
+# compute a distinct and a (B,t) release over HTTP, attack the (B,t)
+# one, kill the server, boot a fresh process on the same dir, and
+# verify it serves the same release and the same attack body
+# byte-identically with zero pipeline runs and zero persist errors
+# (pure disk recovery, each release audited against the requirement
+# rebuilt from its stored request). Run via `make restart-smoke` (part
+# of `make ci`).
 set -eu
 
 ADDR=${RESTART_SMOKE_ADDR:-127.0.0.1:19471}
@@ -68,11 +71,31 @@ say "computed release $REL on dataset $DS"
 
 curl -sf "$BASE/v1/releases/$REL" >"$WORK/release.pre"
 
+# A (B,t) release needs priors, so its recovery audit rebuilds them.
+curl -sf -X POST "$BASE/v1/anonymize" -H 'Content-Type: application/json' \
+    -d '{"dataset":"'"$DS"'","model":"bt"}' >"$WORK/anon_bt.json"
+BTREL=$(json_field "$WORK/anon_bt.json" release)
+[ -n "$BTREL" ] || { say "bt anonymize failed: $(cat "$WORK/anon_bt.json")"; exit 1; }
+ATTACK='{"release":"'"$BTREL"'","bprime":0.4}'
+curl -sf -X POST "$BASE/v1/attack" -H 'Content-Type: application/json' \
+    -d "$ATTACK" >"$WORK/attack.pre"
+
 say "killing server (SIGTERM) and rebooting on the same data dir"
 kill "$SERVE_PID"
 wait "$SERVE_PID" 2>/dev/null || true
 SERVE_PID=""
 start_serve
+
+# The first request after the reboot recovers and audits the (B,t)
+# release (its dataset's engine rebuild included) before attacking it.
+T=$(curl -s -o "$WORK/attack.post" -w '%{time_total}' -X POST "$BASE/v1/attack" \
+    -H 'Content-Type: application/json' -d "$ATTACK")
+say "first post-restart request (recover + audit + attack $BTREL): ${T}s"
+cmp -s "$WORK/attack.pre" "$WORK/attack.post" || {
+    say "FAIL: (B,t) attack body differs across restart"
+    diff "$WORK/attack.pre" "$WORK/attack.post" || true
+    exit 1
+}
 
 curl -s "$BASE/v1/releases/$REL" >"$WORK/release.post"
 cmp -s "$WORK/release.pre" "$WORK/release.post" || {
@@ -88,6 +111,11 @@ curl -sf -X POST "$BASE/v1/anonymize" -H 'Content-Type: application/json' \
 curl -sf "$BASE/metrics" >"$WORK/metrics.json"
 grep -q '"pipeline_runs":0' "$WORK/metrics.json" || {
     say "FAIL: warm restart reran the pipeline"
+    cat "$WORK/metrics.json"
+    exit 1
+}
+grep -q '"persist":{"writes":[0-9]*,"errors":0,' "$WORK/metrics.json" || {
+    say "FAIL: a recovered record failed its checks (persist errors)"
     cat "$WORK/metrics.json"
     exit 1
 }
@@ -124,4 +152,4 @@ while :; do
 done
 say "async job $JOB done"
 
-say "PASS: byte-identical recovery, zero pipeline runs, async round trip"
+say "PASS: byte-identical recovery and attack, zero pipeline runs and persist errors, async round trip"
