@@ -3,7 +3,7 @@
 # concurrency, and hot-path analyzers under internal/analysis), build,
 # the full test suite under the race detector (the parallel engine's
 # and the job queue's safety net), one pass over every benchmark so
-# the bench targets cannot rot, a 10-iteration smoke over the lane,
+# the bench targets cannot rot, a 10-iteration smoke over the prior-pass,
 # adaptive-inference and warm-attack benchmarks (enough iterations to
 # catch a perf-structure regression that a single pass hides, cheap
 # enough for every run), vet and the short self-tests of the perfbench module (its
@@ -57,10 +57,11 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 
 # Focused 10-iteration pass over the hot-path kernels this repo's perf
-# claims rest on: the lane-shaped prior pass, the adaptive-inference
-# attack and the warm Ω attack, with their allocation counts.
+# claims rest on: the support-intersection prior pass, the
+# adaptive-inference attack and the warm Ω attack, with their
+# allocation counts.
 bench-smoke:
-	$(GO) test -run '^$$' -bench '(PriorsLanes|AttackAdaptive|BreachTest$$)' -benchtime=10x -benchmem .
+	$(GO) test -run '^$$' -bench '(Priors$$|AttackAdaptive|BreachTest$$)' -benchtime=10x -benchmem .
 
 # The repository benchmark (perfbench/, run by `bash perfbench/run.sh`)
 # is a module of its own: vet it and run its short self-tests so an API

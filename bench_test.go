@@ -485,15 +485,15 @@ func BenchmarkMondrian(b *testing.B) { benchMondrian(b, -1) }
 // BenchmarkMondrianParallel partitions subtrees on all cores.
 func BenchmarkMondrianParallel(b *testing.B) { benchMondrian(b, 0) }
 
-// BenchmarkPriorsLanes isolates the lane-shaped prior pass at the
+// BenchmarkPriors isolates the support-intersection prior pass at the
 // BenchmarkBreachTest shape — n=2000, sequential — which is the prior
 // pass a breach-test attack triggers cold. b'=0.4 is the dense setting
-// BenchmarkBreachTest runs; b'=0.05 is the sparse one, where most
-// products die after an attribute or two and candidate lists are
-// short. ns/op here is the direct kernel-level measure of the pass
-// (BenchmarkBreachTest itself warms priors before its timer, so the
-// kernel cost only shows up in this benchmark).
-func BenchmarkPriorsLanes(b *testing.B) {
+// BenchmarkBreachTest runs; b'=0.05 is the sparse one, where a query
+// profile's support intersection holds a few partners. ns/op here is
+// the direct kernel-level measure of the pass, support-bitmap build
+// included (BenchmarkBreachTest itself warms priors before its timer,
+// so the kernel cost only shows up in this benchmark).
+func BenchmarkPriors(b *testing.B) {
 	table := adult.Generate(2000, 42)
 	est, err := kernel.NewEstimator(table, adult.Hierarchies(), kernel.Epanechnikov{})
 	if err != nil {

@@ -3,6 +3,7 @@ package inference
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/prob"
 )
@@ -45,6 +46,8 @@ func (Exact) Posteriors(priors []prob.Dist, counts []int) []prob.Dist {
 }
 
 // ExactPosteriors is Exact.Posteriors with explicit error reporting.
+// The DP tables come from pooled scratch; the posteriors are carved
+// from one fresh array, so they never alias it.
 //
 //detlint:hotpath
 func ExactPosteriors(priors []prob.Dist, counts []int) ([]prob.Dist, error) {
@@ -52,7 +55,9 @@ func ExactPosteriors(priors []prob.Dist, counts []int) ([]prob.Dist, error) {
 	if k == 0 {
 		return nil, nil
 	}
-	dp, err := newStateDP(priors, counts)
+	sc := dpPool.Get().(*dpScratch)
+	defer sc.release()
+	dp, err := newStateDP(sc, priors, counts)
 	if err != nil {
 		return nil, err
 	}
@@ -62,19 +67,36 @@ func ExactPosteriors(priors []prob.Dist, counts []int) ([]prob.Dist, error) {
 		return nil, fmt.Errorf("inference: zero likelihood — priors are inconsistent with the group's sensitive values")
 	}
 	vals, n, radix, pr, digits := dp.vals, dp.n, dp.radix, dp.pr, dp.digits
-	r, states := len(vals), dp.states
+	r, states, m := len(vals), dp.states, len(counts)
 
-	// Backward: b[j] maps state -> weight of tuples j..k-1 consuming
-	// exactly that state's counts.
-	bBack := make([]float64, (k+1)*states)
-	b := make([][]float64, k+1)
-	for j := range b {
-		b[j] = bBack[j*states : (j+1)*states]
-	}
-	b[k][0] = 1
+	// Backward, two state rows at a time: nxt is b[j+1], the weight of
+	// tuples j+1..k-1 consuming exactly each state's counts, and cur
+	// becomes b[j]. Tuple j's posterior reads only f[j] and b[j+1], so
+	// it is taken as the pass reaches j.
+	sc.b = grow(sc.b, 2*states)
+	nxt, cur := sc.b[:states], sc.b[states:]
+	nxt[0] = 1
+	back := make([]float64, k*m)
+	out := make([]prob.Dist, k)
 	for j := k - 1; j >= 0; j-- {
-		cur, prv := b[j], b[j+1]
-		for s, w := range prv {
+		post := prob.Dist(back[j*m : (j+1)*m : (j+1)*m])
+		for s, wf := range f[j] {
+			if wf == 0 {
+				continue
+			}
+			decode(s, radix, n, digits)
+			for i := 0; i < r; i++ {
+				if digits[i] > 0 && pr[j][i] > 0 {
+					post[vals[i]] += wf * pr[j][i] * nxt[s-radix[i]]
+				}
+			}
+		}
+		for i := range post {
+			post[i] /= totalWeight
+		}
+		out[j] = post.Normalize()
+		clear(cur)
+		for s, w := range nxt {
 			if w == 0 {
 				continue
 			}
@@ -85,35 +107,53 @@ func ExactPosteriors(priors []prob.Dist, counts []int) ([]prob.Dist, error) {
 				}
 			}
 		}
-	}
-
-	out := make([]prob.Dist, k)
-	for j := 0; j < k; j++ {
-		post := make(prob.Dist, len(counts))
-		for s, wf := range f[j] {
-			if wf == 0 {
-				continue
-			}
-			decode(s, radix, n, digits)
-			for i := 0; i < r; i++ {
-				if digits[i] > 0 && pr[j][i] > 0 {
-					post[vals[i]] += wf * pr[j][i] * b[j+1][s-radix[i]]
-				}
-			}
-		}
-		for i := range post {
-			post[i] /= totalWeight
-		}
-		out[j] = post.Normalize()
+		nxt, cur = cur, nxt
 	}
 	return out, nil
+}
+
+// dpScratch is the working memory of one exact-inference call — the
+// state encoding, the prior matrix, the (k+1)·states forward table and
+// the two backward rows — pooled so a warm attack's classes reuse the
+// arrays instead of allocating them per class.
+type dpScratch struct {
+	vals, n, radix, digits []int
+	pr, f, b               []float64
+	prRows, fRows          [][]float64
+}
+
+var dpPool = sync.Pool{New: func() any { return new(dpScratch) }}
+
+// maxPooledDP caps the table floats (32 MB) a pooled scratch may keep:
+// a rare class near MaxExactStates releases its tables to the
+// collector rather than pinning them in the pool.
+const maxPooledDP = 1 << 22
+
+// release returns sc to the pool unless it grew past maxPooledDP.
+func (sc *dpScratch) release() {
+	if cap(sc.f)+cap(sc.b) <= maxPooledDP {
+		dpPool.Put(sc)
+	}
+}
+
+// carveRows carves a zeroed nrows×width matrix from *back, with its
+// row headers in *hdr, growing either only when too small.
+func carveRows(back *[]float64, hdr *[][]float64, nrows, width int) [][]float64 {
+	*back = grow(*back, nrows*width)
+	*hdr = grow(*hdr, nrows)
+	for j := range *hdr {
+		(*hdr)[j] = (*back)[j*width : (j+1)*width : (j+1)*width]
+	}
+	return *hdr
 }
 
 // stateDP is one group's exact-inference state space, shared by
 // ExactPosteriors and GroupLikelihood: the sensitive values present in
 // the group, the mixed-radix encoding of remaining-count vectors over
-// them, and the prior matrix restricted to them.
+// them, and the prior matrix restricted to them. Its slices belong to
+// the scratch it was laid out in.
 type stateDP struct {
+	sc     *dpScratch
 	vals   []int       // sensitive domain indexes present
 	n      []int       // their counts
 	radix  []int       // radix[i] is value i's place in the state encoding
@@ -124,26 +164,26 @@ type stateDP struct {
 }
 
 // newStateDP compresses a non-empty group to the values present in it
-// and lays out its state space, refusing one past MaxExactStates.
+// and lays out its state space in sc, refusing one past MaxExactStates.
 //
 //detlint:hotpath
-func newStateDP(priors []prob.Dist, counts []int) (stateDP, error) {
-	k, m := len(priors), len(counts)
-	vals := make([]int, 0, m)
-	n := make([]int, 0, m)
-	total := 0
+func newStateDP(sc *dpScratch, priors []prob.Dist, counts []int) (stateDP, error) {
+	k := len(priors)
+	sc.vals, sc.n = grow(sc.vals, len(counts)), grow(sc.n, len(counts))
+	r, total := 0, 0
 	for i, c := range counts {
 		if c > 0 {
-			vals = append(vals, i)
-			n = append(n, c)
+			sc.vals[r], sc.n[r] = i, c
+			r++
 			total += c
 		}
 	}
 	if total != k {
 		return stateDP{}, fmt.Errorf("inference: counts sum to %d but group has %d tuples", total, k)
 	}
-	r := len(vals)
-	radix := make([]int, r)
+	vals, n := sc.vals[:r], sc.n[:r]
+	radix := grow(sc.radix, r)
+	sc.radix = radix
 	states := 1
 	for i, ni := range n {
 		radix[i] = states
@@ -156,33 +196,26 @@ func newStateDP(priors []prob.Dist, counts []int) (stateDP, error) {
 	for i, ni := range n {
 		full += ni * radix[i]
 	}
-	// The prior matrix is carved from one backing array rather than
-	// allocated per tuple.
-	prBack := make([]float64, k*r)
-	pr := make([][]float64, k)
+	pr := carveRows(&sc.pr, &sc.prRows, k, r)
 	for j, p := range priors {
-		pr[j] = prBack[j*r : (j+1)*r]
 		for i, v := range vals {
 			pr[j][i] = p[v]
 		}
 	}
-	return stateDP{vals: vals, n: n, radix: radix, states: states, full: full, pr: pr, digits: make([]int, r)}, nil
+	sc.digits = grow(sc.digits, r)
+	return stateDP{sc: sc, vals: vals, n: n, radix: radix, states: states, full: full, pr: pr, digits: sc.digits}, nil
 }
 
 // forward runs the forward pass over the k+1 state rows, carved from
-// one backing array: f[j] maps state -> weight of assigning tuples
-// 0..j-1 starting from full counts, so f[k][0] is the group likelihood
+// the scratch: f[j] maps state -> weight of assigning tuples 0..j-1
+// starting from full counts, so f[k][0] is the group likelihood
 // P(S|E). Unreachable states stay 0.
 //
 //detlint:hotpath
 func (dp *stateDP) forward() [][]float64 {
 	n, radix, pr, digits := dp.n, dp.radix, dp.pr, dp.digits
-	k, r, states := len(pr), len(n), dp.states
-	fBack := make([]float64, (k+1)*states)
-	f := make([][]float64, k+1)
-	for j := range f {
-		f[j] = fBack[j*states : (j+1)*states]
-	}
+	k, r := len(pr), len(n)
+	f := carveRows(&dp.sc.f, &dp.sc.fRows, k+1, dp.states)
 	f[0][dp.full] = 1
 	for j := 0; j < k; j++ {
 		cur, nxt := f[j], f[j+1]
@@ -216,7 +249,9 @@ func GroupLikelihood(priors []prob.Dist, counts []int) (float64, error) {
 	if k == 0 {
 		return 1, nil
 	}
-	dp, err := newStateDP(priors, counts)
+	sc := dpPool.Get().(*dpScratch)
+	defer sc.release()
+	dp, err := newStateDP(sc, priors, counts)
 	if err != nil {
 		return 0, err
 	}

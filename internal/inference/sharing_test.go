@@ -101,29 +101,56 @@ func TestOmegaPerDistinctPriorMatchesPerTuple(t *testing.T) {
 	}
 }
 
-// TestPooledScratchIsolated runs Posteriors concurrently on classes of
-// different sizes: the pooled scratch must not leak between calls.
+// TestPooledScratchIsolated runs Omega and Exact concurrently on
+// classes of different sizes: neither pooled scratch may leak between
+// calls, and no exact posterior may alias a later call's tables.
 func TestPooledScratchIsolated(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	type class struct {
-		priors []prob.Dist
-		counts []int
-		want   []prob.Dist
+		priors     []prob.Dist
+		counts     []int
+		want, post []prob.Dist
 	}
 	classes := make([]class, 16)
 	for i := range classes {
 		priors, counts := sharedClass(rng, 1+rng.Intn(60), 6)
-		classes[i] = class{priors, counts, referenceOmega(priors, counts)}
+		classes[i] = class{priors: priors, counts: counts, want: referenceOmega(priors, counts)}
+	}
+	exact := make([]class, 16)
+	for i := range exact {
+		priors, counts := sharedClass(rng, 1+rng.Intn(10), 6)
+		want, err := ExactPosteriors(priors, counts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Copy the first answer out before any other call can reuse
+		// the pool it was computed in.
+		post := make([]prob.Dist, len(want))
+		for j := range want {
+			post[j] = append(prob.Dist(nil), want[j]...)
+		}
+		exact[i] = class{priors: priors, counts: counts, want: post, post: want}
 	}
 	done := make(chan bool)
 	for w := 0; w < 4; w++ {
 		go func() {
 			ok := true
 			for r := 0; r < 50; r++ {
-				for _, c := range classes {
+				for i, c := range classes {
 					got := Omega{}.Posteriors(c.priors, c.counts)
 					for j := range got {
 						if !prob.Identical(got[j], c.want[j]) {
+							ok = false
+						}
+					}
+					e := exact[i]
+					got, err := ExactPosteriors(e.priors, e.counts)
+					if err != nil {
+						ok = false
+						continue
+					}
+					for j := range got {
+						if !prob.Identical(got[j], e.want[j]) {
 							ok = false
 						}
 					}
@@ -134,7 +161,14 @@ func TestPooledScratchIsolated(t *testing.T) {
 	}
 	for w := 0; w < 4; w++ {
 		if !<-done {
-			t.Fatal("concurrent Posteriors differ from the per-tuple reference")
+			t.Fatal("concurrent Posteriors differ from the sequential answers")
+		}
+	}
+	for i, e := range exact {
+		for j := range e.post {
+			if !prob.Identical(e.post[j], e.want[j]) {
+				t.Fatalf("class %d tuple %d: an exact posterior changed after later calls", i, j)
+			}
 		}
 	}
 }

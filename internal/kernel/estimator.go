@@ -22,8 +22,8 @@ import (
 // Identical QI profiles are deduplicated and packed once into a
 // struct-of-arrays layout, and the per-attribute kernel weights are
 // precomputed into flat stride-indexed tables, so the inner loop is
-// d table lookups per pair over contiguous memory (see hotpath.go for
-// the layout and candidate lists, lanes.go for the pass itself).
+// d table lookups per pair over contiguous memory, visited only where
+// the pair's support bitmaps intersect (hotpath.go).
 type Estimator struct {
 	Kernel   Func
 	Table    *dataset.Table
@@ -39,13 +39,13 @@ type Estimator struct {
 	// whole is the whole-table sensitive distribution — the fallback
 	// prior where every kernel weight vanishes.
 	whole prob.Dist
-	// buckets[i] groups the packed profiles by their attribute-i value:
-	// profiles with value v are buckets[i][bucketOff[i][v]:bucketOff[i][v+1]],
-	// ascending. Candidate lists are assembled from these (hotpath.go);
-	// for a single-value support — every categorical attribute under a
-	// sub-sibling bandwidth — the bucket itself is the list, shared.
-	buckets   [][]int32
-	bucketOff [][]int32
+	// values holds one bitmap of words uint64s per (attribute, value),
+	// row rows[i]+v for value v of attribute i: bit u is set when
+	// packed profile u has that value. Each pass ORs them into its
+	// support bitmaps (hotpath.go).
+	values []uint64
+	rows   []int
+	words  int
 }
 
 // NewEstimator prepares an estimator for the table. hiers supplies
@@ -67,36 +67,25 @@ func NewEstimator(t *dataset.Table, hiers map[string]*hierarchy.Hierarchy, k Fun
 	e.profiles = t.Profiles()
 	e.packed = dataset.Pack(e.profiles, t.Schema.D(), t.Schema.M())
 	e.whole = prob.FromCounts(t.SensitiveCounts(nil))
-	e.buildBuckets()
+	e.indexValues()
 	return e, nil
 }
 
-// buildBuckets fills the per-attribute value buckets with a counting
-// sort, so each bucket lists its profiles in ascending order.
-func (e *Estimator) buildBuckets() {
+// indexValues builds the value bitmaps from the packed QI columns.
+func (e *Estimator) indexValues() {
 	pp := e.packed
-	d, n := pp.D, pp.N
-	e.buckets = make([][]int32, d)
-	e.bucketOff = make([][]int32, d)
-	for i := 0; i < d; i++ {
-		r := len(e.Matrices[i])
-		off := make([]int32, r+1)
-		for u := 0; u < n; u++ {
-			off[pp.QI[u*d+i]+1]++
+	d := pp.D
+	e.words = (pp.N + 63) / 64
+	e.rows = make([]int, d+1)
+	for i, m := range e.Matrices {
+		e.rows[i+1] = e.rows[i] + len(m)
+	}
+	e.values = make([]uint64, e.rows[d]*e.words)
+	for u := 0; u < pp.N; u++ {
+		for i := 0; i < d; i++ {
+			r := e.rows[i] + int(pp.QI[u*d+i])
+			e.values[r*e.words+u/64] |= 1 << (u % 64)
 		}
-		for v := 0; v < r; v++ {
-			off[v+1] += off[v]
-		}
-		bucket := make([]int32, n)
-		cur := make([]int32, r)
-		copy(cur, off[:r])
-		for u := 0; u < n; u++ {
-			v := pp.QI[u*d+i]
-			bucket[cur[v]] = int32(u)
-			cur[v]++
-		}
-		e.buckets[i] = bucket
-		e.bucketOff[i] = off
 	}
 }
 
@@ -155,16 +144,17 @@ func (e *Estimator) expand(perProfile []prob.Dist) []prob.Dist {
 }
 
 // ProfilePriors estimates one prior distribution per distinct QI
-// profile, on the flat lane pass (lanes.go). Query profiles fan out
-// across the estimator's pool with each profile's Nadaraya–Watson sum
-// self-contained, so the result is bit-identical at any worker count.
+// profile, on the support-intersection pass (hotpath.go). Query
+// profiles fan out across the estimator's pool with each profile's
+// Nadaraya–Watson sum self-contained, so the result is bit-identical
+// at any worker count.
 func (e *Estimator) ProfilePriors(b []float64) ([]prob.Dist, error) {
 	return e.profilePriors(nil, b)
 }
 
 // profilePriors is ProfilePriors with a span: the table build and the
-// lane pass each record one stage observation. The weight tables
-// and candidate lists live only for this pass — callers that revisit a
+// prior pass each record one stage observation. The weight tables
+// and support bitmaps live only for this pass — callers that revisit a
 // bandwidth cache its priors instead (core.Engine).
 func (e *Estimator) profilePriors(sp *obs.Span, b []float64) ([]prob.Dist, error) {
 	if err := e.validateBandwidth(b); err != nil {
@@ -175,13 +165,13 @@ func (e *Estimator) profilePriors(sp *obs.Span, b []float64) ([]prob.Dist, error
 	psp := sp.Child(obs.StagePriors, "priors b="+BandwidthKey(b))
 	psp.SetShape(obs.Shape{Profiles: n, Dims: e.packed.D})
 	backing := make([]float64, n*m)
-	e.priorPassLanes(ft, backing)
+	e.priorPass(ft, backing)
 	psp.End()
 	return sliceDists(backing, n, m), nil
 }
 
 // PriorsBatch is Priors over a bandwidth grid: out[k] is Priors(bvecs[k]),
-// one lane pass per bandwidth.
+// one prior pass per bandwidth.
 func (e *Estimator) PriorsBatch(bvecs [][]float64) ([][]prob.Dist, error) {
 	out := make([][]prob.Dist, len(bvecs))
 	for k, b := range bvecs {
