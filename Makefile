@@ -9,7 +9,8 @@
 # enough for every run), vet and the short self-tests of the perfbench module (its
 # own go.mod, so `go build ./...` here never compiles it and an API
 # change that breaks it would otherwise pass), a run of every example
-# program (the build compiles them; only this executes them), a short
+# program and a small-size run of each batch binary under cmd/ (the
+# build compiles them; only these execute them), a short
 # fuzz smoke over the untrusted-input decoders (CSV rows, JSON schema
 # specs, attack/risk and anonymize request bodies, estimate query
 # strings), and the serve-restart smoke (boot, ingest, kill, reboot,
@@ -21,9 +22,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet lint build test race bench bench-smoke perfbench-check examples fuzz cover serve loadgen restart-smoke obs-smoke cost-smoke loc
+.PHONY: ci fmt vet lint build test race bench bench-smoke perfbench-check examples cmds fuzz cover serve loadgen restart-smoke obs-smoke cost-smoke loc
 
-ci: fmt vet lint build race bench bench-smoke perfbench-check examples fuzz restart-smoke obs-smoke cost-smoke
+ci: fmt vet lint build race bench bench-smoke perfbench-check examples cmds fuzz restart-smoke obs-smoke cost-smoke
 
 # gofmt -l as a check: fails listing any file that needs formatting.
 fmt:
@@ -74,6 +75,18 @@ perfbench-check:
 examples:
 	@for d in examples/*/main.go; do d=$$(dirname $$d); echo "$$d"; \
 		$(GO) run ./$$d >/dev/null || exit 1; done
+
+# Run the batch binaries once each at a small size from the repo root:
+# attack under (B,t) and skyline, anonymize with stats under Mondrian
+# and Anatomy, datagen, and one experiments figure. Any non-zero exit
+# fails the target.
+cmds:
+	$(GO) run ./cmd/attack -n 300 -model bt >/dev/null
+	$(GO) run ./cmd/attack -n 300 -model skyline >/dev/null
+	$(GO) run ./cmd/anonymize -n 300 -stats -algo mondrian >/dev/null
+	$(GO) run ./cmd/anonymize -n 300 -stats -algo anatomy >/dev/null
+	$(GO) run ./cmd/datagen -n 50 >/dev/null
+	$(GO) run ./cmd/experiments -n 200 -fig fig3b >/dev/null
 
 # Short fuzz smoke over the decoders that face untrusted input: CSV
 # rows, JSON schema specs, attack/risk and anonymize request bodies,

@@ -67,7 +67,7 @@ func BenchmarkFig1aAttack(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Attack(res, bvec, p.T, breach); err != nil {
+		if _, err := e.AttackWith(context.Background(), nil, res, bvec, p.T, breach); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -87,7 +87,7 @@ func BenchmarkFig1bAttack(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Attack(res, bvec, p.T, breach); err != nil {
+		if _, err := e.AttackWith(context.Background(), nil, res, bvec, p.T, breach); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -138,7 +138,7 @@ func BenchmarkFig3aRisk(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.WorstCaseRisk(res, bvec); err != nil {
+		if _, err := e.WorstCaseRiskSweep(res, [][]float64{bvec}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -169,7 +169,7 @@ func BenchmarkFig3bRisk(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.WorstCaseRisk(res, adv); err != nil {
+		if _, err := e.WorstCaseRiskSweep(res, [][]float64{adv}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -292,9 +292,9 @@ func fmtBW(b float64) string {
 }
 
 // BenchmarkAttackSweep compares serving an 8-point b' grid through one
-// AttackSweep against 8 independent Attack calls. Both run one prior
-// pass per bandwidth, so the sweep amortizes only the group decode and
-// the single parallel dispatch over every (bandwidth, class) pair. Each
+// AttackSweepWith against 8 independent AttackWith calls. Both run one
+// prior pass per bandwidth, so the sweep amortizes only the group decode
+// and the single parallel dispatch over every (bandwidth, class) pair. Each
 // iteration starts from a cold prior cache (fresh engine, built with
 // the timer stopped), which is exactly the position a server is in
 // when a client sweeps bandwidths it has not seen; both variants run
@@ -327,7 +327,7 @@ func BenchmarkAttackSweep(b *testing.B) {
 	b.Run("sweep8", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			e := freshEngine(b)
-			if _, err := e.AttackSweep(res, grid, p.T, e.BreachTest(core.BTPrivacy, p)); err != nil {
+			if _, err := e.AttackSweepWith(context.Background(), nil, res, grid, p.T, e.BreachTest(core.BTPrivacy, p)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -337,7 +337,7 @@ func BenchmarkAttackSweep(b *testing.B) {
 			e := freshEngine(b)
 			breach := e.BreachTest(core.BTPrivacy, p)
 			for _, bvec := range grid {
-				if _, err := e.Attack(res, bvec, p.T, breach); err != nil {
+				if _, err := e.AttackWith(context.Background(), nil, res, bvec, p.T, breach); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -406,7 +406,7 @@ func benchBreachPass(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Attack(res, bvec, p.T, breach); err != nil {
+		if _, err := e.AttackWith(context.Background(), nil, res, bvec, p.T, breach); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 
@@ -48,6 +49,7 @@ func main() {
 		res.Requirement, res.Algorithm, len(res.Groups), table.N(),
 		float64(table.N())/float64(len(res.Groups)))
 
+	judge := eng.BreachTest(m, params)
 	fmt.Printf("%-6s %-10s %-10s %-10s %-10s %-10s\n",
 		"b'", "maxPrior", "meanRisk", "p90Risk", "worstRisk", "vulnerable")
 	for _, bp := range []float64{0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5} {
@@ -62,7 +64,7 @@ func main() {
 			sharp += mx
 		}
 		sharp /= float64(len(priors))
-		rep, err := eng.Attack(res, bvec, params.T, eng.BreachTest(m, params))
+		rep, err := eng.AttackWith(context.Background(), nil, res, bvec, params.T, judge)
 		if err != nil {
 			cli.Fatal("attack", err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -42,7 +43,7 @@ func main() {
 	// 4. Attack the release with the modeled adversary: by
 	//    construction, zero vulnerable tuples.
 	bvec := kernel.UniformBandwidth(table.Schema.D(), params.B)
-	report, err := engine.Attack(release, bvec, params.T, engine.BreachTest(core.BTPrivacy, params))
+	report, err := engine.AttackWith(context.Background(), nil, release, bvec, params.T, engine.BreachTest(core.BTPrivacy, params))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func main() {
 	// 5. A more knowledgeable adversary than the release was built for
 	//    can still learn more — quantify it.
 	sharp := kernel.UniformBandwidth(table.Schema.D(), 0.2)
-	report2, err := engine.Attack(release, sharp, params.T, engine.BreachTest(core.BTPrivacy, params))
+	report2, err := engine.AttackWith(context.Background(), nil, release, sharp, params.T, engine.BreachTest(core.BTPrivacy, params))
 	if err != nil {
 		log.Fatal(err)
 	}

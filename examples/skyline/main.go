@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -53,7 +54,7 @@ func main() {
 	fmt.Printf("%-8s %-12s %-10s %-10s\n", "b'", "worst risk", "skyline t", "vulnerable")
 	for _, b := range []float64{0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5} {
 		bvec := kernel.UniformBandwidth(table.Schema.D(), b)
-		rep, err := engine.Attack(release, bvec, 0, judge)
+		rep, err := engine.AttackWith(context.Background(), nil, release, bvec, 0, judge)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -105,9 +105,6 @@ func (p *Pass) Diagnostics() []Diagnostic { return p.diags }
 // absorbed, for machine-readable reports.
 func (p *Pass) SuppressedDiagnostics() []Diagnostic { return p.suppressed }
 
-// Suppressed returns how many findings lint:ignore directives absorbed.
-func (p *Pass) Suppressed() int { return len(p.suppressed) }
-
 // ignoredAt reports whether a directive for this analyzer covers the
 // position: a directive on line L applies to lines L and L+1, so both
 // end-of-line and line-above placements work.

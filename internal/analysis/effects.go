@@ -158,25 +158,6 @@ func computeEffects(pkg *Package) *EffectInfo {
 	return ei
 }
 
-// FuncEffects returns the inferred effects of fn: the fixpoint value
-// for same-package functions, the intrinsics table for known external
-// signatures, AllEffects for everything else.
-func (ei *EffectInfo) FuncEffects(fn *types.Func) Effects {
-	if fn == nil {
-		return AllEffects
-	}
-	fn = fn.Origin()
-	if e, ok := ei.fns[fn]; ok {
-		return e
-	}
-	if fn.Pkg() == ei.pkg.Types {
-		// Declared in this package but bodyless here (assembly stubs,
-		// interface methods): nothing to infer from.
-		return AllEffects
-	}
-	return intrinsicEffects(fn)
-}
-
 // NodeEffects is the join of every effect site in the subtree.
 func (ei *EffectInfo) NodeEffects(n ast.Node) Effects {
 	var e Effects

@@ -52,9 +52,6 @@ func (e Extent) Contains(q []int) bool {
 	return true
 }
 
-// Span returns Hi−Lo on attribute i in index units.
-func (e Extent) Span(i int) int { return e.Hi[i] - e.Lo[i] }
-
 // NormalizedSpan returns the extent's width on attribute i as a
 // fraction of the attribute's full range: the NCP term of that
 // attribute (numeric uses value span, categorical uses index span).
@@ -101,20 +98,6 @@ type Result struct {
 	// Algorithm and Requirement describe how the result was produced.
 	Algorithm   string
 	Requirement string
-}
-
-// GroupOf returns, for each record index, the index of its group.
-func (r *Result) GroupOf() []int {
-	owner := make([]int, r.Table.N())
-	for i := range owner {
-		owner[i] = -1
-	}
-	for gi, g := range r.Groups {
-		for _, ri := range g.Rows {
-			owner[ri] = gi
-		}
-	}
-	return owner
 }
 
 // Validate checks the partition invariants: groups are disjoint, cover

@@ -133,19 +133,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestGroupOf(t *testing.T) {
-	tab := paperTable()
-	res := tableIB(tab)
-	owner := res.GroupOf()
-	for gi, g := range res.Groups {
-		for _, ri := range g.Rows {
-			if owner[ri] != gi {
-				t.Errorf("record %d owner = %d, want %d", ri, owner[ri], gi)
-			}
-		}
-	}
-}
-
 func TestSensitiveCounts(t *testing.T) {
 	tab := paperTable()
 	res := tableIB(tab)

@@ -6,6 +6,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/adult"
@@ -36,7 +37,7 @@ func TestWarmAttackAllocations(t *testing.T) {
 	}
 	breach := e.BreachTest(BTPrivacy, p)
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := e.Attack(res, bvec, p.T, breach); err != nil {
+		if _, err := e.AttackWith(context.Background(), nil, res, bvec, p.T, breach); err != nil {
 			t.Fatal(err)
 		}
 	})

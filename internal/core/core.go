@@ -230,9 +230,8 @@ func (e *Engine) UniformPriors(b float64) ([]prob.Dist, error) {
 // RequirementByName builds the composed requirement (model ∧
 // K-anonymity, as the evaluation enforces, §V) for a CLI/API model
 // name, as ParseModel accepts it: distinct, prob, tclose, bt or
-// skyline. Skyline enforces the fixed three-entry (B_i, t_i) ladder
-// around the requested (B, t) that the binaries expose: {(0.2, t),
-// (B, t), (0.5, t+0.05)}, composed with K-anonymity.
+// skyline. Skyline enforces SkylineLadder(p), composed with
+// K-anonymity.
 func (e *Engine) RequirementByName(name string, p Params) (privacy.Requirement, error) {
 	return e.requirementByNameSpan(nil, nil, name, p)
 }
@@ -260,11 +259,7 @@ func (e *Engine) requirementByNameSpan(sp *obs.Span, method inference.Method, na
 			M:     e.SensMatrix,
 		}
 	case Skyline:
-		return e.skylineRequirementSpan(sp, method, p.K, []Params{
-			{B: 0.2, T: p.T},
-			{B: p.B, T: p.T},
-			{B: 0.5, T: p.T + 0.05},
-		})
+		return e.skylineRequirementSpan(sp, method, p.K, SkylineLadder(p))
 	default: // BTPrivacy, the one model left
 		bt, err := e.btRequirementSpan(sp, method, p)
 		if err != nil {
@@ -295,6 +290,13 @@ func (e *Engine) btRequirementSpan(sp *obs.Span, method inference.Method, p Para
 		Method:  e.methodOr(method),
 		B:       bvec,
 	}, nil
+}
+
+// SkylineLadder is the fixed three-entry (B_i, t_i) ladder the skyline
+// model enforces around the requested (B, t): {(0.2, t), (B, t),
+// (0.5, t+0.05)}.
+func SkylineLadder(p Params) []Params {
+	return []Params{{B: 0.2, T: p.T}, {B: p.B, T: p.T}, {B: 0.5, T: p.T + 0.05}}
 }
 
 // SkylineRequirement builds the skyline (B,t) requirement for a set of
@@ -502,25 +504,22 @@ type groupAttack struct {
 	err error
 }
 
-// Attack computes the posterior belief of adversary Adv(bvec) for every
-// record of the released table, records the knowledge gains, and counts
-// breaches under judge's criterion at bvec (the release's requirement,
-// or BreachTest's); with a nil judge, the gains above t.
+// AttackWith computes the posterior belief of adversary Adv(bvec) for
+// every record of the released table, records the knowledge gains, and
+// counts breaches under judge's criterion at bvec (the release's
+// requirement, or BreachTest's); with a nil judge, the gains above t.
 //
 // Equivalence classes are evaluated concurrently on the engine's
 // worker pool. Each class's inference and measurement is
 // self-contained and the reduction runs in group order, so the report
 // is bit-identical to the sequential path at any worker count.
-func (e *Engine) Attack(res *anonymize.Result, bvec []float64, t float64, judge privacy.Judge) (*AttackReport, error) {
-	return first(e.attackSweepSpan(nil, nil, res, [][]float64{bvec}, t, judge))
-}
-
-// AttackWith is Attack under a traced request — the prior pass and the
-// inference fan-out land as stage spans on the context's span — with a
-// per-call inference method, the request-level override the serving
-// layer threads through. A nil method uses the engine's default. Exact
-// refuses oversized groups with inference.ErrTooLarge (first failing
-// group in group order) instead of degrading silently.
+//
+// The prior pass and the inference fan-out land as stage spans on the
+// context's span. m overrides the engine's inference method per call,
+// the request-level override the serving layer threads through; a nil
+// method uses the engine's default. Exact refuses oversized groups with
+// inference.ErrTooLarge (first failing group in group order) instead of
+// degrading silently.
 func (e *Engine) AttackWith(ctx context.Context, m inference.Method, res *anonymize.Result, bvec []float64, t float64, judge privacy.Judge) (*AttackReport, error) {
 	return first(e.attackSweepSpan(obs.SpanFromContext(ctx), m, res, [][]float64{bvec}, t, judge))
 }
@@ -662,20 +661,15 @@ func (e *Engine) reduceAttack(res *anonymize.Result, perGroup []groupAttack) (*A
 	return rep, nil
 }
 
-// AttackSweep runs Attack for a whole grid of adversary bandwidths
-// against one release; Attack itself is the one-point sweep. Each
-// bandwidth's priors come through the same cache Priors uses. The
-// fan-out runs one task per equivalence class: the task decodes the
-// class's sensitive multiset once and evaluates it at every bandwidth.
-// The judge's criterion is resolved per bandwidth. out[i] is
-// bit-identical to Attack(res, bvecs[i], t, judge) at any worker count.
-func (e *Engine) AttackSweep(res *anonymize.Result, bvecs [][]float64, t float64, judge privacy.Judge) ([]*AttackReport, error) {
-	return e.attackSweepSpan(nil, nil, res, bvecs, t, judge)
-}
-
-// AttackSweepWith is AttackSweep under a traced request, with a
-// per-call inference method (see AttackWith); a nil method uses the
-// engine's default. One inference span covers the whole dispatch.
+// AttackSweepWith runs AttackWith for a whole grid of adversary
+// bandwidths against one release; AttackWith itself is the one-point
+// sweep. Each bandwidth's priors come through the same cache Priors
+// uses. The fan-out runs one task per equivalence class: the task
+// decodes the class's sensitive multiset once and evaluates it at every
+// bandwidth. The judge's criterion is resolved per bandwidth. out[i] is
+// bit-identical to AttackWith(ctx, m, res, bvecs[i], t, judge) at any
+// worker count. m overrides the engine's inference method as in
+// AttackWith; one inference span covers the whole dispatch.
 func (e *Engine) AttackSweepWith(ctx context.Context, m inference.Method, res *anonymize.Result, bvecs [][]float64, t float64, judge privacy.Judge) ([]*AttackReport, error) {
 	return e.attackSweepSpan(obs.SpanFromContext(ctx), m, res, bvecs, t, judge)
 }
@@ -733,10 +727,11 @@ func (e *Engine) attackSweepSpan(sp *obs.Span, m inference.Method, res *anonymiz
 	return reports, nil
 }
 
-// WorstCaseRiskSweep is WorstCaseRisk over a bandwidth grid in one
-// amortized sweep — the per-curve form of Figure 3's quantity.
+// WorstCaseRiskSweep returns max_q D[Ppri(B',q), Ppos(B',q,T*)] for
+// the released table at each bandwidth of the grid, in one amortized
+// sweep: Figure 3's quantity.
 func (e *Engine) WorstCaseRiskSweep(res *anonymize.Result, bvecs [][]float64) ([]float64, error) {
-	reps, err := e.AttackSweep(res, bvecs, 1, nil)
+	reps, err := e.attackSweepSpan(nil, nil, res, bvecs, 1, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -745,14 +740,4 @@ func (e *Engine) WorstCaseRiskSweep(res *anonymize.Result, bvecs [][]float64) ([
 		out[i] = rep.WorstRisk
 	}
 	return out, nil
-}
-
-// WorstCaseRisk returns max_q D[Ppri(B',q), Ppos(B',q,T*)] for the
-// released table, the quantity of Figure 3.
-func (e *Engine) WorstCaseRisk(res *anonymize.Result, bvec []float64) (float64, error) {
-	rep, err := e.Attack(res, bvec, 1, nil)
-	if err != nil {
-		return 0, err
-	}
-	return rep.WorstRisk, nil
 }

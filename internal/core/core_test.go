@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"reflect"
@@ -81,7 +82,7 @@ func TestPriorCacheBounded(t *testing.T) {
 	grid = append(grid, grid[0])
 	got := make([]*AttackReport, len(grid))
 	for i, b := range grid {
-		if got[i], err = e.Attack(res, b, p.T, breach); err != nil {
+		if got[i], err = e.AttackWith(context.Background(), nil, res, b, p.T, breach); err != nil {
 			t.Fatal(err)
 		}
 		if n := e.priors.Len(); n > priorCacheCap {
@@ -94,7 +95,7 @@ func TestPriorCacheBounded(t *testing.T) {
 
 	fresh := testEngine(t, 200)
 	for i, b := range grid {
-		want, err := fresh.Attack(res, b, p.T, breach)
+		want, err := fresh.AttackWith(context.Background(), nil, res, b, p.T, breach)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +137,7 @@ func TestBTReleaseHasNoVulnerableTuplesAtEnforcedB(t *testing.T) {
 		t.Fatal(err)
 	}
 	bvec := kernel.UniformBandwidth(e.Table.Schema.D(), p.B)
-	rep, err := e.Attack(res, bvec, p.T, e.BreachTest(BTPrivacy, p))
+	rep, err := e.AttackWith(context.Background(), nil, res, bvec, p.T, e.BreachTest(BTPrivacy, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestAttackRisksMatchRequirementGains(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := e.Attack(res, kernel.UniformBandwidth(e.Table.Schema.D(), p.B), p.T, nil)
+			rep, err := e.AttackWith(context.Background(), nil, res, kernel.UniformBandwidth(e.Table.Schema.D(), p.B), p.T, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,7 +196,7 @@ func TestBTProtectsBetterThanLDiversity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ldivRep, err := e.Attack(ldiv, bvec, p.T, e.BreachTest(DistinctLDiversity, p))
+	ldivRep, err := e.AttackWith(context.Background(), nil, ldiv, bvec, p.T, e.BreachTest(DistinctLDiversity, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestBTProtectsBetterThanLDiversity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	btRep, err := e.Attack(bt, bvec, p.T, e.BreachTest(BTPrivacy, p))
+	btRep, err := e.AttackWith(context.Background(), nil, bt, bvec, p.T, e.BreachTest(BTPrivacy, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,11 +230,11 @@ func TestSkylineRequirement(t *testing.T) {
 	// Both adversaries must be held to their respective thresholds.
 	for i, entry := range entries {
 		bvec := kernel.UniformBandwidth(e.Table.Schema.D(), entry.B)
-		risk, err := e.WorstCaseRisk(res, bvec)
+		risks, err := e.WorstCaseRiskSweep(res, [][]float64{bvec})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if risk > entry.T+1e-9 {
+		if risk := risks[0]; risk > entry.T+1e-9 {
 			t.Errorf("skyline entry %d: worst risk %g > t=%g", i, risk, entry.T)
 		}
 	}
@@ -291,16 +292,17 @@ func TestWorstCaseRiskMatchesAttack(t *testing.T) {
 		t.Fatal(err)
 	}
 	bvec := kernel.UniformBandwidth(e.Table.Schema.D(), 0.4)
-	risk, err := e.WorstCaseRisk(res, bvec)
+	risks, err := e.WorstCaseRiskSweep(res, [][]float64{bvec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.Attack(res, bvec, 0.5, nil)
+	rep, err := e.AttackWith(context.Background(), nil, res, bvec, 0.5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	risk := risks[0]
 	if risk != rep.WorstRisk {
-		t.Errorf("WorstCaseRisk %g != Attack.WorstRisk %g", risk, rep.WorstRisk)
+		t.Errorf("WorstCaseRiskSweep %g != AttackWith.WorstRisk %g", risk, rep.WorstRisk)
 	}
 	max := 0.0
 	for _, r := range rep.Risks {
@@ -363,7 +365,7 @@ func TestExactMethodEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	bvec := kernel.UniformBandwidth(e.Table.Schema.D(), p.B)
-	rep, err := e.Attack(res, bvec, p.T, nil)
+	rep, err := e.AttackWith(context.Background(), nil, res, bvec, p.T, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +514,7 @@ func TestSkylineReleaseHasNoVulnerableTuplesAtItsLadder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bp := range []float64{0.2, p.B, 0.5} {
-		rep, err := e.Attack(res, kernel.UniformBandwidth(e.Table.Schema.D(), bp), p.T, e.BreachTest(Skyline, p))
+		rep, err := e.AttackWith(context.Background(), nil, res, kernel.UniformBandwidth(e.Table.Schema.D(), bp), p.T, e.BreachTest(Skyline, p))
 		if err != nil {
 			t.Fatal(err)
 		}

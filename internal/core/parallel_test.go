@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -31,16 +32,16 @@ func attackFingerprint(t *testing.T, e *Engine, m Model, p Params) string {
 		t.Fatal(err)
 	}
 	bvec := kernel.UniformBandwidth(e.Table.Schema.D(), 0.4)
-	rep, err := e.Attack(res, bvec, p.T, e.BreachTest(m, p))
+	rep, err := e.AttackWith(context.Background(), nil, res, bvec, p.T, e.BreachTest(m, p))
 	if err != nil {
 		t.Fatal(err)
 	}
-	worst, err := e.WorstCaseRisk(res, bvec)
+	worst, err := e.WorstCaseRiskSweep(res, [][]float64{bvec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return fmt.Sprintf("groups=%v\nrisks=%v\nvulnerable=%d worst=%v wcr=%v",
-		res.Render(), rep.Risks, rep.Vulnerable, rep.WorstRisk, worst)
+		res.Render(), rep.Risks, rep.Vulnerable, rep.WorstRisk, worst[0])
 }
 
 // TestAttackDeterministicAcrossWorkers is the tentpole's contract: the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -20,7 +21,7 @@ func sweepGrid(d int) [][]float64 {
 }
 
 // TestAttackSweepMatchesIndependentAttacks pins the amortized sweep to
-// N independent Attack calls, bitwise: shared prior passes, hoisted
+// N independent AttackWith calls, bitwise: shared prior passes, hoisted
 // breach construction, and the fused dispatch must not change a single
 // float.
 func TestAttackSweepMatchesIndependentAttacks(t *testing.T) {
@@ -41,7 +42,7 @@ func TestAttackSweepMatchesIndependentAttacks(t *testing.T) {
 	breach := ref.BreachTest(BTPrivacy, p)
 	want := make([]*AttackReport, len(grid))
 	for i, bvec := range grid {
-		if want[i], err = ref.Attack(res, bvec, p.T, breach); err != nil {
+		if want[i], err = ref.AttackWith(context.Background(), nil, res, bvec, p.T, breach); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -51,7 +52,7 @@ func TestAttackSweepMatchesIndependentAttacks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.AttackSweep(res, grid, p.T, e.BreachTest(BTPrivacy, p))
+		got, err := e.AttackSweepWith(context.Background(), nil, res, grid, p.T, e.BreachTest(BTPrivacy, p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,12 +94,12 @@ func TestAttackSweepWarmCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	breach := e.BreachTest(DistinctLDiversity, p)
-	got, err := e.AttackSweep(res, grid, p.T, breach)
+	got, err := e.AttackSweepWith(context.Background(), nil, res, grid, p.T, breach)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, bvec := range grid {
-		want, err := e.Attack(res, bvec, p.T, breach)
+		want, err := e.AttackWith(context.Background(), nil, res, bvec, p.T, breach)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +110,7 @@ func TestAttackSweepWarmCache(t *testing.T) {
 }
 
 // TestWorstCaseRiskSweep pins the sweep form of Figure 3's quantity to
-// per-bandwidth WorstCaseRisk calls.
+// the worst risk of per-bandwidth attacks.
 func TestWorstCaseRiskSweep(t *testing.T) {
 	table := adult.Generate(300, 9)
 	e, err := New(table, adult.Hierarchies(), nil, nil, WithWorkers(1))
@@ -126,12 +127,12 @@ func TestWorstCaseRiskSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, bvec := range grid {
-		want, err := e.WorstCaseRisk(res, bvec)
+		want, err := e.AttackWith(context.Background(), nil, res, bvec, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got[i] != want {
-			t.Fatalf("bandwidth %d: sweep risk %v != single %v", i, got[i], want)
+		if got[i] != want.WorstRisk {
+			t.Fatalf("bandwidth %d: sweep risk %v != single %v", i, got[i], want.WorstRisk)
 		}
 	}
 }

@@ -140,18 +140,6 @@ func TestSensitiveCounts(t *testing.T) {
 	}
 }
 
-func TestSubset(t *testing.T) {
-	tab := paperTable()
-	sub := tab.Subset([]int{0, 8})
-	if sub.N() != 2 {
-		t.Fatalf("N = %d", sub.N())
-	}
-	sub.Records[0].QI[0] = 0
-	if tab.Records[0].QI[0] == 0 {
-		t.Error("Subset shares record storage with parent")
-	}
-}
-
 func TestProfiles(t *testing.T) {
 	tab := paperTable()
 	profs := tab.Profiles()
@@ -161,7 +149,7 @@ func TestProfiles(t *testing.T) {
 		t.Fatalf("profiles = %d, want 9", len(profs))
 	}
 	// Add a duplicate QI record and re-profile.
-	tab.Records = append(tab.Records, tab.Records[0].Clone())
+	tab.Records = append(tab.Records, tab.Records[0])
 	profs = tab.Profiles()
 	if len(profs) != 9 {
 		t.Fatalf("profiles after dup = %d, want 9", len(profs))

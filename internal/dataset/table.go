@@ -34,13 +34,6 @@ type Record struct {
 	S  int
 }
 
-// Clone deep-copies the record.
-func (r Record) Clone() Record {
-	qi := make([]int, len(r.QI))
-	copy(qi, r.QI)
-	return Record{QI: qi, S: r.S}
-}
-
 // Table is a microdata table: a schema plus its records.
 type Table struct {
 	Schema  *Schema
@@ -91,16 +84,6 @@ func (t *Table) CountSensitive(counts []int, rows []int) {
 	for _, i := range rows {
 		counts[t.Records[i].S]++
 	}
-}
-
-// Subset returns a new table sharing the schema and containing copies of
-// the selected records.
-func (t *Table) Subset(rows []int) *Table {
-	recs := make([]Record, len(rows))
-	for i, r := range rows {
-		recs[i] = t.Records[r].Clone()
-	}
-	return &Table{Schema: t.Schema, Records: recs}
 }
 
 // Profile is a distinct QI combination with the sensitive histogram of

@@ -10,6 +10,130 @@ import (
 	"repro/internal/prob"
 )
 
+// The classical measures of §IV-B that the paper argues against, and
+// the closed-form EMDs of the t-closeness paper for ordered and
+// hierarchical domains. The framework computes with SmoothedJS and
+// matrix EMD only; these stay as test oracles and as the other rows of
+// the conformance table.
+
+// KL returns the Kullback–Leibler divergence KL(P‖Q) in bits.
+// It is +Inf when some p_i > 0 has q_i = 0 — the zero-probability
+// definability failure the paper calls out — and NaN-free otherwise.
+func KL(p, q prob.Dist) float64 {
+	if len(p) != len(q) {
+		panic("distance: KL over different domains")
+	}
+	s := 0.0
+	for i := range p {
+		if p[i] == 0 {
+			continue
+		}
+		if q[i] == 0 {
+			return math.Inf(1)
+		}
+		s += p[i] * math.Log2(p[i]/q[i])
+	}
+	return s
+}
+
+// JS returns the Jensen–Shannon divergence
+// JS(P,Q) = ½KL(P‖M) + ½KL(Q‖M) with M = (P+Q)/2, in bits.
+// It is always finite and lies in [0,1].
+func JS(p, q prob.Dist) float64 {
+	if len(p) != len(q) {
+		panic("distance: JS over different domains")
+	}
+	return js(p, q)
+}
+
+// MeasureFunc adapts a function to the Measure interface.
+type MeasureFunc struct {
+	F  func(p, q prob.Dist) float64
+	ID string
+}
+
+// Distance invokes the wrapped function.
+func (m MeasureFunc) Distance(p, q prob.Dist) float64 { return m.F(p, q) }
+
+// Name returns the measure's identifier.
+func (m MeasureFunc) Name() string { return m.ID }
+
+// KLMeasure is KL divergence as a Measure.
+func KLMeasure() Measure { return MeasureFunc{F: KL, ID: "KL"} }
+
+// JSMeasure is JS divergence as a Measure.
+func JSMeasure() Measure { return MeasureFunc{F: JS, ID: "JS"} }
+
+// EMDMeasure wraps matrix EMD as a Measure.
+func EMDMeasure(m [][]float64) Measure {
+	return MeasureFunc{
+		F:  func(p, q prob.Dist) float64 { return EMD(p, q, m) },
+		ID: "EMD",
+	}
+}
+
+// EMDOrdered returns the Earth Mover's Distance between two
+// distributions over a totally ordered domain with unit-normalized
+// adjacent distances: the classical 1-D closed form
+// EMD = Σ_i |Σ_{j≤i}(p_j - q_j)| / (m-1), as used by t-closeness for
+// numeric sensitive attributes.
+func EMDOrdered(p, q prob.Dist) float64 {
+	if len(p) != len(q) {
+		panic("distance: EMD over different domains")
+	}
+	m := len(p)
+	if m <= 1 {
+		return 0
+	}
+	cum, s := 0.0, 0.0
+	for i := 0; i < m-1; i++ {
+		cum += p[i] - q[i]
+		s += math.Abs(cum)
+	}
+	return s / float64(m-1)
+}
+
+// Tree is a sensitive-domain hierarchy for EMDHierarchical.
+type Tree struct {
+	// Children of this node; a leaf has none.
+	Children []*Tree
+	// Leaf is the sensitive-domain index for leaves, -1 otherwise.
+	Leaf int
+}
+
+// EMDHierarchical returns the hierarchical EMD between p and q over the
+// given tree, which must have all leaves at depth exactly height. On
+// such a tree the semantic distance (H−depth(LCA))/H decomposes into
+// 2·(H−depth(LCA)) edge crossings of uniform cost 1/(2H), and the
+// optimal flow through each edge is the net imbalance of the subtree
+// below it — giving a linear-time closed form for the transportation
+// problem, as used by t-closeness for hierarchical sensitive domains.
+func EMDHierarchical(p, q prob.Dist, root *Tree, height int) float64 {
+	if height <= 0 {
+		panic("distance: hierarchical EMD needs positive height")
+	}
+	edgeCost := 1 / (2 * float64(height))
+	var walk func(n *Tree) (net float64, cost float64)
+	walk = func(n *Tree) (float64, float64) {
+		if n.Leaf >= 0 {
+			return p[n.Leaf] - q[n.Leaf], 0
+		}
+		net, cost := 0.0, 0.0
+		// Children settle mass internally first; what cannot be settled
+		// crosses the child→this edge, paying the uniform edge cost.
+		for _, c := range n.Children {
+			cn, cc := walk(c)
+			cost += cc + math.Abs(cn)*edgeCost
+			net += cn
+		}
+		return net, cost
+	}
+	_, cost := walk(root)
+	// The root has no parent edge; imbalance there is zero for
+	// equal-mass distributions, so nothing is dropped.
+	return cost
+}
+
 func randomDist(rng *rand.Rand, m int) prob.Dist {
 	d := make(prob.Dist, m)
 	for i := range d {

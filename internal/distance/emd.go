@@ -7,73 +7,6 @@ import (
 	"repro/internal/prob"
 )
 
-// EMDOrdered returns the Earth Mover's Distance between two
-// distributions over a totally ordered domain with unit-normalized
-// adjacent distances: the classical 1-D closed form
-// EMD = Σ_i |Σ_{j≤i}(p_j - q_j)| / (m-1), as used by t-closeness for
-// numeric sensitive attributes.
-func EMDOrdered(p, q prob.Dist) float64 {
-	if len(p) != len(q) {
-		panic("distance: EMD over different domains")
-	}
-	m := len(p)
-	if m <= 1 {
-		return 0
-	}
-	cum, s := 0.0, 0.0
-	for i := 0; i < m-1; i++ {
-		cum += p[i] - q[i]
-		s += math.Abs(cum)
-	}
-	return s / float64(m-1)
-}
-
-// HierarchyEMD computes EMD with ground distances taken from a
-// generalization hierarchy, using the closed form from the t-closeness
-// paper: mass is settled bottom-up; the cost of moving mass through an
-// internal node at height h above the leaves is weighted by h/H.
-// leafGroups maps each internal "branch" of the tree: the function works
-// on the recursive structure provided by Tree.
-type Tree struct {
-	// Children of this node; a leaf has none.
-	Children []*Tree
-	// Leaf is the sensitive-domain index for leaves, -1 otherwise.
-	Leaf int
-}
-
-// EMDHierarchical returns the hierarchical EMD between p and q over the
-// given tree, which must have all leaves at depth exactly height. On
-// such a tree the semantic distance (H−depth(LCA))/H decomposes into
-// 2·(H−depth(LCA)) edge crossings of uniform cost 1/(2H), and the
-// optimal flow through each edge is the net imbalance of the subtree
-// below it — giving a linear-time closed form for the transportation
-// problem, as used by t-closeness for hierarchical sensitive domains.
-func EMDHierarchical(p, q prob.Dist, root *Tree, height int) float64 {
-	if height <= 0 {
-		panic("distance: hierarchical EMD needs positive height")
-	}
-	edgeCost := 1 / (2 * float64(height))
-	var walk func(n *Tree) (net float64, cost float64)
-	walk = func(n *Tree) (float64, float64) {
-		if n.Leaf >= 0 {
-			return p[n.Leaf] - q[n.Leaf], 0
-		}
-		net, cost := 0.0, 0.0
-		// Children settle mass internally first; what cannot be settled
-		// crosses the child→this edge, paying the uniform edge cost.
-		for _, c := range n.Children {
-			cn, cc := walk(c)
-			cost += cc + math.Abs(cn)*edgeCost
-			net += cn
-		}
-		return net, cost
-	}
-	_, cost := walk(root)
-	// The root has no parent edge; imbalance there is zero for
-	// equal-mass distributions, so nothing is dropped.
-	return cost
-}
-
 // EMD computes the Earth Mover's Distance between p and q under an
 // arbitrary ground-distance matrix m (m[i][j] = cost of moving one unit
 // of mass from value i to value j), by solving the transportation
@@ -218,12 +151,4 @@ func (q *pqueue) Pop() interface{} {
 	it := old[n-1]
 	*q = old[:n-1]
 	return it
-}
-
-// EMDMeasure wraps matrix EMD as a Measure.
-func EMDMeasure(m [][]float64) Measure {
-	return MeasureFunc{
-		F:  func(p, q prob.Dist) float64 { return EMD(p, q, m) },
-		ID: "EMD",
-	}
 }

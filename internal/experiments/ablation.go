@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"time"
 
@@ -98,12 +99,9 @@ func (r *Runner) AblationInference() (*Report, error) {
 			"adaptive/exact can exceed the certified bound on groups with hard-zero " +
 			"priors — the Ω-inexactness of §III-D (Table III), quantified",
 	}
-	saved := r.Engine.Method
-	defer func() { r.Engine.Method = saved }()
 	for _, m := range []inference.Method{inference.Omega{}, inference.Adaptive{}} {
-		r.Engine.Method = m
 		start := time.Now()
-		att, err := r.Engine.Attack(res, bvec, p.T, nil)
+		att, err := r.Engine.AttackWith(context.Background(), m, res, bvec, p.T, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/anonymize"
@@ -32,9 +33,10 @@ func (r *Runner) bprimeVecs() [][]float64 {
 // knowledge gain > t for (B,t).
 //
 // Each model's release is attacked by the whole b' grid through one
-// AttackSweep — one inference dispatch for the whole grid instead of
-// one per b' — and models fan out on the pool. Cell values are bit-identical to per-b' Attack calls (the
-// sweep's determinism guarantee).
+// AttackSweepWith — one inference dispatch for the whole grid instead
+// of one per b' — and models fan out on the pool. Cell values are
+// bit-identical to per-b' AttackWith calls (the sweep's determinism
+// guarantee).
 func (r *Runner) Fig1a() (*Report, error) {
 	p := core.Table5()[0]
 	rep := &Report{
@@ -48,7 +50,7 @@ func (r *Runner) Fig1a() (*Report, error) {
 	cols, err := parallel.MapErr(r.workers(), len(models), func(mi int) ([]string, error) {
 		m := models[mi]
 		return r.cells(m, p, len(bvecs), func(res *anonymize.Result) ([]string, error) {
-			atts, err := r.Engine.AttackSweep(res, bvecs, p.T, r.Engine.BreachTest(m, p))
+			atts, err := r.Engine.AttackSweepWith(context.Background(), nil, res, bvecs, p.T, r.Engine.BreachTest(m, p))
 			if err != nil {
 				return nil, err
 			}
@@ -85,7 +87,7 @@ func (r *Runner) Fig1b() (*Report, error) {
 	bvec := kernel.UniformBandwidth(r.Table.Schema.D(), bPrime)
 	return r.modelRows(rep, r.workers(), len(core.Table5()), para,
 		func(_ int, m core.Model, p core.Params, res *anonymize.Result) (string, error) {
-			att, err := r.Engine.Attack(res, bvec, p.T, r.Engine.BreachTest(m, p))
+			att, err := r.Engine.AttackWith(context.Background(), nil, res, bvec, p.T, r.Engine.BreachTest(m, p))
 			if err != nil {
 				return "", err
 			}

@@ -97,11 +97,11 @@ func (r *Runner) Fig3b() (*Report, error) {
 		p.BVec = bvec
 		p.B = 0
 		cell, err := r.cells(core.BTPrivacy, p, 1, func(res *anonymize.Result) ([]string, error) {
-			risk, err := r.Engine.WorstCaseRisk(res, adv)
+			risks, err := r.Engine.WorstCaseRiskSweep(res, [][]float64{adv})
 			if err != nil {
 				return nil, err
 			}
-			return []string{fmtF(risk)}, nil
+			return []string{fmtF(risks[0])}, nil
 		})
 		if err != nil {
 			return "", err

@@ -10,6 +10,16 @@ import (
 	"repro/internal/prob"
 )
 
+// RelativeError returns |a−b| / max(|a|,|b|, tiny), for the tests that
+// cross-check the DP against Ryser.
+func RelativeError(a, b float64) float64 {
+	den := math.Max(math.Abs(a), math.Abs(b))
+	if den < 1e-300 {
+		return 0
+	}
+	return math.Abs(a-b) / den
+}
+
 // Domain for the paper's §III-B example: index 0 = HIV, 1 = none.
 func paperPriors() []prob.Dist {
 	return []prob.Dist{

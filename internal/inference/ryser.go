@@ -1,9 +1,6 @@
 package inference
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // PermanentRyser computes the permanent of a square matrix with Ryser's
 // inclusion–exclusion formula over column subsets, walked in Gray-code
@@ -75,14 +72,4 @@ func PermanentFromGroup(priors [][]float64, svals []int) float64 {
 		}
 	}
 	return PermanentRyser(mat)
-}
-
-// RelativeError returns |a−b| / max(|a|,|b|, tiny); used by tests that
-// cross-check the DP against Ryser.
-func RelativeError(a, b float64) float64 {
-	den := math.Max(math.Abs(a), math.Abs(b))
-	if den < 1e-300 {
-		return 0
-	}
-	return math.Abs(a-b) / den
 }

@@ -16,9 +16,7 @@
 package injector
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/dataset"
 	"repro/internal/prob"
@@ -51,16 +49,6 @@ func (r *Rule) Matches(rec dataset.Record) bool {
 		}
 	}
 	return true
-}
-
-// Format renders the rule readably against a schema.
-func (r *Rule) Format(sch *dataset.Schema) string {
-	parts := make([]string, len(r.Antecedent))
-	for i, it := range r.Antecedent {
-		parts[i] = fmt.Sprintf("%s=%s", sch.QI[it.Attr].Name, sch.QI[it.Attr].Value(it.Value))
-	}
-	return fmt.Sprintf("%s => NOT %s (support %d)",
-		strings.Join(parts, " AND "), sch.Sensitive.Value(r.Sensitive), r.Support)
 }
 
 // Miner configures rule mining.
@@ -245,20 +233,4 @@ func ConstrainAll(rules []Rule, t *dataset.Table, priors []prob.Dist) []prob.Dis
 		out[ri] = Apply(rules, t.Records[ri], priors[ri])
 	}
 	return out
-}
-
-// Violations counts (record, rule) pairs where a rule's antecedent
-// matches but the record holds the excluded value — zero on the table
-// the rules were mined from, by construction. Used to validate rules
-// against a different release of the same population.
-func Violations(rules []Rule, t *dataset.Table) int {
-	n := 0
-	for _, rec := range t.Records {
-		for i := range rules {
-			if rules[i].Sensitive == rec.S && rules[i].Matches(rec) {
-				n++
-			}
-		}
-	}
-	return n
 }

@@ -1,6 +1,7 @@
 package injector
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -11,6 +12,32 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/prob"
 )
+
+// Format renders the rule readably against a schema.
+func (r *Rule) Format(sch *dataset.Schema) string {
+	parts := make([]string, len(r.Antecedent))
+	for i, it := range r.Antecedent {
+		parts[i] = fmt.Sprintf("%s=%s", sch.QI[it.Attr].Name, sch.QI[it.Attr].Value(it.Value))
+	}
+	return fmt.Sprintf("%s => NOT %s (support %d)",
+		strings.Join(parts, " AND "), sch.Sensitive.Value(r.Sensitive), r.Support)
+}
+
+// Violations counts (record, rule) pairs where a rule's antecedent
+// matches but the record holds the excluded value — zero on the table
+// the rules were mined from, by construction. Used to validate rules
+// against a different release of the same population.
+func Violations(rules []Rule, t *dataset.Table) int {
+	n := 0
+	for _, rec := range t.Records {
+		for i := range rules {
+			if rules[i].Sensitive == rec.S && rules[i].Matches(rec) {
+				n++
+			}
+		}
+	}
+	return n
+}
 
 // clinicTable: males never have ovarian cancer (value index 2), the
 // motivating negative association of the paper.

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -50,8 +51,12 @@ type Estimator struct {
 
 // NewEstimator prepares an estimator for the table. hiers supplies
 // generalization hierarchies for categorical attributes by name;
-// attributes without one use the flat hierarchy.
+// attributes without one use the flat hierarchy. A schema without QI
+// attributes is refused: the prior is a function of the QI point.
 func NewEstimator(t *dataset.Table, hiers map[string]*hierarchy.Hierarchy, k Func) (*Estimator, error) {
+	if t.Schema.D() == 0 {
+		return nil, errors.New("kernel: schema has no QI attributes")
+	}
 	if k == nil {
 		k = Epanechnikov{}
 	}
@@ -182,15 +187,6 @@ func (e *Estimator) PriorsBatch(bvecs [][]float64) ([][]prob.Dist, error) {
 		out[k] = priors
 	}
 	return out, nil
-}
-
-// PriorAt estimates the prior at an arbitrary QI point q (value
-// indexes), which need not occur in the table.
-func (e *Estimator) PriorAt(q []int, b []float64) (prob.Dist, error) {
-	if err := e.validateBandwidth(b); err != nil {
-		return nil, err
-	}
-	return e.priorAtPoint(q, e.weightTables(nil, b)), nil
 }
 
 // BandwidthKey renders a bandwidth vector canonically: the engine's

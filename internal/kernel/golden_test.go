@@ -12,6 +12,20 @@ import (
 	"repro/internal/schema"
 )
 
+// WeightTable precomputes the kernel weights W[v][w] = K(M[v][w]; b)
+// over a distance matrix. Prior estimation then reduces each pairwise
+// product kernel to d table lookups.
+func WeightTable(k Func, m [][]float64, b float64) [][]float64 {
+	w := make([][]float64, len(m))
+	for i := range m {
+		w[i] = make([]float64, len(m[i]))
+		for j := range m[i] {
+			w[i][j] = k.Weight(m[i][j], b)
+		}
+	}
+	return w
+}
+
 // referencePriors is the pre-flattening implementation, kept verbatim
 // as the golden oracle: per-attribute [][][]float64 weight tables,
 // pointer-chasing over []*dataset.Profile, and the exact accumulation

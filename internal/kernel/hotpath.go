@@ -238,16 +238,3 @@ func (e *Estimator) priorPass(ft *flatTables, out []float64) {
 		}
 	})
 }
-
-// priorAtPoint runs the Nadaraya–Watson sum for one arbitrary QI point
-// q (value indexes), which need not occur in the table, with the pass
-// proper's sum and reduction.
-func (e *Estimator) priorAtPoint(q []int, ft *flatTables) prob.Dist {
-	d := e.packed.D
-	e.buildSupport(ft)
-	bs, rs := make([]int, d), make([]int, d)
-	queryRows(e, ft, q, bs, rs)
-	acc := make(prob.Dist, e.packed.M)
-	e.finish(acc, e.sum(ft, bs, rs, make([]uint64, e.words), acc))
-	return acc
-}

@@ -219,6 +219,20 @@ func TestBandwidthValidation(t *testing.T) {
 	}
 }
 
+// TestNewEstimatorRejectsZeroQI: a schema without QI attributes has no
+// point to estimate a prior at, so construction fails instead of the
+// first pass indexing an empty bandwidth.
+func TestNewEstimatorRejectsZeroQI(t *testing.T) {
+	sens := dataset.NewCategorical("Disease", []string{"Flu", "HIV"})
+	tab := &dataset.Table{
+		Schema:  &dataset.Schema{Sensitive: sens},
+		Records: []dataset.Record{{S: 0}, {S: 1}},
+	}
+	if est, err := NewEstimator(tab, nil, Epanechnikov{}); err == nil {
+		t.Fatalf("zero-QI table accepted (estimator %v)", est != nil)
+	}
+}
+
 func TestUniformBandwidth(t *testing.T) {
 	b := UniformBandwidth(3, 0.4)
 	if len(b) != 3 || b[0] != 0.4 || b[2] != 0.4 {

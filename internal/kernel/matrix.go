@@ -33,17 +33,3 @@ func AttributeMatrix(a *dataset.Attribute, h *hierarchy.Hierarchy) ([][]float64,
 	}
 	return m, nil
 }
-
-// WeightTable precomputes the kernel weights W[v][w] = K(M[v][w]; b)
-// over a distance matrix. Prior estimation then reduces each pairwise
-// product kernel to d table lookups.
-func WeightTable(k Func, m [][]float64, b float64) [][]float64 {
-	w := make([][]float64, len(m))
-	for i := range m {
-		w[i] = make([]float64, len(m[i]))
-		for j := range m[i] {
-			w[i][j] = k.Weight(m[i][j], b)
-		}
-	}
-	return w
-}

@@ -6,7 +6,30 @@ import (
 
 	"repro/internal/adult"
 	"repro/internal/dataset"
+	"repro/internal/prob"
 )
+
+// PriorAt estimates the prior at an arbitrary QI point q (value
+// indexes), which need not occur in the table.
+func (e *Estimator) PriorAt(q []int, b []float64) (prob.Dist, error) {
+	if err := e.validateBandwidth(b); err != nil {
+		return nil, err
+	}
+	return e.priorAtPoint(q, e.weightTables(nil, b)), nil
+}
+
+// priorAtPoint runs the Nadaraya–Watson sum for one arbitrary QI point
+// q (value indexes), which need not occur in the table, with the pass
+// proper's sum and reduction.
+func (e *Estimator) priorAtPoint(q []int, ft *flatTables) prob.Dist {
+	d := e.packed.D
+	e.buildSupport(ft)
+	bs, rs := make([]int, d), make([]int, d)
+	queryRows(e, ft, q, bs, rs)
+	acc := make(prob.Dist, e.packed.M)
+	e.finish(acc, e.sum(ft, bs, rs, make([]uint64, e.words), acc))
+	return acc
+}
 
 // passCase is one estimator configuration the pass tests sweep.
 type passCase struct {

@@ -17,11 +17,11 @@ import (
 	"repro/internal/privacy"
 )
 
-// DefaultParallelDepth is the recursion depth below which subtree
-// goroutines are no longer spawned: past it, subproblems are too small
-// to amortize a goroutine, and the token pool has long been saturated
-// by the shallow splits anyway.
-const DefaultParallelDepth = 16
+// parallelDepth is the recursion depth below which subtree goroutines
+// are no longer spawned: past it, subproblems are too small to amortize
+// a goroutine, and the token pool has long been saturated by the
+// shallow splits anyway.
+const parallelDepth = 16
 
 // Partitioner holds the anonymization configuration.
 type Partitioner struct {
@@ -39,8 +39,6 @@ type Partitioner struct {
 	// spawned right subtree collects into its own slice and is
 	// appended after the left, preserving the in-order traversal.
 	Workers int
-	// ParallelDepth overrides DefaultParallelDepth when positive.
-	ParallelDepth int
 	// Span, when set by a traced caller, records the whole recursion
 	// as one mondrian stage span — a single coarse observation, so the
 	// per-split hot path stays untimed. Nil is a free no-op.
@@ -69,14 +67,6 @@ func (p *Partitioner) Anonymize() *anonymize.Result {
 	return res
 }
 
-// maxDepth returns the depth bound for spawning subtree goroutines.
-func (p *Partitioner) maxDepth() int {
-	if p.ParallelDepth > 0 {
-		return p.ParallelDepth
-	}
-	return DefaultParallelDepth
-}
-
 // recurse splits rows as long as an allowable cut exists: dimensions
 // are tried in decreasing normalized width, and the first median cut
 // whose halves both satisfy the requirement is taken. Above the depth
@@ -89,7 +79,7 @@ func (p *Partitioner) recurse(rows []int, depth int, out *[]*anonymize.Group, li
 			continue
 		}
 		if p.Req.Satisfied(left) && p.Req.Satisfied(right) {
-			if depth < p.maxDepth() && lim.TryAcquire() {
+			if depth < parallelDepth && lim.TryAcquire() {
 				var rightGroups []*anonymize.Group
 				wait := lim.Go(func() {
 					p.recurse(right, depth+1, &rightGroups, lim)

@@ -39,17 +39,3 @@ func TestParallelPartitionMatchesSequential(t *testing.T) {
 		}
 	}
 }
-
-// TestParallelDepthZeroSpawning checks a depth bound of effectively
-// zero parallelism still produces the full partition (pure fallback
-// path with a live limiter).
-func TestParallelDepthBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	tab := randomTable(rng, 300)
-	req := privacy.KAnonymity{K: 5}
-	seq := (&Partitioner{Table: tab, Req: req, Workers: -1}).Anonymize()
-	par := (&Partitioner{Table: tab, Req: req, Workers: 8, ParallelDepth: 1}).Anonymize()
-	if !reflect.DeepEqual(seq.Groups, par.Groups) {
-		t.Error("ParallelDepth=1 partition differs from sequential")
-	}
-}

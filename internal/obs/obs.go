@@ -182,15 +182,6 @@ func (s *Span) SetShape(sh Shape) {
 	s.shape = sh
 }
 
-// Shape returns the annotation set by SetShape (zero when unset or on
-// a nil span). Like Duration, it is meaningful only after End.
-func (s *Span) Shape() Shape {
-	if s == nil {
-		return Shape{}
-	}
-	return s.shape
-}
-
 // End closes the span, recording its duration (and, for stage-bearing
 // spans, one ledger observation — shaped when the span was annotated).
 // No-op on nil.
@@ -224,15 +215,6 @@ func (s *Span) Outcome() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.outcome
-}
-
-// Duration returns the span's recorded duration (zero before End or
-// on a nil span).
-func (s *Span) Duration() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.dur
 }
 
 // ctxKey carries the current span through a request's context.

@@ -118,18 +118,6 @@ func (d Dist) Validate() error {
 	return nil
 }
 
-// Entropy returns the Shannon entropy of d in bits. Zero components
-// contribute zero, following the usual 0·log 0 = 0 convention.
-func (d Dist) Entropy() float64 {
-	h := 0.0
-	for _, p := range d {
-		if p > 0 {
-			h -= p * math.Log2(p)
-		}
-	}
-	return h
-}
-
 // Max returns the largest component of d and its index.
 func (d Dist) Max() (float64, int) {
 	best, at := math.Inf(-1), -1
@@ -139,17 +127,6 @@ func (d Dist) Max() (float64, int) {
 		}
 	}
 	return best, at
-}
-
-// Support returns the number of components with positive mass.
-func (d Dist) Support() int {
-	n := 0
-	for _, p := range d {
-		if p > 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // Identical reports whether p and q hold bit-identical components, so
@@ -169,16 +146,6 @@ func Identical(p, q Dist) bool {
 		}
 	}
 	return true
-}
-
-// AddScaled accumulates w*src into dst in place. Domains must match.
-func AddScaled(dst, src Dist, w float64) {
-	if len(dst) != len(src) {
-		panic("prob: accumulating distributions over different domains")
-	}
-	for i := range dst {
-		dst[i] += w * src[i]
-	}
 }
 
 // Equal reports whether p and q agree componentwise within tol.

@@ -27,9 +27,6 @@ func TestPointMass(t *testing.T) {
 	if d[3] != 1 {
 		t.Errorf("mass not at index 3: %v", d)
 	}
-	if d.Support() != 1 {
-		t.Errorf("support = %d, want 1", d.Support())
-	}
 }
 
 func TestFromCounts(t *testing.T) {
@@ -80,15 +77,6 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
-func TestEntropy(t *testing.T) {
-	if h := Uniform(4).Entropy(); math.Abs(h-2) > 1e-12 {
-		t.Errorf("entropy of uniform(4) = %g, want 2", h)
-	}
-	if h := PointMass(4, 0).Entropy(); h != 0 {
-		t.Errorf("entropy of point mass = %g, want 0", h)
-	}
-}
-
 func TestMax(t *testing.T) {
 	v, i := (Dist{0.1, 0.7, 0.2}).Max()
 	if v != 0.7 || i != 1 {
@@ -122,14 +110,6 @@ func TestMixAverage(t *testing.T) {
 	}
 }
 
-func TestAddScaled(t *testing.T) {
-	dst := New(2)
-	AddScaled(dst, Dist{0.5, 0.5}, 2)
-	if !Equal(dst, Dist{1, 1}, 1e-12) {
-		t.Errorf("AddScaled = %v", dst)
-	}
-}
-
 func TestTotalVariation(t *testing.T) {
 	if tv := TotalVariation(Dist{1, 0}, Dist{0, 1}); tv != 1 {
 		t.Errorf("TV of disjoint = %g, want 1", tv)
@@ -142,7 +122,6 @@ func TestTotalVariation(t *testing.T) {
 func TestDomainMismatchPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"Mix":            func() { Mix(Dist{1}, Dist{0.5, 0.5}, 0.5) },
-		"AddScaled":      func() { AddScaled(New(1), New(2), 1) },
 		"TotalVariation": func() { TotalVariation(New(1), New(2)) },
 	} {
 		func() {
@@ -171,19 +150,6 @@ func TestNormalizeProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		d := randomDist(r, 1+rng.Intn(20))
 		return d.Validate() == nil
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestEntropyBoundsProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		m := 2 + r.Intn(20)
-		d := randomDist(r, m)
-		h := d.Entropy()
-		return h >= 0 && h <= math.Log2(float64(m))+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -112,13 +112,6 @@ func (r *Registry) List() []Entry {
 	return out
 }
 
-// Len returns the number of registered specs.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.byID)
-}
-
 // Export returns the canonical JSON document of the spec registered
 // under ref (id or name) — the serializable form a persistence layer
 // writes at registration time and replays through Import at boot.

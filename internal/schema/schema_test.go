@@ -339,8 +339,8 @@ func TestRegistry(t *testing.T) {
 	if len(list) != 2 || list[0].Spec.Name != "hospital-2" || list[1].Spec.Name != "hospital-test" {
 		t.Fatalf("list = %+v", list)
 	}
-	if r.Len() != 2 {
-		t.Fatalf("len = %d", r.Len())
+	if len(r.byID) != 2 {
+		t.Fatalf("len = %d", len(r.byID))
 	}
 }
 

@@ -278,7 +278,7 @@ type AnonymizeResponse struct {
 // valid (0, 1] range — is distinguishable from an omitted field and is
 // rejected rather than silently replaced by the default. BPrimes is
 // the sweep form: a grid of adversary bandwidths evaluated in one
-// amortized pass (core.Engine.AttackSweep), returning per-bandwidth
+// amortized pass (core.Engine.AttackSweepWith), returning per-bandwidth
 // results in one response. Exactly one of the two forms may be used.
 type AttackRequest struct {
 	Release string    `json:"release"`

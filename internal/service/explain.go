@@ -16,14 +16,37 @@ type stageShape struct {
 	sh obs.Shape
 }
 
-// anonymizeShapes lists the cold-path stages of an anonymize request:
-// the algorithm's partitioning pass over the full table, plus the
-// release write-through when a durable tier is configured. Requirement
-// derivation and response assembly are unstaged noise by design.
-func (s *Server) anonymizeShapes(ds *datasetEntry, algo string) []stageShape {
+// anonymizeShapes lists the cold-path stages of a normalized anonymize
+// request. The requirement derivation runs first: a Mondrian or
+// Incognito release under (B,t) builds one kernel table and runs one
+// prior pass at B, under skyline one per distinct ladder bandwidth
+// (the other models and anatomy run none). Then comes the algorithm's
+// partitioning pass over the full table, plus the release
+// write-through when a durable tier is configured. Response assembly
+// is unstaged noise by design.
+func (s *Server) anonymizeShapes(ds *datasetEntry, req *AnonymizeRequest) []stageShape {
 	n, d := ds.table.N(), ds.table.Schema.D()
+	var bandwidths []float64
+	if req.Algo != "anatomy" {
+		switch m, _ := core.ParseModel(req.Model); m {
+		case core.BTPrivacy:
+			bandwidths = []float64{req.B}
+		case core.Skyline:
+			for _, p := range core.SkylineLadder(core.Params{B: req.B, T: req.T}) {
+				bandwidths = append(bandwidths, p.B)
+			}
+		}
+	}
+	var out []stageShape
+	profiles := len(ds.engine.Estimator.Profiles())
+	for range normalizeGrid(bandwidths) {
+		out = append(out,
+			stageShape{obs.StageKernelTable, obs.Shape{Profiles: profiles, Dims: d}},
+			stageShape{obs.StagePriors, obs.Shape{Profiles: profiles, Dims: d}},
+		)
+	}
 	var st obs.Stage
-	switch algo {
+	switch req.Algo {
 	case "anatomy":
 		st = obs.StageAnatomy
 	case "incognito":
@@ -31,7 +54,7 @@ func (s *Server) anonymizeShapes(ds *datasetEntry, algo string) []stageShape {
 	default:
 		st = obs.StageMondrian
 	}
-	out := []stageShape{{st, obs.Shape{Rows: n, Dims: d}}}
+	out = append(out, stageShape{st, obs.Shape{Rows: n, Dims: d}})
 	if s.disk != nil {
 		out = append(out, stageShape{obs.StagePersistWrite, obs.Shape{Rows: n}})
 	}
@@ -144,7 +167,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusNotFound, "unknown dataset %q", req.Dataset)
 			return
 		}
-		shapes = s.anonymizeShapes(ds, req.Algo)
+		shapes = s.anonymizeShapes(ds, &req)
 	case "attack", "risk":
 		relRef := q.Get("release")
 		if relRef == "" {

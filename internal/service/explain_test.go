@@ -190,6 +190,69 @@ func TestEstimateEndpoint(t *testing.T) {
 	}
 }
 
+// TestAnonymizePricingIncludesPriorPass: a cold (B,t) release derives
+// its requirement's priors before it partitions, so the priced cold
+// path names every stage the request ran, and the estimate of the
+// default request (bt) prices the same path. Skyline prices one prior
+// pass per distinct ladder bandwidth; anatomy runs none.
+func TestAnonymizePricingIncludesPriorPass(t *testing.T) {
+	_, ts := newTestServerCfg(t, Config{Workers: 0, TraceRing: 32})
+	ds := createDataset(t, ts, 300, 3)
+	counts := func(preds []StagePrediction, uncal []string) map[string]int64 {
+		c := map[string]int64{}
+		for _, p := range preds {
+			c[p.Stage]++
+		}
+		for _, st := range uncal {
+			c[st]++
+		}
+		return c
+	}
+
+	code, body := post(t, ts, "/v1/anonymize?explain=1", fmt.Sprintf(`{"dataset":%q,"model":"bt"}`, ds))
+	if code != http.StatusOK {
+		t.Fatalf("anonymize: status %d: %s", code, body)
+	}
+	ex := mustJSON[AnonymizeResponse](t, body).Explain
+	priced := counts(ex.Predicted, ex.Uncalibrated)
+	for _, st := range ex.Actual {
+		if priced[st.Stage] != st.Count {
+			t.Errorf("stage %s ran %d times, priced %d: %s", st.Stage, st.Count, priced[st.Stage], body)
+		}
+	}
+	if priced["kernel_table"] != 1 || priced["priors"] != 1 {
+		t.Errorf("cold bt anonymize priced %v, want one kernel_table and one priors", priced)
+	}
+
+	code, body = get(t, ts, "/v1/estimate?op=anonymize&dataset="+ds)
+	if code != http.StatusOK {
+		t.Fatalf("estimate anonymize: status %d: %s", code, body)
+	}
+	est := mustJSON[EstimateResponse](t, body)
+	if c := counts(est.Stages, est.Uncalibrated); c["kernel_table"] != 1 || c["priors"] != 1 || c["mondrian"] != 1 {
+		t.Errorf("default anonymize estimate priced %v, want kernel_table, priors and mondrian once each", c)
+	}
+
+	for _, tc := range []struct {
+		body   string
+		priors int64
+	}{
+		{`"model":"skyline","b":0.3`, 3}, // ladder 0.2, 0.3, 0.5
+		{`"model":"skyline","b":0.2`, 2}, // ladder 0.2, 0.2, 0.5
+		{`"model":"tclose"`, 0},
+		{`"algo":"anatomy"`, 0},
+	} {
+		code, body := post(t, ts, "/v1/anonymize?explain=1", fmt.Sprintf(`{"dataset":%q,%s}`, ds, tc.body))
+		if code != http.StatusOK {
+			t.Fatalf("anonymize %s: status %d: %s", tc.body, code, body)
+		}
+		ex := mustJSON[AnonymizeResponse](t, body).Explain
+		if got := counts(ex.Predicted, ex.Uncalibrated); got["priors"] != tc.priors || got["kernel_table"] != tc.priors {
+			t.Errorf("anonymize %s priced %v, want %d prior passes", tc.body, got, tc.priors)
+		}
+	}
+}
+
 // TestEstimateGridMatchesAttack checks that the attack estimate accepts
 // exactly the grids POST /v1/attack accepts, and prices the sweep the
 // attack would run: one lane per distinct bandwidth.

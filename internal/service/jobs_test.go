@@ -73,10 +73,10 @@ func TestAsyncAnonymizeLifecycle(t *testing.T) {
 	if resp := mustJSON[AnonymizeResponse](t, b); !resp.Cached || resp.Release != done.Release {
 		t.Fatalf("sync request did not share the job's release: %+v", resp)
 	}
-	if got := s.Metrics().PipelineRuns.Value(); got != 1 {
+	if got := s.metrics.PipelineRuns.Value(); got != 1 {
 		t.Fatalf("pipeline runs = %d, want 1", got)
 	}
-	if got := s.Metrics().JobsDone.Value(); got != 1 {
+	if got := s.metrics.JobsDone.Value(); got != 1 {
 		t.Fatalf("jobs done = %d, want 1", got)
 	}
 
@@ -93,7 +93,7 @@ func TestAsyncAnonymizeLifecycle(t *testing.T) {
 	if code, b := get(t, ts, "/v1/jobs/"+resub.Job); code != http.StatusOK {
 		t.Fatalf("born-done job not pollable: status %d: %s", code, b)
 	}
-	if got := s.Metrics().PipelineRuns.Value(); got != 1 {
+	if got := s.metrics.PipelineRuns.Value(); got != 1 {
 		t.Fatalf("pipeline runs after resident resubmit = %d, want 1", got)
 	}
 }
@@ -118,7 +118,7 @@ func TestAsyncJobFailure(t *testing.T) {
 	if code, _ := get(t, ts, "/v1/releases/"+sub.Release); code != http.StatusNotFound {
 		t.Fatalf("failed job's release should 404, got %d", code)
 	}
-	if got := s.Metrics().JobsFailed.Value(); got != 1 {
+	if got := s.metrics.JobsFailed.Value(); got != 1 {
 		t.Fatalf("jobs failed = %d, want 1", got)
 	}
 }

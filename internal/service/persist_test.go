@@ -50,9 +50,9 @@ func TestRestartRecoveryByteIdentical(t *testing.T) {
 	_, cachedAnon := post(t, ts1, "/v1/anonymize", anonBody)
 	_, relInfo := get(t, ts1, "/v1/releases/"+rel)
 	_, attack := post(t, ts1, "/v1/attack", attackBody(rel))
-	if s1.Metrics().PersistWrites.Value() < 2 {
+	if s1.metrics.PersistWrites.Value() < 2 {
 		t.Fatalf("persist writes = %d, want dataset manifest + release",
-			s1.Metrics().PersistWrites.Value())
+			s1.metrics.PersistWrites.Value())
 	}
 	ts1.Close()
 
@@ -78,13 +78,13 @@ func TestRestartRecoveryByteIdentical(t *testing.T) {
 	if !bytes.Equal(gotAnon, cachedAnon) {
 		t.Errorf("anonymize differs after restart:\npre:  %s\npost: %s", cachedAnon, gotAnon)
 	}
-	if got := s2.Metrics().PipelineRuns.Value(); got != 0 {
+	if got := s2.metrics.PipelineRuns.Value(); got != 0 {
 		t.Errorf("warm path ran the pipeline %d times, want 0", got)
 	}
-	if got := s2.Metrics().PersistReleaseLoads.Value(); got != 1 {
+	if got := s2.metrics.PersistReleaseLoads.Value(); got != 1 {
 		t.Errorf("release loads = %d, want 1", got)
 	}
-	if got := s2.Metrics().DatasetBuilds.Value(); got != 1 {
+	if got := s2.metrics.DatasetBuilds.Value(); got != 1 {
 		t.Errorf("dataset builds = %d, want 1 (engine rebuild)", got)
 	}
 }
@@ -133,7 +133,7 @@ func TestRestartConcurrentLookupsShareOneRecovery(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
-	m := s2.Metrics()
+	m := s2.metrics
 	if got := m.PersistReleaseLoads.Value(); got != 1 {
 		t.Errorf("release loads = %d, want 1", got)
 	}
@@ -223,7 +223,7 @@ func TestRestartRecoveryCSVDataset(t *testing.T) {
 	if !bytes.Equal(gotAttack, attack) {
 		t.Errorf("attack differs after restart:\npre:  %s\npost: %s", attack, gotAttack)
 	}
-	if got := s2.Metrics().PipelineRuns.Value(); got != 0 {
+	if got := s2.metrics.PipelineRuns.Value(); got != 0 {
 		t.Errorf("warm path ran the pipeline %d times, want 0", got)
 	}
 }
@@ -245,7 +245,7 @@ func TestEvictionFallsThroughToDisk(t *testing.T) {
 	first := rel("distinct")
 	rel("prob")
 	rel("tclose") // evicts the distinct release from memory
-	if got := s.Metrics().StoreEvictions.Value(); got != 1 {
+	if got := s.metrics.StoreEvictions.Value(); got != 1 {
 		t.Fatalf("evictions = %d, want 1", got)
 	}
 
@@ -255,10 +255,10 @@ func TestEvictionFallsThroughToDisk(t *testing.T) {
 	if code, b := post(t, ts, "/v1/attack", fmt.Sprintf(`{"release":%q}`, first)); code != http.StatusOK {
 		t.Fatalf("attack on evicted release should work from disk, got %d: %s", code, b)
 	}
-	if got := s.Metrics().PipelineRuns.Value(); got != 3 {
+	if got := s.metrics.PipelineRuns.Value(); got != 3 {
 		t.Fatalf("pipeline runs = %d, want 3 (no recompute after eviction)", got)
 	}
-	if got := s.Metrics().PersistReleaseLoads.Value(); got != 1 {
+	if got := s.metrics.PersistReleaseLoads.Value(); got != 1 {
 		t.Fatalf("release loads = %d, want 1", got)
 	}
 }
@@ -308,10 +308,10 @@ func TestCorruptFilesDegradeToRecompute(t *testing.T) {
 	if resp.Cached || resp.Release != rel {
 		t.Errorf("expected fresh recompute at the same address: %+v", resp)
 	}
-	if got := s2.Metrics().PipelineRuns.Value(); got != 1 {
+	if got := s2.metrics.PipelineRuns.Value(); got != 1 {
 		t.Errorf("pipeline runs = %d, want 1 (recompute)", got)
 	}
-	if got := s2.Metrics().PersistErrors.Value(); got == 0 {
+	if got := s2.metrics.PersistErrors.Value(); got == 0 {
 		t.Error("corruption was not counted as a persist error")
 	}
 	// The recompute wrote the release back; it now recovers cleanly.
@@ -411,7 +411,7 @@ func TestRecoveredReleaseRequestIsValidated(t *testing.T) {
 			if code, b := post(t, ts2, "/v1/attack", fmt.Sprintf(`{"release":%q}`, rec.ID)); code != http.StatusNotFound {
 				t.Errorf("attack on the forged release: status %d (want 404): %s", code, b)
 			}
-			if got := s2.Metrics().PersistErrors.Value(); got == 0 {
+			if got := s2.metrics.PersistErrors.Value(); got == 0 {
 				t.Error("the forged record was not counted as a persist error")
 			}
 		})
@@ -445,13 +445,13 @@ func TestRestartRecoverySchemas(t *testing.T) {
 	ts1.Close()
 
 	s2, ts2 := diskServer(t, dir)
-	if _, id, ok := s2.Schemas().Resolve(reg.ID); !ok || id != reg.ID {
+	if _, id, ok := s2.schemas.Resolve(reg.ID); !ok || id != reg.ID {
 		t.Fatalf("schema %s did not survive the restart", reg.ID)
 	}
 	if code, b := post(t, ts2, "/v1/attack", fmt.Sprintf(`{"release":%q}`, rel)); code != http.StatusOK {
 		t.Fatalf("attack after restart: status %d: %s", code, b)
 	}
-	if got := s2.Metrics().PipelineRuns.Value(); got != 0 {
+	if got := s2.metrics.PipelineRuns.Value(); got != 0 {
 		t.Errorf("warm path ran the pipeline %d times, want 0", got)
 	}
 }

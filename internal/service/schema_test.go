@@ -148,8 +148,8 @@ func TestMultiSchemaDatasetKeying(t *testing.T) {
 	if hospDS.Cached {
 		t.Fatal("first hospital dataset reported cached")
 	}
-	if s.Metrics().DatasetBuilds.Value() != 2 {
-		t.Fatalf("dataset builds = %d, want 2", s.Metrics().DatasetBuilds.Value())
+	if s.metrics.DatasetBuilds.Value() != 2 {
+		t.Fatalf("dataset builds = %d, want 2", s.metrics.DatasetBuilds.Value())
 	}
 }
 

@@ -249,13 +249,6 @@ func (s *Server) PersistedArtifacts() (schemas, datasets, releases int) {
 	return s.disk.counts()
 }
 
-// Metrics exposes the server's counters (tests, loadgen reporting).
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
-// Schemas exposes the schema registry, for boot-time preloading
-// (cmd/serve -schema) and tests.
-func (s *Server) Schemas() *schema.Registry { return s.schemas }
-
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
@@ -711,7 +704,7 @@ func (s *Server) handleAnonymize(w http.ResponseWriter, r *http.Request) {
 		Seconds:     entry.seconds,
 	}
 	if explainWanted {
-		resp.Explain = s.explain(obs.SpanFromContext(r.Context()), s.anonymizeShapes(ds, req.Algo))
+		resp.Explain = s.explain(obs.SpanFromContext(r.Context()), s.anonymizeShapes(ds, &req))
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

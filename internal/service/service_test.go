@@ -117,10 +117,10 @@ func TestServiceHappyPath(t *testing.T) {
 	if !second.Cached || second.Release != first.Release {
 		t.Fatalf("repeat not served from store: %+v", second)
 	}
-	if got := s.Metrics().PipelineRuns.Value(); got != 1 {
+	if got := s.metrics.PipelineRuns.Value(); got != 1 {
 		t.Fatalf("pipeline ran %d times, want 1", got)
 	}
-	if got := s.Metrics().StoreHits.Value(); got != 1 {
+	if got := s.metrics.StoreHits.Value(); got != 1 {
 		t.Fatalf("store hits = %d, want 1", got)
 	}
 
@@ -347,7 +347,7 @@ func TestConcurrentAnonymizeRunsPipelineOnce(t *testing.T) {
 			t.Fatalf("caller %d got release %q, caller 0 got %q", i, ids[i], ids[0])
 		}
 	}
-	if got := s.Metrics().PipelineRuns.Value(); got != 1 {
+	if got := s.metrics.PipelineRuns.Value(); got != 1 {
 		t.Fatalf("pipeline ran %d times for %d concurrent identical requests, want 1", got, callers)
 	}
 }
@@ -370,7 +370,7 @@ func TestReleaseStoreEvictionEndToEnd(t *testing.T) {
 	rel("prob")
 	rel("tclose") // evicts the distinct release
 
-	if got := s.Metrics().StoreEvictions.Value(); got != 1 {
+	if got := s.metrics.StoreEvictions.Value(); got != 1 {
 		t.Fatalf("evictions = %d, want 1", got)
 	}
 	if code, _ := get(t, ts, "/v1/releases/"+first); code != http.StatusNotFound {
@@ -405,7 +405,7 @@ func TestAnonymizeResidentReleaseAfterDatasetEviction(t *testing.T) {
 	rel := mustJSON[AnonymizeResponse](t, b).Release
 	createDataset(t, ts, 150, 2) // evicts dataset A
 
-	hits := s.Metrics().StoreHits.Value()
+	hits := s.metrics.StoreHits.Value()
 	code, b = post(t, ts, "/v1/anonymize", body)
 	if code != http.StatusOK {
 		t.Fatalf("anonymize A after its dataset was evicted: status %d: %s", code, b)
@@ -420,10 +420,10 @@ func TestAnonymizeResidentReleaseAfterDatasetEviction(t *testing.T) {
 	if j := mustJSON[JobResponse](t, b); j.State != string(jobDone) || j.Release != rel {
 		t.Fatalf("async re-request: %+v, want a born-done job for %s", j, rel)
 	}
-	if got := s.Metrics().StoreHits.Value() - hits; got != 2 {
+	if got := s.metrics.StoreHits.Value() - hits; got != 2 {
 		t.Fatalf("store hits = %d, want 2 (sync and async)", got)
 	}
-	if got := s.Metrics().PipelineRuns.Value(); got != 1 {
+	if got := s.metrics.PipelineRuns.Value(); got != 1 {
 		t.Fatalf("pipeline runs = %d, want 1", got)
 	}
 }
