@@ -5,12 +5,11 @@
 //
 // Usage:
 //
-//	datagen [-n N] [-seed S] [-schema spec.json] [-o out.csv] [-workers W]
+//	datagen [-n N] [-seed S] [-schema spec.json] [-o out.csv]
 //
-// Generation itself draws every record from one seeded rng stream, so
-// it stays a sequential pass for reproducibility; -workers follows the
-// shared convention and fans out the CSV rendering of the generated
-// rows (byte-identical output at any pool size).
+// Generation draws every record from one seeded rng stream, and the CSV
+// is written in one sequential pass, so the output is fixed by its
+// flags.
 package main
 
 import (
@@ -28,7 +27,6 @@ func main() {
 	seed := cli.Seed()
 	schemaPath := cli.Schema("JSON dataset spec to synthesize under (default: built-in Adult)")
 	out := flag.String("o", "", "output file (default stdout)")
-	workers := cli.Workers()
 	flag.Parse()
 
 	spec := adult.Spec()
@@ -51,7 +49,7 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	if err := dataset.WriteCSVWorkers(w, table, *workers); err != nil {
+	if err := dataset.WriteCSV(w, table); err != nil {
 		cli.Fatal("datagen", err)
 	}
 }

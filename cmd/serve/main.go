@@ -26,8 +26,11 @@
 // three accept ?explain=1 (or "explain": true) for an opt-in
 // predicted-vs-actual cost block; GET /v1/releases/{id}, /v1/jobs/{id},
 // /v1/estimate (price a request against the calibrated cost model
-// without running it), /healthz, /metrics (JSON; ?format=prom serves
-// the OpenMetrics exposition). The schema
+// without running it: ?op=anonymize|attack|risk plus the fields of
+// that operation's POST body, parsed into its own request and taken
+// through the handler's own defaults, validation and lookup),
+// /healthz, /metrics (JSON; ?format=prom serves the OpenMetrics
+// exposition). The schema
 // registry boots with the built-in Adult spec plus everything
 // persisted under -data-dir; -schema preloads additional declarative
 // specs (see examples/schemas/). See DESIGN.md ("Schema registry",

@@ -1,7 +1,7 @@
 // Package nakedgo flags raw go statements and hand-rolled
 // sync.WaitGroup fan-out. All concurrency outside internal/parallel
 // (which the driver exempts) must route through that package's bounded
-// pool — parallel.For/Map, Limiter.Go, Workers — because those are the
+// pool — parallel.For/MapErr, Limiter.Go, Workers — because those are the
 // primitives the bit-identity and race tests cover: they bound fan-out
 // by the worker budget and keep fan-in order deterministic. A goroutine
 // spawned anywhere else escapes both guarantees.
@@ -26,7 +26,7 @@ func run(pass *analysis.Pass) error {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
-				pass.Reportf(n.Pos(), "raw go statement — spawn through internal/parallel (For/Map, Limiter.Go, Workers) so fan-out stays bounded and fan-in deterministic")
+				pass.Reportf(n.Pos(), "raw go statement — spawn through internal/parallel (For/MapErr, Limiter.Go, Workers) so fan-out stays bounded and fan-in deterministic")
 			case *ast.SelectorExpr:
 				tn, ok := pass.Info.Uses[n.Sel].(*types.TypeName)
 				if ok && tn.Pkg() != nil && tn.Pkg().Path() == "sync" && tn.Name() == "WaitGroup" {

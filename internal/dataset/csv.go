@@ -7,8 +7,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-
-	"repro/internal/parallel"
 )
 
 // ColumnSpec declares how to interpret one CSV column when loading a
@@ -175,54 +173,22 @@ func ReadCSV(r io.Reader, specs []ColumnSpec) (*Table, error) {
 }
 
 // WriteCSV writes the table in the same column order as the schema:
-// QI attributes then the sensitive attribute.
-func WriteCSV(w io.Writer, t *Table) error { return WriteCSVWorkers(w, t, -1) }
-
-// WriteCSVWorkers is WriteCSV with row rendering fanned out on a
-// bounded pool (the package-wide convention: 0 = all cores, negative =
-// sequential). Rows are rendered into index-order slots and written
-// sequentially, so the output is byte-identical at any pool size.
-func WriteCSVWorkers(w io.Writer, t *Table, workers int) error {
+// QI attributes then the sensitive attribute. One reused row buffer, no
+// per-row allocation.
+func WriteCSV(w io.Writer, t *Table) error {
 	cw := csv.NewWriter(w)
 	header := append(t.Schema.QINames(), t.Schema.Sensitive.Name)
 	if err := cw.Write(header); err != nil {
 		return fmt.Errorf("dataset: writing CSV header: %w", err)
 	}
-	if parallel.Resolve(workers) <= 1 {
-		// Sequential fast path: one reused row buffer, no per-row
-		// allocation.
-		row := make([]string, len(header))
-		for _, r := range t.Records {
-			for i, v := range r.QI {
-				row[i] = t.Schema.QI[i].Value(v)
-			}
-			row[len(row)-1] = t.Schema.Sensitive.Value(r.S)
-			if err := cw.Write(row); err != nil {
-				return fmt.Errorf("dataset: writing CSV row: %w", err)
-			}
+	row := make([]string, len(header))
+	for _, r := range t.Records {
+		for i, v := range r.QI {
+			row[i] = t.Schema.QI[i].Value(v)
 		}
-		cw.Flush()
-		return cw.Error()
-	}
-	const chunk = 4096
-	for lo := 0; lo < len(t.Records); lo += chunk {
-		hi := lo + chunk
-		if hi > len(t.Records) {
-			hi = len(t.Records)
-		}
-		rendered := parallel.Map(workers, hi-lo, func(i int) []string {
-			r := t.Records[lo+i]
-			out := make([]string, len(header))
-			for ai, v := range r.QI {
-				out[ai] = t.Schema.QI[ai].Value(v)
-			}
-			out[len(out)-1] = t.Schema.Sensitive.Value(r.S)
-			return out
-		})
-		for _, cells := range rendered {
-			if err := cw.Write(cells); err != nil {
-				return fmt.Errorf("dataset: writing CSV row: %w", err)
-			}
+		row[len(row)-1] = t.Schema.Sensitive.Value(r.S)
+		if err := cw.Write(row); err != nil {
+			return fmt.Errorf("dataset: writing CSV row: %w", err)
 		}
 	}
 	cw.Flush()

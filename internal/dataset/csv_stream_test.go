@@ -47,30 +47,25 @@ func TestReadCSVStreamingDomains(t *testing.T) {
 	}
 }
 
-// TestWriteCSVWorkersDeterministic checks that the pooled CSV render
-// is byte-identical to the sequential one at several pool sizes and
-// round-trips through ReadCSV.
-func TestWriteCSVWorkersDeterministic(t *testing.T) {
+// TestWriteCSVReproducesInput checks that writing a decoded table
+// reproduces the uploaded bytes — rows in input order, each value
+// rendered from its remapped domain index — and round-trips through
+// ReadCSV.
+func TestWriteCSVReproducesInput(t *testing.T) {
 	in := "Age,City,Disease\n" +
 		"40,B,Flu\n20,A,Cold\n40,A,Flu\n30,C,Cancer\n25,B,Cold\n22,C,Flu\n"
 	tab, err := ReadCSV(strings.NewReader(in), streamSpecs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var seq bytes.Buffer
-	if err := WriteCSVWorkers(&seq, tab, -1); err != nil {
+	var out bytes.Buffer
+	if err := WriteCSV(&out, tab); err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{0, 1, 2, 7} {
-		var buf bytes.Buffer
-		if err := WriteCSVWorkers(&buf, tab, w); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(seq.Bytes(), buf.Bytes()) {
-			t.Fatalf("workers=%d output differs from sequential", w)
-		}
+	if out.String() != in {
+		t.Fatalf("WriteCSV output differs from its input:\n got %q\nwant %q", out.String(), in)
 	}
-	back, err := ReadCSV(&seq, streamSpecs)
+	back, err := ReadCSV(&out, streamSpecs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,19 +75,12 @@ func For(workers, n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// Map runs fn over [0, n) with the pool and returns the results in
-// index order — the deterministic fan-in: out[i] is fn(i) regardless
-// of which worker computed it or when.
-func Map[T any](workers, n int, fn func(i int) T) []T {
-	out := make([]T, n)
-	For(workers, n, func(i int) { out[i] = fn(i) })
-	return out
-}
-
-// MapErr is Map for fallible work. All indexes run (an error does not
-// cancel in-flight siblings — work items are cheap and independent);
-// the error reported is the lowest-index one, so failure is as
-// deterministic as success.
+// MapErr runs fallible fn over [0, n) with the pool and returns the
+// results in index order — the deterministic fan-in: out[i] is fn(i)
+// regardless of which worker computed it or when. All indexes run (an
+// error does not cancel in-flight siblings — work items are cheap and
+// independent); the error reported is the lowest-index one, so failure
+// is as deterministic as success.
 func MapErr[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	errs := make([]error, n)

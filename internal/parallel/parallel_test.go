@@ -66,17 +66,6 @@ func TestForEmptyAndTiny(t *testing.T) {
 	}
 }
 
-func TestMapOrdered(t *testing.T) {
-	for _, workers := range []int{1, 8} {
-		got := Map(workers, 100, func(i int) string { return fmt.Sprintf("v%03d", i) })
-		for i, v := range got {
-			if want := fmt.Sprintf("v%03d", i); v != want {
-				t.Fatalf("workers=%d: out[%d] = %q, want %q", workers, i, v, want)
-			}
-		}
-	}
-}
-
 func TestMapErrReportsLowestIndex(t *testing.T) {
 	errLow, errHigh := errors.New("low"), errors.New("high")
 	_, err := MapErr(8, 50, func(i int) (int, error) {
@@ -91,13 +80,20 @@ func TestMapErrReportsLowestIndex(t *testing.T) {
 	if err != errLow {
 		t.Errorf("MapErr error = %v, want lowest-index error %v", err, errLow)
 	}
-	out, err := MapErr(3, 10, func(i int) (int, error) { return i * i, nil })
-	if err != nil {
-		t.Fatalf("MapErr clean run: %v", err)
-	}
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d", i, v)
+}
+
+// TestMapOrdered checks the deterministic fan-in: a clean MapErr run
+// returns out[i] = fn(i) at any pool size.
+func TestMapOrdered(t *testing.T) {
+	for _, workers := range []int{1, 3, 8} {
+		out, err := MapErr(workers, 100, func(i int) (string, error) { return fmt.Sprintf("v%03d", i), nil })
+		if err != nil {
+			t.Fatalf("workers=%d: MapErr clean run: %v", workers, err)
+		}
+		for i, v := range out {
+			if want := fmt.Sprintf("v%03d", i); v != want {
+				t.Fatalf("workers=%d: out[%d] = %q, want %q", workers, i, v, want)
+			}
 		}
 	}
 }

@@ -226,10 +226,11 @@ func (r *AnonymizeRequest) validate() error {
 	if r.K < 1 || r.L < 1 {
 		return fmt.Errorf("k and l must be >= 1 (got k=%d, l=%d)", r.K, r.L)
 	}
-	if r.T <= 0 || r.T > 1 {
+	// Negated so that NaN, which an estimate query can spell, fails.
+	if !(r.T > 0 && r.T <= 1) {
 		return fmt.Errorf("t must be in (0, 1] (got %g)", r.T)
 	}
-	if r.B <= 0 || r.B > 1 {
+	if !(r.B > 0 && r.B <= 1) {
 		return fmt.Errorf("b must be in (0, 1] (got %g)", r.B)
 	}
 	if r.Inference == inference.NameExact {

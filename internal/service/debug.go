@@ -57,9 +57,9 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, TracesResponse{Traces: views})
 }
 
-// handleDebugTrace serves one retained trace by id (the trace_id the
-// X-Trace-Id response header and the request log carry), however fast
-// it was. 404s when the id has rotated out of the ring.
+// handleDebugTrace serves one retained trace by id (the id the
+// X-Request-Id response header and the request log carry), however
+// fast it was. 404s when the id has rotated out of the ring.
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/debug/traces/")
 	if id == "" || strings.Contains(id, "/") {

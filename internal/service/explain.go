@@ -2,6 +2,7 @@ package service
 
 import (
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 
@@ -16,7 +17,7 @@ type stageShape struct {
 	sh obs.Shape
 }
 
-// anonymizeShapes lists the cold-path stages of a normalized anonymize
+// anonymizeShapes lists the cold-path stages of a resolved anonymize
 // request. The requirement derivation runs first: a Mondrian or
 // Incognito release under (B,t) builds one kernel table and runs one
 // prior pass at B, under skyline one per distinct ladder bandwidth
@@ -24,7 +25,8 @@ type stageShape struct {
 // partitioning pass over the full table, plus the release
 // write-through when a durable tier is configured. Response assembly
 // is unstaged noise by design.
-func (s *Server) anonymizeShapes(ds *datasetEntry, req *AnonymizeRequest) []stageShape {
+func (s *Server) anonymizeShapes(op anonymizeOp) []stageShape {
+	ds, req := op.ds, &op.req
 	n, d := ds.table.N(), ds.table.Schema.D()
 	var bandwidths []float64
 	if req.Algo != "anatomy" {
@@ -61,15 +63,17 @@ func (s *Server) anonymizeShapes(ds *datasetEntry, req *AnonymizeRequest) []stag
 	return out
 }
 
-// attackShapes lists the cold-path stages of an attack/risk request
-// over a lanes-wide bandwidth grid: one kernel-table build and one
-// prior pass per bandwidth, one inference pass priced under the
-// request's method — each method fits its own coefficients, since
-// exact is orders of magnitude costlier per row than the Ω default.
+// attackShapes lists the cold-path stages of a resolved attack/risk
+// request over its grid, one lane per distinct bandwidth: one
+// kernel-table build and one prior pass per lane, one inference pass
+// priced under the request's method — each method fits its own
+// coefficients, since exact is orders of magnitude costlier per row
+// than the Ω default.
 // The engine caches priors per bandwidth, so a warm request spends far
 // less than this — the explain residual shows exactly how much the
 // cache saved.
-func attackShapes(entry *releaseEntry, lanes int, method string) []stageShape {
+func attackShapes(op attackOp) []stageShape {
+	entry, lanes := op.entry, len(normalizeGrid(op.bprimes))
 	profiles := len(entry.ds.engine.Estimator.Profiles())
 	n, d := entry.ds.table.N(), entry.ds.table.Schema.D()
 	groups := len(entry.res.Groups)
@@ -80,7 +84,7 @@ func attackShapes(entry *releaseEntry, lanes int, method string) []stageShape {
 			stageShape{obs.StagePriors, obs.Shape{Profiles: profiles, Dims: d}},
 		)
 	}
-	return append(out, stageShape{core.InferenceStage(method), obs.Shape{Rows: n, Dims: d, Lanes: lanes, Groups: groups}})
+	return append(out, stageShape{core.InferenceStage(op.sel.Inference), obs.Shape{Rows: n, Dims: d, Lanes: lanes, Groups: groups}})
 }
 
 // price evaluates the cost model over a request's stage list, in list
@@ -137,74 +141,51 @@ func wantExplain(r *http.Request, body bool) bool {
 
 // handleEstimate prices a hypothetical request without running it:
 //
-//	GET /v1/estimate?op=anonymize&dataset={id}&algo=mondrian
+//	GET /v1/estimate?op=anonymize&dataset={id}&algo=mondrian&model=skyline&b=0.3
 //	GET /v1/estimate?op=attack&release={id}&bprimes=0.1,0.3&inference=adaptive
 //
 // (op=risk is an alias for attack — both run the same pipeline). The
-// response carries per-stage predictions with fit quality; stages the
-// model has no calibration samples for are listed as uncalibrated, so
-// a zero estimate on a cold server is distinguishable from "free".
-// Resolving the named artifacts may touch the durable tier, but no
-// pipeline, prior, or inference work runs.
+// query names the fields of the operation's own request body —
+// op=anonymize: dataset, algo, model, k, l, t, b, inference,
+// max_states; op=attack: release, bprime, bprimes (comma-separated),
+// inference, max_states — and the request they fill takes the
+// handler's own resolve path (resolveAnonymize, resolveAttack): the
+// same defaults, validation, and lookup. The response carries
+// per-stage predictions with fit quality; stages the model has no
+// calibration samples for are listed as uncalibrated, so a zero
+// estimate on a cold server is distinguishable from "free". Resolving
+// the named artifacts may touch the durable tier, but no pipeline,
+// prior, or inference work runs.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	op := q.Get("op")
 	var shapes []stageShape
 	switch op {
 	case "anonymize":
-		req := AnonymizeRequest{Dataset: q.Get("dataset"), Algo: q.Get("algo")}
-		if req.Dataset == "" {
-			writeErr(w, http.StatusBadRequest, "op=anonymize needs dataset={id}")
+		var req AnonymizeRequest
+		if !fromQuery(w, q, op, "dataset",
+			queryField{"dataset", &req.Dataset}, queryField{"algo", &req.Algo}, queryField{"model", &req.Model},
+			queryField{"k", &req.K}, queryField{"l", &req.L}, queryField{"t", &req.T}, queryField{"b", &req.B},
+			queryField{"inference", &req.Inference}, queryField{"max_states", &req.MaxStates}) {
 			return
 		}
-		req.normalize()
-		if err := req.validate(); err != nil {
-			writeErr(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		ds, ok := s.getDataset(obs.SpanFromContext(r.Context()), req.Dataset)
+		a, ok := s.resolveAnonymize(w, r, req)
 		if !ok {
-			writeErr(w, http.StatusNotFound, "unknown dataset %q", req.Dataset)
 			return
 		}
-		shapes = s.anonymizeShapes(ds, &req)
+		shapes = s.anonymizeShapes(a)
 	case "attack", "risk":
-		relRef := q.Get("release")
-		if relRef == "" {
-			writeErr(w, http.StatusBadRequest, "op=%s needs release={id}", op)
+		var req AttackRequest
+		if !fromQuery(w, q, op, "release",
+			queryField{"release", &req.Release}, queryField{"bprime", &req.BPrime}, queryField{"bprimes", &req.BPrimes},
+			queryField{"inference", &req.Inference}, queryField{"max_states", &req.MaxStates}) {
 			return
 		}
-		sel := methodSel{Inference: q.Get("inference")}
-		sel.normalize()
-		if _, err := sel.method(); err != nil {
-			writeErr(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		// Price the grid the attack endpoint would run: the same
-		// validation, and one lane per distinct bandwidth.
-		grid := []float64{0.3}
-		if raw := q.Get("bprimes"); raw != "" {
-			points := strings.Split(raw, ",")
-			grid = make([]float64, len(points))
-			for i, p := range points {
-				v, err := strconv.ParseFloat(p, 64)
-				if err != nil {
-					writeErr(w, http.StatusBadRequest, "bad bprimes entry %q", p)
-					return
-				}
-				grid[i] = v
-			}
-		}
-		if err := validateGrid(grid); err != nil {
-			writeErr(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		entry, ok := s.resolveRelease(r.Context(), relRef)
+		a, ok := s.resolveAttack(w, r, req)
 		if !ok {
-			writeErr(w, http.StatusNotFound, "unknown release %q", relRef)
 			return
 		}
-		shapes = attackShapes(entry, len(normalizeGrid(grid)), sel.Inference)
+		shapes = attackShapes(a)
 	default:
 		writeErr(w, http.StatusBadRequest, "op must be anonymize|attack|risk (got %q)", op)
 		return
@@ -216,4 +197,55 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		Stages:       preds,
 		Uncalibrated: uncal,
 	})
+}
+
+// queryField binds one estimate query field to the request-struct field
+// of the same JSON name: *string, *int, *float64, **float64 (a pointer
+// field, set only when present) or *[]float64 (comma-separated).
+type queryField struct {
+	name string
+	dst  any
+}
+
+// fromQuery fills the bound request fields from the query, writing a
+// 400 when the required field is absent or a value does not parse. An
+// absent or empty field keeps its zero value, which the request's
+// normalize defaults as it does an omitted JSON field.
+func fromQuery(w http.ResponseWriter, q url.Values, op, required string, fields ...queryField) bool {
+	if q.Get(required) == "" {
+		writeErr(w, http.StatusBadRequest, "op=%s needs %s={id}", op, required)
+		return false
+	}
+	for _, f := range fields {
+		raw := q.Get(f.name)
+		if raw == "" {
+			continue
+		}
+		var err error
+		switch dst := f.dst.(type) {
+		case *string:
+			*dst = raw
+		case *int:
+			*dst, err = strconv.Atoi(raw)
+		case *float64:
+			*dst, err = strconv.ParseFloat(raw, 64)
+		case **float64:
+			v, perr := strconv.ParseFloat(raw, 64)
+			*dst, err = &v, perr
+		case *[]float64:
+			for _, p := range strings.Split(raw, ",") {
+				v, perr := strconv.ParseFloat(p, 64)
+				if perr != nil {
+					writeErr(w, http.StatusBadRequest, "bad %s entry %q", f.name, p)
+					return false
+				}
+				*dst = append(*dst, v)
+			}
+		}
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, "bad %s %q", f.name, raw)
+			return false
+		}
+	}
+	return true
 }

@@ -8,6 +8,8 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // TestExplainOptIn checks the explain discipline: bodies carry no
@@ -295,6 +297,116 @@ func TestEstimateGridMatchesAttack(t *testing.T) {
 	}
 	if _, two, _ := estimate("0.3,0.2,0.3"); stages(two) != 5 {
 		t.Fatalf("two distinct bandwidths priced as %d stages, want 5", stages(two))
+	}
+}
+
+// TestEstimatePricesTheRequestedModel: GET /v1/estimate?op=anonymize
+// fills the anonymize request from the query and prices it through the
+// handler's own path, so for every model × algo the estimate lists the
+// stages the explain block of the same anonymize request predicts.
+// Distinct runs no prior pass; skyline runs one kernel_table/priors
+// pair per distinct core.SkylineLadder bandwidth.
+func TestEstimatePricesTheRequestedModel(t *testing.T) {
+	_, ts := newTestServerCfg(t, Config{Workers: 0, TraceRing: 32})
+	ds := createDataset(t, ts, 300, 4)
+	const k, tt, b = 4, 0.3, 0.35
+	stages := func(preds []StagePrediction) []string {
+		out := make([]string, len(preds))
+		for i, p := range preds {
+			out[i] = fmt.Sprintf("%s%+v", p.Stage, p.Shape)
+		}
+		return out
+	}
+	count := func(list []string, stage string) int {
+		n := 0
+		for _, s := range list {
+			if strings.HasPrefix(s, stage+"{") || s == stage {
+				n++
+			}
+		}
+		return n
+	}
+	ladder := map[float64]bool{}
+	for _, p := range core.SkylineLadder(core.Params{B: b, T: tt}) {
+		ladder[p.B] = true
+	}
+
+	for _, model := range []string{"distinct", "prob", "tclose", "bt", "skyline"} {
+		for _, algo := range []string{"mondrian", "anatomy", "incognito"} {
+			body := fmt.Sprintf(`{"dataset":%q,"algo":%q,"model":%q,"k":%d,"t":%g,"b":%g}`, ds, algo, model, k, tt, b)
+			// The cold run calibrates every stage the request runs; the
+			// explained rerun prices the same cold path.
+			if code, resp := post(t, ts, "/v1/anonymize", body); code != http.StatusOK {
+				t.Fatalf("anonymize %s: status %d: %s", body, code, resp)
+			}
+			code, resp := post(t, ts, "/v1/anonymize?explain=1", body)
+			if code != http.StatusOK {
+				t.Fatalf("anonymize?explain=1 %s: status %d: %s", body, code, resp)
+			}
+			ex := mustJSON[AnonymizeResponse](t, resp).Explain
+			q := url.Values{"op": {"anonymize"}, "dataset": {ds}, "algo": {algo}, "model": {model},
+				"k": {fmt.Sprint(k)}, "t": {fmt.Sprint(tt)}, "b": {fmt.Sprint(b)}}
+			code, resp = get(t, ts, "/v1/estimate?"+q.Encode())
+			if code != http.StatusOK {
+				t.Fatalf("estimate %s: status %d: %s", q.Encode(), code, resp)
+			}
+			est := mustJSON[EstimateResponse](t, resp)
+			got, want := stages(est.Stages), stages(ex.Predicted)
+			if strings.Join(got, " ") != strings.Join(want, " ") ||
+				strings.Join(est.Uncalibrated, " ") != strings.Join(ex.Uncalibrated, " ") {
+				t.Errorf("%s %s: estimate lists %v (uncalibrated %v), explain predicted %v (uncalibrated %v)",
+					model, algo, got, est.Uncalibrated, want, ex.Uncalibrated)
+			}
+			all := append(got, est.Uncalibrated...)
+			wantPairs := 0
+			switch {
+			case algo == "anatomy":
+			case model == "bt":
+				wantPairs = 1
+			case model == "skyline":
+				wantPairs = len(ladder)
+			}
+			if count(all, "kernel_table") != wantPairs || count(all, "priors") != wantPairs {
+				t.Errorf("%s %s: estimate lists %v, want %d kernel_table/priors pairs", model, algo, all, wantPairs)
+			}
+		}
+	}
+}
+
+// TestEstimateAttackQueryMatchesBody: the attack estimate fills the
+// attack request from the query and validates it on the attack
+// handler's own path, so every query answers with the status and error
+// body of the equivalent POST /v1/attack, and a single bprime prices
+// one lane.
+func TestEstimateAttackQueryMatchesBody(t *testing.T) {
+	_, ts := newTestServerCfg(t, Config{Workers: -1, TraceRing: 32})
+	ds := createDataset(t, ts, 200, 6)
+	rel := mustReleaseID(t, ts, ds)
+	for _, tc := range []struct{ query, body string }{
+		{"bprime=0.4", `"bprime":0.4`},
+		{"bprime=0", `"bprime":0`},
+		{"bprime=-0.5", `"bprime":-0.5`},
+		{"bprime=0.1&bprimes=0.1", `"bprime":0.1,"bprimes":[0.1]`},
+		{"bprimes=0.5,2", `"bprimes":[0.5,2]`},
+		{"inference=adaptive&max_states=-1", `"inference":"adaptive","max_states":-1`},
+		{"inference=bogus", `"inference":"bogus"`},
+		{"inference=adaptive&max_states=64&bprime=0.2", `"inference":"adaptive","max_states":64,"bprime":0.2`},
+	} {
+		postCode, postBody := post(t, ts, "/v1/attack", fmt.Sprintf(`{"release":%q,%s}`, rel, tc.body))
+		code, body := get(t, ts, "/v1/estimate?op=attack&release="+rel+"&"+tc.query)
+		if code != postCode {
+			t.Errorf("estimate %s: status %d, POST /v1/attack {%s}: %d (%s)", tc.query, code, tc.body, postCode, body)
+			continue
+		}
+		if code != http.StatusOK {
+			if !bytes.Equal(body, postBody) {
+				t.Errorf("estimate %s: error body %s, POST /v1/attack: %s", tc.query, body, postBody)
+			}
+			continue
+		}
+		if est := mustJSON[EstimateResponse](t, body); len(est.Stages)+len(est.Uncalibrated) != 3 {
+			t.Errorf("estimate %s priced %d stages, want one lane (3): %s", tc.query, len(est.Stages)+len(est.Uncalibrated), body)
+		}
 	}
 }
 

@@ -200,6 +200,18 @@ func FuzzEstimateQuery(f *testing.F) {
 		"op=anonymize&dataset=" + fx.ds + "&algo=incognito",
 		"op=anonymize&dataset=" + fx.ds + "&algo=magic",
 		"op=anonymize&dataset=ds_missing",
+		"op=anonymize&dataset=" + fx.ds + "&model=distinct",
+		"op=anonymize&dataset=" + fx.ds + "&model=prob",
+		"op=anonymize&dataset=" + fx.ds + "&model=tclose",
+		"op=anonymize&dataset=" + fx.ds + "&model=bt",
+		"op=anonymize&dataset=" + fx.ds + "&model=skyline&b=0.2",
+		"op=anonymize&dataset=" + fx.ds + "&model=melt",
+		"op=anonymize&dataset=" + fx.ds + "&k=0",
+		"op=anonymize&dataset=" + fx.ds + "&l=-1",
+		"op=anonymize&dataset=" + fx.ds + "&t=NaN",
+		"op=anonymize&dataset=" + fx.ds + "&b=2",
+		"op=anonymize&dataset=" + fx.ds + "&inference=adaptive&max_states=-1",
+		"op=anonymize&dataset=" + fx.ds + "&max_states=-1",
 		"op=attack&release=" + fx.rel,
 		"op=risk&release=" + fx.rel + "&bprimes=0.1,0.3&inference=adaptive",
 		"op=attack&release=" + fx.rel + "&bprimes=0.3,0.3,0.3",
@@ -212,6 +224,11 @@ func FuzzEstimateQuery(f *testing.F) {
 		"op=attack&release=" + fx.rel + "&inference=exact",
 		"op=attack&release=" + fx.rel + "&inference=bogus",
 		"op=attack&release=rel_missing",
+		"op=attack&release=" + fx.rel + "&bprime=0",
+		"op=attack&release=" + fx.rel + "&bprime=0.1",
+		"op=attack&release=" + fx.rel + "&bprime=0.1&bprimes=0.1,0.3",
+		"op=risk&release=" + fx.rel + "&inference=adaptive&max_states=-1",
+		"op=attack&release=" + fx.rel + "&max_states=-1",
 		"op=attack",
 		"op=melt",
 		"op=%zz&release=%",

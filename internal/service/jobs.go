@@ -99,16 +99,7 @@ func (q *jobQueue) submit(ds *datasetEntry, req AnonymizeRequest, releaseID stri
 	if jid, ok := q.active[releaseID]; ok {
 		return q.jobs[jid], true, nil
 	}
-	q.seq++
-	j := &job{
-		id:      fmt.Sprintf("job_%08x", q.seq),
-		release: releaseID,
-		dataset: ds.id,
-		ds:      ds,
-		req:     req,
-		state:   jobQueued,
-		created: time.Now(),
-	}
+	j := q.newJobLocked(ds, req, releaseID, jobQueued)
 	select {
 	case q.ch <- j:
 	default:
@@ -128,21 +119,31 @@ func (q *jobQueue) complete(ds *datasetEntry, req AnonymizeRequest, releaseID st
 	if q.closed {
 		return nil, errDraining
 	}
-	q.seq++
-	now := time.Now()
-	j := &job{
-		id:       fmt.Sprintf("job_%08x", q.seq),
-		release:  releaseID,
-		dataset:  ds.id,
-		req:      req,
-		state:    jobDone,
-		created:  now,
-		started:  now,
-		finished: now,
-	}
+	j := q.newJobLocked(ds, req, releaseID, jobDone)
 	q.jobs[j.id] = j
 	q.retireLocked(j.id)
 	return j, nil
+}
+
+// newJobLocked mints the queue's next job for a release, born in state
+// (queued, or done for a resident release). Only a queued job pins its
+// dataset entry: it may still run. Caller holds q.mu.
+func (q *jobQueue) newJobLocked(ds *datasetEntry, req AnonymizeRequest, releaseID string, state jobState) *job {
+	q.seq++
+	j := &job{
+		id:      fmt.Sprintf("job_%08x", q.seq),
+		release: releaseID,
+		dataset: ds.id,
+		req:     req,
+		state:   state,
+		created: time.Now(),
+	}
+	if state == jobQueued {
+		j.ds = ds
+	} else {
+		j.started, j.finished = j.created, j.created
+	}
+	return j
 }
 
 // pending returns the number of jobs queued but not yet picked up.
@@ -248,7 +249,7 @@ func (s *Server) startJobWorkers(n int) {
 			// handle; the pipeline's stage spans hang off its root.
 			tc := s.tracer.StartNamed(j.id, "job anonymize")
 			ctx := obs.ContextWithSpan(context.Background(), tc.Root())
-			_, src, err := s.resolveOrCompute(ctx, j.ds, j.req)
+			_, src, err := s.resolveOrCompute(ctx, j.ds, j.req, j.release)
 			tc.Root().SetOutcome(src.String())
 			if err != nil {
 				tc.SetStatus(500)

@@ -290,31 +290,27 @@ func (d *diskStore) loadRelease(id string) (releaseRecord, error) {
 
 // ---- server-side recovery and write-through ----
 
-// persistDataset writes a dataset manifest through to disk (no-op
-// without a durable tier). Failures are counted, not fatal: the
-// in-memory entry is already live; only durability degrades.
-func (s *Server) persistDataset(sp *obs.Span, rec datasetRecord, csvBody []byte) {
+// writeThrough runs one durable-tier write — a schema document, a
+// dataset manifest, or a release — under a persist-write span on sp
+// (schema registration has none), and is a no-op without a durable
+// tier. Failures are counted, not fatal: the in-memory entry is
+// already live; only durability degrades.
+func (s *Server) writeThrough(sp *obs.Span, name string, shape obs.Shape, save func(d *diskStore) error) {
 	if s.disk == nil {
 		return
 	}
-	wsp := sp.Child(obs.StagePersistWrite, "persist dataset "+rec.ID)
-	wsp.SetShape(obs.Shape{Rows: rec.N})
+	wsp := sp.Child(obs.StagePersistWrite, name)
+	wsp.SetShape(shape)
 	defer wsp.End()
-	if err := s.disk.saveDataset(rec, csvBody); err != nil {
+	if err := save(s.disk); err != nil {
 		s.metrics.PersistErrors.Add(1)
 		return
 	}
 	s.metrics.PersistWrites.Add(1)
 }
 
-// persistRelease writes a computed release through to disk.
-func (s *Server) persistRelease(sp *obs.Span, e *releaseEntry) {
-	if s.disk == nil {
-		return
-	}
-	wsp := sp.Child(obs.StagePersistWrite, "persist release "+e.id)
-	wsp.SetShape(obs.Shape{Rows: e.ds.table.N(), Groups: len(e.res.Groups)})
-	defer wsp.End()
+// record is the release's serialized form.
+func (e *releaseEntry) record() releaseRecord {
 	rec := releaseRecord{
 		ID:          e.id,
 		Dataset:     e.ds.id,
@@ -329,20 +325,16 @@ func (s *Server) persistRelease(sp *obs.Span, e *releaseEntry) {
 	for i, g := range e.res.Groups {
 		rec.Groups[i] = groupRecord{Rows: g.Rows, Lo: g.Extent.Lo, Hi: g.Extent.Hi}
 	}
-	if err := s.disk.saveRelease(rec); err != nil {
-		s.metrics.PersistErrors.Add(1)
-		return
-	}
-	s.metrics.PersistWrites.Add(1)
+	return rec
 }
 
 // computeThrough resolves id through cache c for a caller that builds
 // the value when it is absent (ingest, the anonymize pipeline). Lookups
-// (getDataset, resolveRelease) admit through the same cache, so one id
-// has one flight — but a lookup's flight only recovers from disk and
-// fails with errNotPersisted when the id is on neither tier. A caller
-// that shared such a flight retries: it leads its own computation or
-// joins the next flight. compute itself never returns errNotPersisted.
+// admit through the same cache, so one id has one flight — but a
+// lookup's flight only recovers from disk and fails with
+// errNotPersisted when the id is on neither tier. A caller that shared
+// such a flight retries: it leads its own computation or joins the
+// next flight. compute itself never returns errNotPersisted.
 func computeThrough[V any](c *parallel.Cache[V], id string, compute func() (V, error)) (V, source, error) {
 	for {
 		v, o, err := c.Do(id, compute)
@@ -352,26 +344,27 @@ func computeThrough[V any](c *parallel.Cache[V], id string, compute func() (V, e
 	}
 }
 
-// getDataset resolves a dataset id through memory then disk. A
-// disk-recovered dataset is rebuilt from its manifest — re-synthesized
-// from (schema, n, seed) or re-decoded from the saved CSV bytes, both
-// deterministic — and admitted to the cache. The recovery is the
-// cache's flight for the id, so concurrent recoveries and an ingest of
-// the same content collapse into one rebuild. Without a durable tier a
-// lookup is a plain Get: a miss is unknown, and it never waits.
-func (s *Server) getDataset(sp *obs.Span, id string) (*datasetEntry, bool) {
+// lookup resolves an id through store c, then — with a durable tier —
+// the disk. It is the one lookup path of datasets (anonymize, estimate,
+// release recovery) and of releases (GET /v1/releases, attack/risk,
+// estimate). recover rebuilds the entry from its persisted form in the
+// store's one flight for the id, shared with concurrent recoveries and
+// with an in-flight ingest or anonymize of the same id (which the
+// lookup then waits for); the recovered entry is admitted, so later
+// lookups are memory hits. Without a durable tier a lookup is a plain
+// Get: a miss is unknown, and it never waits.
+func lookup[V any](s *Server, c *parallel.Cache[V], id string, recover func() (V, bool)) (V, bool) {
 	if s.disk == nil {
-		return s.datasets.Get(id)
+		return c.Get(id)
 	}
-	// Flight leader: the recovery's stage spans land on this caller's
-	// trace; sharers get the entry without spans.
-	e, _, err := s.datasets.Do(id, func() (*datasetEntry, error) {
-		if e, ok := s.recoverDataset(sp, id); ok {
-			return e, nil
+	v, _, err := c.Do(id, func() (V, error) {
+		if v, ok := recover(); ok {
+			return v, nil
 		}
-		return nil, errNotPersisted
+		var zero V
+		return zero, errNotPersisted
 	})
-	return e, err == nil
+	return v, err == nil
 }
 
 // recoverDataset rebuilds a dataset entry from its persisted manifest,
@@ -416,27 +409,6 @@ func (s *Server) recoverDataset(sp *obs.Span, id string) (*datasetEntry, bool) {
 	return e, true
 }
 
-// resolveRelease resolves a release id through memory then disk — the
-// GET /v1/releases and attack/risk lookup path. The recovery is the
-// release cache's flight for the id, shared with concurrent recoveries
-// and with an in-flight anonymize of the same release (whose pipeline
-// the lookup then waits for); a recovered entry is admitted to the
-// cache so later lookups are memory hits. Without a durable tier a
-// lookup is a plain Get.
-func (s *Server) resolveRelease(ctx context.Context, id string) (*releaseEntry, bool) {
-	if s.disk == nil {
-		return s.releases.Get(id)
-	}
-	sp := obs.SpanFromContext(ctx)
-	e, _, err := s.releases.Do(id, func() (*releaseEntry, error) {
-		if e, ok := s.recoverRelease(sp, id, nil); ok {
-			return e, nil
-		}
-		return nil, errNotPersisted
-	})
-	return e, err == nil
-}
-
 // recoverRelease rebuilds a release entry from its persisted record:
 // the dataset resolves through memory→disk (rebuilding the engine if
 // needed — a dataset build, never a pipeline run), the group partition
@@ -463,7 +435,7 @@ func (s *Server) recoverRelease(sp *obs.Span, id string, ds *datasetEntry) (*rel
 	}
 	if ds == nil || ds.id != rec.Dataset {
 		var ok bool
-		ds, ok = s.getDataset(sp, rec.Dataset)
+		ds, ok = lookup(s, s.datasets, rec.Dataset, func() (*datasetEntry, bool) { return s.recoverDataset(sp, rec.Dataset) })
 		if !ok {
 			s.metrics.PersistErrors.Add(1)
 			return nil, false

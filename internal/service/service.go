@@ -204,8 +204,8 @@ func New(cfg Config) (*Server, error) {
 	})
 	s.route("/v1/datasets", methods{http.MethodPost: s.handleDatasets})
 	s.route("/v1/anonymize", methods{http.MethodPost: s.handleAnonymize})
-	s.route("/v1/attack", methods{http.MethodPost: s.handleAttack})
-	s.route("/v1/risk", methods{http.MethodPost: s.handleRisk})
+	s.route("/v1/attack", methods{http.MethodPost: s.handleAttack("attacking", attackPayload)})
+	s.route("/v1/risk", methods{http.MethodPost: s.handleAttack("evaluating risk", riskPayload)})
 	s.route("/v1/estimate", methods{http.MethodGet: s.handleEstimate})
 	s.route("/v1/releases/", methods{http.MethodGet: s.handleRelease})
 	s.route("/v1/jobs/", methods{http.MethodGet: s.handleJob})
@@ -395,20 +395,16 @@ func (s *Server) handleSchemaRegister(w http.ResponseWriter, r *http.Request) {
 // -schema).
 func (s *Server) RegisterSchema(spec *schema.Spec) (id string, existed bool, err error) {
 	id, existed, err = s.schemas.Register(spec)
-	if err != nil || s.disk == nil {
+	if err != nil {
 		return id, existed, err
 	}
 	// Write even when the content already existed: registration is
 	// idempotent and so is the file, and re-writing heals a directory
 	// that predates persistence or lost the document.
 	if doc, ok := s.schemas.Export(id); ok {
-		if werr := s.disk.saveSchema(id, doc); werr != nil {
-			s.metrics.PersistErrors.Add(1)
-		} else {
-			s.metrics.PersistWrites.Add(1)
-		}
+		s.writeThrough(nil, "persist schema "+id, obs.Shape{}, func(d *diskStore) error { return d.saveSchema(id, doc) })
 	}
-	return id, existed, err
+	return id, existed, nil
 }
 
 // handleSchemaList lists the registered specs, built-ins included.
@@ -519,40 +515,12 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rec := datasetRecord{Schema: schemaID, Source: "synthetic", N: req.N, Seed: req.Seed}
-	id := rec.contentID(nil)
-	rec.ID = id
+	rec.ID = rec.contentID(nil)
 	sp := obs.SpanFromContext(r.Context())
-	entry, src, err := computeThrough(s.datasets, id, func() (*datasetEntry, error) {
-		// The singleflight leader runs this closure in its own request
-		// goroutine, so the synthesis and build land on that request's
-		// trace; followers share the result without inheriting spans.
-		table, err := synthesize(sp, spec, req.N, req.Seed)
-		if err != nil {
-			// Wrap so every caller sharing this singleflight result —
-			// not just the leader — classifies it as client input.
-			return nil, synthesisError{err}
-		}
-		e, err := s.buildDataset(sp, id, schemaID, spec, table)
-		if err == nil {
-			s.persistDataset(sp, rec, nil)
-		}
-		return e, err
+	// A build failure of a synthesized table is the server's own.
+	s.admitDataset(w, sp, rec, nil, spec, http.StatusInternalServerError, func() (*dataset.Table, error) {
+		return synthesize(sp, spec, req.N, req.Seed)
 	})
-	sp.SetOutcome(src.String())
-	if err != nil {
-		// A synthesis failure is the spec's own model rejecting the
-		// draw (e.g. constraints zeroing a sensitive domain) — the
-		// client's input, not a server fault.
-		var se synthesisError
-		if errors.As(err, &se) {
-			writeErr(w, http.StatusBadRequest, "synthesizing dataset: %v", se.err)
-			return
-		}
-		writeErr(w, http.StatusInternalServerError, "building dataset: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, DatasetResponse{
-		ID: id, Schema: entry.schemaID, Records: entry.table.N(), Cached: src != sourceMiss})
 }
 
 // synthesisError marks a dataset-build failure as caused by the
@@ -600,24 +568,95 @@ func (s *Server) ingestCSV(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rec := datasetRecord{Schema: schemaID, Source: "csv"}
-	id := rec.contentID(h.Sum(nil))
-	rec.ID = id
-	entry, src, err := computeThrough(s.datasets, id, func() (*datasetEntry, error) {
-		e, err := s.buildDataset(sp, id, schemaID, spec, table)
+	rec.ID = rec.contentID(h.Sum(nil))
+	// Engine-build failures here are caused by the uploaded content,
+	// so the client gets a 400.
+	s.admitDataset(w, sp, rec, raw.Bytes(), spec, http.StatusBadRequest, func() (*dataset.Table, error) {
+		return table, nil
+	})
+}
+
+// admitDataset is the ingest tail both sources share: in the dataset
+// store's one flight for rec.ID it draws the table, builds the engine,
+// and writes the manifest (plus csvBody) through to disk, then answers
+// with the outcome. A table failure is the client's input (400); an
+// engine-build failure answers buildCode. The flight leader runs table
+// in its own request goroutine, so the synthesis and build land on that
+// request's trace; followers share the result without inheriting spans.
+func (s *Server) admitDataset(w http.ResponseWriter, sp *obs.Span, rec datasetRecord, csvBody []byte,
+	spec *schema.Spec, buildCode int, table func() (*dataset.Table, error)) {
+	entry, src, err := computeThrough(s.datasets, rec.ID, func() (*datasetEntry, error) {
+		t, err := table()
+		if err != nil {
+			// Wrap so every caller sharing this flight — not just the
+			// leader — classifies it as client input.
+			return nil, synthesisError{err}
+		}
+		e, err := s.buildDataset(sp, rec.ID, rec.Schema, spec, t)
 		if err == nil {
-			s.persistDataset(sp, rec, raw.Bytes())
+			s.writeThrough(sp, "persist dataset "+rec.ID, obs.Shape{Rows: rec.N},
+				func(d *diskStore) error { return d.saveDataset(rec, csvBody) })
 		}
 		return e, err
 	})
 	sp.SetOutcome(src.String())
 	if err != nil {
-		// Engine-build failures here are caused by the uploaded
-		// content, so the client gets a 400.
-		writeErr(w, http.StatusBadRequest, "building dataset: %v", err)
+		// A synthesis failure is the spec's own model rejecting the
+		// draw (e.g. constraints zeroing a sensitive domain) — the
+		// client's input, not a server fault.
+		var se synthesisError
+		if errors.As(err, &se) {
+			writeErr(w, http.StatusBadRequest, "synthesizing dataset: %v", se.err)
+			return
+		}
+		writeErr(w, buildCode, "building dataset: %v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, DatasetResponse{
-		ID: id, Schema: entry.schemaID, Records: entry.table.N(), Cached: src != sourceMiss})
+		ID: rec.ID, Schema: entry.schemaID, Records: entry.table.N(), Cached: src != sourceMiss})
+}
+
+// anonymizeOp is an anonymize request on its one parse → validate →
+// resolve path: normalized, validated, stripped of its transport
+// fields, keyed, and resolved to the dataset it runs on. The handler
+// runs it; its explain block and GET /v1/estimate price it.
+type anonymizeOp struct {
+	req AnonymizeRequest
+	// id is the release id, the content address of req.
+	id string
+	ds *datasetEntry
+	// resident reports that the release is already in the store.
+	resident       bool
+	explain, async bool
+}
+
+// resolveAnonymize takes a parsed anonymize request — a POST body or
+// an estimate query — through validation to the dataset it runs on. A
+// resident release carries its dataset entry, so it answers even after
+// the dataset store evicted the dataset; only a miss looks the dataset
+// up. On failure it has written the 4xx.
+func (s *Server) resolveAnonymize(w http.ResponseWriter, r *http.Request, req AnonymizeRequest) (op anonymizeOp, ok bool) {
+	req.normalize()
+	if err := req.validate(); err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
+		return op, false
+	}
+	// Explain and async are transport, not content: strip them before
+	// the request reaches the release key, the job queue, or the
+	// persisted record. The job carries the canonical synchronous form.
+	op.explain, op.async = wantExplain(r, req.Explain), req.Async
+	req.Explain, req.Async = false, false
+	op.req, op.id = req, hashID("rel", req.key())
+	if e, hit := s.releases.Get(op.id); hit {
+		op.ds, op.resident = e.ds, true
+		return op, true
+	}
+	// The closure captures copies, not req, so req stays on the stack.
+	sp, id := obs.SpanFromContext(r.Context()), req.Dataset
+	if op.ds, ok = lookup(s, s.datasets, id, func() (*datasetEntry, bool) { return s.recoverDataset(sp, id) }); !ok {
+		writeErr(w, http.StatusNotFound, "unknown dataset %q", id)
+	}
+	return op, ok
 }
 
 // handleAnonymize resolves (dataset, algo, model, params) through the
@@ -633,40 +672,25 @@ func (s *Server) handleAnonymize(w http.ResponseWriter, r *http.Request) {
 		writeBodyErr(w, "decoding request", err)
 		return
 	}
-	req.normalize()
-	if err := req.validate(); err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
+	op, ok := s.resolveAnonymize(w, r, req)
+	if !ok {
 		return
 	}
-	// Explain is transport, not content: strip it before the request
-	// reaches the release key, the job queue, or the persisted record.
-	explainWanted := wantExplain(r, req.Explain)
-	req.Explain = false
-	// Async is transport too: the job carries the canonical synchronous
-	// form, so it must not leak into the release key or the persisted
-	// request.
-	async := req.Async
-	req.Async = false
-	id := hashID("rel", req.key())
-	ds, resident := s.anonymizeDataset(obs.SpanFromContext(r.Context()), id, req.Dataset)
-	if ds == nil {
-		writeErr(w, http.StatusNotFound, "unknown dataset %q", req.Dataset)
-		return
-	}
-	if async {
+	sp := obs.SpanFromContext(r.Context())
+	if op.async {
 		var j *job
 		var deduped bool
 		var err error
-		if resident {
+		if op.resident {
 			// Already computed: born-done job — no queue slot spent,
 			// no 503 from a full queue, no waiting behind real work.
 			s.metrics.countStore(sourceHit)
-			obs.SpanFromContext(r.Context()).SetOutcome(sourceHit.String())
-			if j, err = s.jobs.complete(ds, req, id); err == nil {
+			sp.SetOutcome(sourceHit.String())
+			if j, err = s.jobs.complete(op.ds, op.req, op.id); err == nil {
 				s.metrics.JobsDone.Add(1)
 			}
 		} else {
-			j, deduped, err = s.jobs.submit(ds, req, id)
+			j, deduped, err = s.jobs.submit(op.ds, op.req, op.id)
 		}
 		if err != nil {
 			writeErr(w, http.StatusServiceUnavailable, "%v", err)
@@ -682,7 +706,7 @@ func (s *Server) handleAnonymize(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, resp)
 		return
 	}
-	entry, src, err := s.resolveOrCompute(r.Context(), ds, req)
+	entry, src, err := s.resolveOrCompute(r.Context(), op.ds, op.req, op.id)
 	if err != nil {
 		code := http.StatusBadRequest
 		if errors.Is(err, privacy.ErrUnsatisfiable) {
@@ -691,50 +715,37 @@ func (s *Server) handleAnonymize(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, code, "anonymizing: %v", err)
 		return
 	}
-	obs.SpanFromContext(r.Context()).SetOutcome(src.String())
+	sp.SetOutcome(src.String())
 	resp := AnonymizeResponse{
 		Release:     entry.id,
-		Dataset:     ds.id,
+		Dataset:     op.ds.id,
 		Cached:      src != sourceMiss,
 		Algorithm:   entry.res.Algorithm,
 		Requirement: entry.res.Requirement,
 		Groups:      len(entry.res.Groups),
-		Records:     ds.table.N(),
-		AvgGroup:    float64(ds.table.N()) / float64(len(entry.res.Groups)),
+		Records:     op.ds.table.N(),
+		AvgGroup:    float64(op.ds.table.N()) / float64(len(entry.res.Groups)),
 		Seconds:     entry.seconds,
 	}
-	if explainWanted {
-		resp.Explain = s.explain(obs.SpanFromContext(r.Context()), s.anonymizeShapes(ds, &req))
+	if op.explain {
+		resp.Explain = s.explain(sp, s.anonymizeShapes(op))
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// anonymizeDataset resolves the dataset an anonymize request runs on
-// (nil when unknown) and reports whether its release is resident. A
-// resident release carries its dataset entry, so it answers even after
-// the dataset store evicted the dataset; only a miss resolves the
-// dataset itself.
-func (s *Server) anonymizeDataset(sp *obs.Span, releaseID, dataset string) (ds *datasetEntry, resident bool) {
-	if e, ok := s.releases.Get(releaseID); ok {
-		return e.ds, true
-	}
-	ds, _ = s.getDataset(sp, dataset)
-	return ds, false
 }
 
 // resolveOrCompute is the release-resolution core shared by the sync
 // handler and the job workers: memory store, then — in the release
 // cache's one flight per id, which lookups share — the durable tier,
-// then a pipeline run whose result writes through to disk. The source
-// return distinguishes resident (sourceHit), shared in-flight
-// (sourceShared), disk-recovered (sourceDisk), and freshly computed
-// (sourceMiss). The context's span — request or job root —
-// receives the stage spans of whatever work this caller actually did:
-// the singleflight leader records the recovery or pipeline, followers
-// record an empty resolve span, so shared work is attributed once.
-func (s *Server) resolveOrCompute(ctx context.Context, ds *datasetEntry, req AnonymizeRequest) (*releaseEntry, source, error) {
+// then a pipeline run whose result writes through to disk. id is the
+// release id of req. The source return distinguishes resident
+// (sourceHit), shared in-flight (sourceShared), disk-recovered
+// (sourceDisk), and freshly computed (sourceMiss). The context's span
+// — request or job root — receives the stage spans of whatever work
+// this caller actually did: the singleflight leader records the
+// recovery or pipeline, followers record an empty resolve span, so
+// shared work is attributed once.
+func (s *Server) resolveOrCompute(ctx context.Context, ds *datasetEntry, req AnonymizeRequest, id string) (*releaseEntry, source, error) {
 	sp := obs.SpanFromContext(ctx)
-	id := hashID("rel", req.key())
 	fromDisk := false
 	rsp := sp.Child(obs.StageNone, "resolve "+id)
 	entry, src, err := computeThrough(s.releases, id, func() (*releaseEntry, error) {
@@ -746,7 +757,8 @@ func (s *Server) resolveOrCompute(ctx context.Context, ds *datasetEntry, req Ano
 		if err != nil {
 			return nil, err
 		}
-		s.persistRelease(rsp, e)
+		s.writeThrough(rsp, "persist release "+e.id, obs.Shape{Rows: e.ds.table.N(), Groups: len(e.res.Groups)},
+			func(d *diskStore) error { return d.saveRelease(e.record()) })
 		return e, nil
 	})
 	rsp.End()
@@ -888,10 +900,11 @@ func validateGrid(bprimes []float64) error {
 	return nil
 }
 
-// attackQuery is a validated attack/risk request: the stored release,
-// the bandwidth grid to evaluate, and the (canonicalized) method
-// selection.
-type attackQuery struct {
+// attackOp is an attack/risk request on its one parse → validate →
+// resolve path: the stored release, the bandwidth grid to evaluate, and
+// the (canonicalized) method selection. The handler runs it; its
+// explain block and GET /v1/estimate price it.
+type attackOp struct {
 	entry   *releaseEntry
 	bprimes []float64
 	sweep   bool
@@ -899,67 +912,62 @@ type attackQuery struct {
 	sel     methodSel
 }
 
-// getRelease resolves an attack/risk request body to a stored release
-// plus the bandwidth grid to evaluate: one entry for the single-bprime
-// form (defaulting to 0.3 only when the field is absent), the
-// validated request-order grid for the bprimes sweep form. q.sweep
-// reports which form was used. An explicit out-of-range value — zero
-// included — is rejected, with the check and the message agreeing on
-// the valid (0, 1] range.
-func (s *Server) getRelease(w http.ResponseWriter, r *http.Request) (q attackQuery, ok bool) {
-	var req AttackRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeBodyErr(w, "decoding request", err)
-		return q, false
-	}
+// resolveAttack takes a parsed attack/risk request — a POST body or an
+// estimate query — to a stored release plus the bandwidth grid to
+// evaluate: one entry for the single-bprime form (defaulting to 0.3
+// only when the field is absent), the validated request-order grid for
+// the bprimes sweep form. op.sweep reports which form was used. An
+// explicit out-of-range value — zero included — is rejected, with the
+// check and the message agreeing on the valid (0, 1] range. On failure
+// it has written the 4xx.
+func (s *Server) resolveAttack(w http.ResponseWriter, r *http.Request, req AttackRequest) (op attackOp, ok bool) {
 	req.methodSel.normalize()
 	if _, err := req.method(); err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
-		return q, false
+		return op, false
 	}
-	q.sel = req.methodSel
-	q.explain = wantExplain(r, req.Explain)
+	op.sel = req.methodSel
+	op.explain = wantExplain(r, req.Explain)
 	switch {
 	case req.BPrimes != nil:
 		if req.BPrime != nil {
 			writeErr(w, http.StatusBadRequest, "bprime and bprimes are mutually exclusive")
-			return q, false
+			return op, false
 		}
-		q.bprimes = req.BPrimes
-		q.sweep = true
+		op.bprimes = req.BPrimes
+		op.sweep = true
 	case req.BPrime != nil:
-		q.bprimes = []float64{*req.BPrime}
+		op.bprimes = []float64{*req.BPrime}
 	default:
-		q.bprimes = []float64{0.3}
+		op.bprimes = []float64{0.3}
 	}
-	if err := validateGrid(q.bprimes); err != nil {
+	if err := validateGrid(op.bprimes); err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
-		return q, false
+		return op, false
 	}
-	entry, found := s.resolveRelease(r.Context(), req.Release)
-	if !found {
-		writeErr(w, http.StatusNotFound, "unknown release %q", req.Release)
-		return q, false
+	// The closure captures copies, not req, so req stays on the stack.
+	sp, id := obs.SpanFromContext(r.Context()), req.Release
+	if op.entry, ok = lookup(s, s.releases, id, func() (*releaseEntry, bool) { return s.recoverRelease(sp, id, nil) }); !ok {
+		writeErr(w, http.StatusNotFound, "unknown release %q", id)
 	}
-	q.entry = entry
-	return q, true
+	return op, ok
 }
 
 // sweepResponses runs the request's grid and assembles per-bandwidth
 // responses in request order. They are copies, so per-request fields
 // never touch the singleflight's shared values. Only the bprimes form
 // counts into the sweep ledger.
-func (s *Server) sweepResponses(ctx context.Context, q attackQuery) ([]AttackResponse, error) {
-	if q.sweep {
+func (s *Server) sweepResponses(ctx context.Context, op attackOp) ([]AttackResponse, error) {
+	if op.sweep {
 		s.metrics.SweepRequests.Add(1)
-		s.metrics.SweepPoints.Add(int64(len(q.bprimes)))
+		s.metrics.SweepPoints.Add(int64(len(op.bprimes)))
 	}
-	results, err := s.computeSweep(ctx, q.entry, q.bprimes, q.sel)
+	results, err := s.computeSweep(ctx, op.entry, op.bprimes, op.sel)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]AttackResponse, len(q.bprimes))
-	for i, bp := range q.bprimes {
+	out := make([]AttackResponse, len(op.bprimes))
+	for i, bp := range op.bprimes {
 		out[i] = *results[bp]
 	}
 	return out, nil
@@ -978,58 +986,57 @@ func writeAttackErr(w http.ResponseWriter, what string, err error) {
 	writeErr(w, http.StatusInternalServerError, "%s: %v", what, err)
 }
 
-func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) {
-	q, ok := s.getRelease(w, r)
-	if !ok {
-		return
+// handleAttack returns the one handler of POST /v1/attack and
+// /v1/risk: both decode an AttackRequest, resolve it, and run the same
+// sweep; body shapes the per-bandwidth responses (and the opt-in
+// explain block) into the endpoint's own payload, and what names the
+// operation in error messages.
+func (s *Server) handleAttack(what string, body func(op attackOp, results []AttackResponse, explain *ExplainBlock) any) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req AttackRequest
+		if err := decodeJSON(w, r, &req); err != nil {
+			writeBodyErr(w, "decoding request", err)
+			return
+		}
+		op, ok := s.resolveAttack(w, r, req)
+		if !ok {
+			return
+		}
+		results, err := s.sweepResponses(r.Context(), op)
+		if err != nil {
+			writeAttackErr(w, what, err)
+			return
+		}
+		var explain *ExplainBlock
+		if op.explain {
+			explain = s.explain(obs.SpanFromContext(r.Context()), attackShapes(op))
+		}
+		writeJSON(w, http.StatusOK, body(op, results, explain))
 	}
-	results, err := s.sweepResponses(r.Context(), q)
-	if err != nil {
-		writeAttackErr(w, "attacking", err)
-		return
-	}
-	explain := s.attackExplain(r, q)
-	if q.sweep {
-		writeJSON(w, http.StatusOK, AttackSweepResponse{Release: q.entry.id, Sweep: results, Explain: explain})
-		return
+}
+
+// attackPayload is POST /v1/attack's payload: the full response per
+// bandwidth.
+func attackPayload(op attackOp, results []AttackResponse, explain *ExplainBlock) any {
+	if op.sweep {
+		return AttackSweepResponse{Release: op.entry.id, Sweep: results, Explain: explain}
 	}
 	results[0].Explain = explain
-	writeJSON(w, http.StatusOK, results[0])
+	return results[0]
 }
 
-// attackExplain builds the cost block for an attack/risk request that
-// opted in (nil otherwise): the cold-path pricing at the request's grid
-// width — and its method's inference stage — next to what this
-// request's trace actually spent.
-func (s *Server) attackExplain(r *http.Request, q attackQuery) *ExplainBlock {
-	if !q.explain {
-		return nil
-	}
-	lanes := len(normalizeGrid(q.bprimes))
-	return s.explain(obs.SpanFromContext(r.Context()), attackShapes(q.entry, lanes, q.sel.Inference))
-}
-
-func (s *Server) handleRisk(w http.ResponseWriter, r *http.Request) {
-	q, ok := s.getRelease(w, r)
-	if !ok {
-		return
-	}
-	results, err := s.sweepResponses(r.Context(), q)
-	if err != nil {
-		writeAttackErr(w, "evaluating risk", err)
-		return
-	}
+// riskPayload is POST /v1/risk's payload: the worst-case risk per
+// bandwidth.
+func riskPayload(op attackOp, results []AttackResponse, explain *ExplainBlock) any {
 	risks := make([]RiskResponse, len(results))
 	for i, ar := range results {
 		risks[i] = RiskResponse{Release: ar.Release, BPrime: ar.BPrime, WorstRisk: ar.WorstRisk, Inference: ar.Inference}
 	}
-	explain := s.attackExplain(r, q)
-	if q.sweep {
-		writeJSON(w, http.StatusOK, RiskSweepResponse{Release: q.entry.id, Sweep: risks, Explain: explain})
-		return
+	if op.sweep {
+		return RiskSweepResponse{Release: op.entry.id, Sweep: risks, Explain: explain}
 	}
 	risks[0].Explain = explain
-	writeJSON(w, http.StatusOK, risks[0])
+	return risks[0]
 }
 
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
@@ -1038,7 +1045,8 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "want /v1/releases/{id}")
 		return
 	}
-	entry, ok := s.resolveRelease(r.Context(), id)
+	sp := obs.SpanFromContext(r.Context())
+	entry, ok := lookup(s, s.releases, id, func() (*releaseEntry, bool) { return s.recoverRelease(sp, id, nil) })
 	if !ok {
 		writeErr(w, http.StatusNotFound, "unknown release %q", id)
 		return
