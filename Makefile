@@ -59,10 +59,11 @@ bench:
 
 # Focused 10-iteration pass over the hot-path kernels this repo's perf
 # claims rest on: the support-intersection prior pass, the
-# adaptive-inference attack and the warm Ω attack, with their
-# allocation counts.
+# adaptive-inference attack, the warm Ω attack, and the two bound-first
+# paths — the worst-case risk pass and sequential (B,t) Mondrian — with
+# their allocation counts.
 bench-smoke:
-	$(GO) test -run '^$$' -bench '(Priors$$|AttackAdaptive|BreachTest$$)' -benchtime=10x -benchmem .
+	$(GO) test -run '^$$' -bench '(Priors$$|AttackAdaptive|BreachTest$$|Fig3aRisk$$|MondrianBT$$)' -benchtime=10x -benchmem .
 
 # The repository benchmark (perfbench/, run by `bash perfbench/run.sh`)
 # is a module of its own: vet it and run its short self-tests so an API

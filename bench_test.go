@@ -138,7 +138,7 @@ func BenchmarkFig3aRisk(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.WorstCaseRiskSweep(res, [][]float64{bvec}); err != nil {
+		if _, err := e.WorstCaseRiskSweep(context.Background(), nil, res, [][]float64{bvec}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -169,7 +169,7 @@ func BenchmarkFig3bRisk(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.WorstCaseRiskSweep(res, [][]float64{adv}); err != nil {
+		if _, err := e.WorstCaseRiskSweep(context.Background(), nil, res, [][]float64{adv}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -465,10 +465,11 @@ func BenchmarkServeAttack(b *testing.B) {
 }
 
 // benchMondrian measures one Mondrian partitioning of a 2K-tuple table
-// under (ℓ-diversity ∧ k-anonymity) at a given pool size.
-func benchMondrian(b *testing.B, workers int) {
+// under (model ∧ k-anonymity) at para1 and a given pool size; a (B,t)
+// requirement's priors are computed before the timer starts.
+func benchMondrian(b *testing.B, model core.Model, workers int) {
 	e := benchEngineWorkers(b, 2000, workers)
-	req, err := e.RequirementByName(core.DistinctLDiversity.Key(), core.Table5()[0])
+	req, err := e.RequirementByName(model.Key(), core.Table5()[0])
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -480,10 +481,15 @@ func benchMondrian(b *testing.B, workers int) {
 }
 
 // BenchmarkMondrian is the sequential partitioning baseline.
-func BenchmarkMondrian(b *testing.B) { benchMondrian(b, -1) }
+func BenchmarkMondrian(b *testing.B) { benchMondrian(b, core.DistinctLDiversity, -1) }
 
 // BenchmarkMondrianParallel partitions subtrees on all cores.
-func BenchmarkMondrianParallel(b *testing.B) { benchMondrian(b, 0) }
+func BenchmarkMondrianParallel(b *testing.B) { benchMondrian(b, core.DistinctLDiversity, 0) }
+
+// BenchmarkMondrianBT partitions sequentially under (B,t)-privacy, so
+// every candidate split is a bound-first (B,t) check: inference, then
+// the smoothed-JS measure only where its log-free bound exceeds t.
+func BenchmarkMondrianBT(b *testing.B) { benchMondrian(b, core.BTPrivacy, -1) }
 
 // BenchmarkPriors isolates the support-intersection prior pass at the
 // BenchmarkBreachTest shape — n=2000, sequential — which is the prior

@@ -546,13 +546,21 @@ func (e *Engine) methodOr(m inference.Method) inference.Method {
 // its passes are recorded — and priced — under, so the cost model fits
 // exact and adaptive traffic separately from the Ω-estimate they
 // diverge from (~49× per Figure 2's measurement). Any other name,
-// empty included, is the Ω-estimate's stage.
-func InferenceStage(method string) obs.Stage {
-	switch method {
-	case inference.NameExact:
+// empty included, is the Ω-estimate's stage. A worst-case risk pass
+// (risk) measures few pairs exactly, so it has a stage per method of
+// its own rather than pooling its cost with the attack's.
+func InferenceStage(method string, risk bool) obs.Stage {
+	switch {
+	case method == inference.NameExact && risk:
+		return obs.StageRiskExact
+	case method == inference.NameExact:
 		return obs.StageInferenceExact
-	case inference.NameAdaptive:
+	case method == inference.NameAdaptive && risk:
+		return obs.StageRiskAdaptive
+	case method == inference.NameAdaptive:
 		return obs.StageInferenceAdaptive
+	case risk:
+		return obs.StageRisk
 	}
 	return obs.StageInference
 }
@@ -568,13 +576,10 @@ func InferenceStage(method string) obs.Stage {
 // (Exact on an oversized class) records its error for the ordered
 // fan-in instead of panicking the worker.
 func (e *Engine) attackGroup(m inference.Method, g *anonymize.Group, priors []prob.Dist, sc *attackScratch, gi, bi int, crit privacy.Criterion) groupAttack {
-	lo, hi := sc.off[gi], sc.off[gi+1]
-	gp, same, hits := sc.priors[lo:hi], sc.same[lo:hi], sc.hits[lo:hi]
-	for i, ri := range g.Rows {
-		gp[i] = priors[ri]
-	}
-	risks := sc.risks(bi, gi)
-	posts, err := privacy.ClassGains(m, e.Measure, gp, sc.counts(gi), risks, same)
+	gp, hits := sc.classPriors(g, gi, priors), sc.hits[sc.off[gi]:sc.off[gi+1]]
+	lo, hi := sc.block(bi, gi)
+	risks, same := sc.gains[lo:hi], sc.same[lo:hi]
+	posts, err := privacy.ClassGains(m, e.Measure, gp, sc.counts(gi), risks, same, math.Inf(-1))
 	if err != nil {
 		return groupAttack{err: err}
 	}
@@ -600,9 +605,9 @@ func (e *Engine) attackGroup(m inference.Method, g *anonymize.Group, priors []pr
 }
 
 // attackScratch is one attack's working memory. Class gi owns rows
-// [off[gi], off[gi+1]) of the row-indexed slices (gains holds one row
-// block per bandwidth) and hist[gi*m:(gi+1)*m]; classes are disjoint,
-// so concurrent tasks never share a cell.
+// [off[gi], off[gi+1]) of the row-indexed slices (gains and same hold
+// one row block per bandwidth) and hist[gi*m:(gi+1)*m]; classes are
+// disjoint, so concurrent tasks never share a cell.
 type attackScratch struct {
 	off    []int
 	m      int
@@ -623,7 +628,7 @@ func newAttackScratch(res *anonymize.Result, m, bandwidths int) *attackScratch {
 		off:    off,
 		m:      m,
 		priors: make([]prob.Dist, rows),
-		same:   make([]int, rows),
+		same:   make([]int, bandwidths*rows),
 		hits:   make([]bool, rows),
 		hist:   make([]int, len(res.Groups)*m),
 		gains:  make([]float64, bandwidths*rows),
@@ -633,10 +638,20 @@ func newAttackScratch(res *anonymize.Result, m, bandwidths int) *attackScratch {
 // counts is class gi's sensitive histogram.
 func (a *attackScratch) counts(gi int) []int { return a.hist[gi*a.m : (gi+1)*a.m] }
 
-// risks is class gi's block of gains at bandwidth bi.
-func (a *attackScratch) risks(bi, gi int) []float64 {
+// block is class gi's cells [lo, hi) of gains and same at bandwidth bi.
+func (a *attackScratch) block(bi, gi int) (lo, hi int) {
 	base := bi * a.off[len(a.off)-1]
-	return a.gains[base+a.off[gi] : base+a.off[gi+1]]
+	return base + a.off[gi], base + a.off[gi+1]
+}
+
+// classPriors fills class gi's prior cells with its tuples' priors
+// from one bandwidth's per-record priors.
+func (a *attackScratch) classPriors(g *anonymize.Group, gi int, priors []prob.Dist) []prob.Dist {
+	gp := a.priors[a.off[gi]:a.off[gi+1]]
+	for i, ri := range g.Rows {
+		gp[i] = priors[ri]
+	}
+	return gp
 }
 
 // reduceAttack assembles one bandwidth's report from per-class results
@@ -681,27 +696,19 @@ func (e *Engine) attackSweepSpan(sp *obs.Span, m inference.Method, res *anonymiz
 		return nil, nil
 	}
 	method := e.methodOr(m)
-	priorsByB := make([][]prob.Dist, len(bvecs))
+	priorsByB, err := e.sweepPriors(sp, bvecs)
+	if err != nil {
+		return nil, err
+	}
 	crits := make([]privacy.Criterion, len(bvecs))
 	for i, b := range bvecs {
-		priors, err := e.priorsSpan(sp, b)
-		if err != nil {
-			return nil, err
-		}
-		priorsByB[i] = priors
 		crits[i] = privacy.Criterion{Gain: t}
 		if judge != nil {
 			crits[i] = judge.Criterion(b)
 		}
 	}
 	nb, ng := len(bvecs), len(res.Groups)
-	isp := sp.Child(InferenceStage(method.Name()), "inference "+method.Name())
-	isp.SetShape(obs.Shape{
-		Rows:   e.Table.N(),
-		Dims:   e.Table.Schema.D(),
-		Lanes:  nb,
-		Groups: ng,
-	})
+	isp := e.passSpan(sp, method, false, res, nb)
 	// One task per class: its sensitive multiset is bandwidth-invariant,
 	// so the task decodes it once and evaluates every bandwidth.
 	// perGroup[bi*ng+gi] is class gi at bandwidth bi.
@@ -727,17 +734,127 @@ func (e *Engine) attackSweepSpan(sp *obs.Span, m inference.Method, res *anonymiz
 	return reports, nil
 }
 
-// WorstCaseRiskSweep returns max_q D[Ppri(B',q), Ppos(B',q,T*)] for
-// the released table at each bandwidth of the grid, in one amortized
-// sweep: Figure 3's quantity.
-func (e *Engine) WorstCaseRiskSweep(res *anonymize.Result, bvecs [][]float64) ([]float64, error) {
-	reps, err := e.attackSweepSpan(nil, nil, res, bvecs, 1, nil)
+// sweepPriors returns each grid bandwidth's per-record priors, through
+// the cache Priors uses.
+func (e *Engine) sweepPriors(sp *obs.Span, bvecs [][]float64) ([][]prob.Dist, error) {
+	priorsByB := make([][]prob.Dist, len(bvecs))
+	for i, b := range bvecs {
+		priors, err := e.priorsSpan(sp, b)
+		if err != nil {
+			return nil, err
+		}
+		priorsByB[i] = priors
+	}
+	return priorsByB, nil
+}
+
+// passSpan opens the one stage span of an attack or risk pass over res
+// at nb bandwidths, priced by InferenceStage.
+func (e *Engine) passSpan(sp *obs.Span, method inference.Method, risk bool, res *anonymize.Result, nb int) *obs.Span {
+	kind := "inference "
+	if risk {
+		kind = "risk "
+	}
+	psp := sp.Child(InferenceStage(method.Name(), risk), kind+method.Name())
+	psp.SetShape(obs.Shape{
+		Rows:   e.Table.N(),
+		Dims:   e.Table.Schema.D(),
+		Lanes:  nb,
+		Groups: len(res.Groups),
+	})
+	return psp
+}
+
+// WorstCaseRiskSweep returns the worst-case disclosure risk
+// max(0, max_q D[Ppri(B',q), Ppos(B',q,T*)]) of the released table at
+// each bandwidth of the grid: Figure 3's quantity and POST /v1/risk's.
+// out[i] is bit for bit AttackSweepWith(ctx, m, res, bvecs, t, judge)[i].WorstRisk,
+// and it fails as that does (the first class a method refuses, in
+// bandwidth then group order), but it measures exactly only the
+// distinct (prior, posterior) pairs whose log-free bound
+// (distance.Bounded) can reach the maximum. Per bandwidth:
+//
+//  1. every class's posteriors, and every pair's bound;
+//  2. the pair with the largest bound, the first in group order on a
+//     tie, measured exactly: its gain is the floor;
+//  3. every other pair whose bound exceeds the floor, measured exactly;
+//  4. the largest gain.
+//
+// A pair whose bound is at most the floor cannot exceed it, so the
+// maximum is unchanged. The pairs measured exactly depend only on the
+// inputs, never on scheduling. m and the span are as in
+// AttackSweepWith; the pass is priced under its own risk stage.
+func (e *Engine) WorstCaseRiskSweep(ctx context.Context, m inference.Method, res *anonymize.Result, bvecs [][]float64) ([]float64, error) {
+	worst, _, err := e.riskSweep(obs.SpanFromContext(ctx), m, res, bvecs)
+	return worst, err
+}
+
+// riskSweep is WorstCaseRiskSweep, also counting the pairs it measured
+// exactly.
+func (e *Engine) riskSweep(sp *obs.Span, m inference.Method, res *anonymize.Result, bvecs [][]float64) (worst []float64, exact int, err error) {
+	if len(bvecs) == 0 {
+		return nil, 0, nil
+	}
+	method := e.methodOr(m)
+	priorsByB, err := e.sweepPriors(sp, bvecs)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	out := make([]float64, len(reps))
-	for i, rep := range reps {
-		out[i] = rep.WorstRisk
+	nb, ng := len(bvecs), len(res.Groups)
+	rsp := e.passSpan(sp, method, true, res, nb)
+	defer rsp.End()
+	sc := newAttackScratch(res, e.Table.Schema.M(), nb)
+	// posts[bi*ng+gi] is class gi's posteriors at bandwidth bi.
+	posts := make([][]prob.Dist, nb*ng)
+	errs := make([]error, nb*ng)
+	parallel.For(e.Workers(), ng, func(gi int) {
+		g := res.Groups[gi]
+		e.Table.CountSensitive(sc.counts(gi), g.Rows)
+		for bi, priors := range priorsByB {
+			lo, hi := sc.block(bi, gi)
+			gp := sc.classPriors(g, gi, priors)
+			posts[bi*ng+gi], errs[bi*ng+gi] = privacy.ClassGains(method, e.Measure, gp, sc.counts(gi), sc.gains[lo:hi], sc.same[lo:hi], math.Inf(1))
+		}
+	})
+	// Steps 2–4 run in group order; they measure few pairs.
+	worst = make([]float64, nb)
+	for bi := range worst {
+		measure := func(gi, i int) float64 {
+			exact++
+			return e.Measure.Distance(priorsByB[bi][res.Groups[gi].Rows[i]], posts[bi*ng+gi][i])
+		}
+		top, tg, ti := math.Inf(-1), -1, -1
+		for gi, g := range res.Groups {
+			if err := errs[bi*ng+gi]; err != nil {
+				return nil, 0, fmt.Errorf("core: group of %d tuples: %w", g.Size(), err)
+			}
+			lo, hi := sc.block(bi, gi)
+			for c := lo; c < hi; c++ {
+				if sc.same[c] == c-lo && sc.gains[c] > top {
+					top, tg, ti = sc.gains[c], gi, c-lo
+				}
+			}
+		}
+		if tg < 0 {
+			continue
+		}
+		lo, _ := sc.block(bi, tg)
+		floor := measure(tg, ti)
+		sc.gains[lo+ti] = floor
+		for gi := range res.Groups {
+			lo, hi := sc.block(bi, gi)
+			for c := lo; c < hi; c++ {
+				if sc.same[c] != c-lo {
+					continue
+				}
+				if sc.gains[c] > floor {
+					sc.gains[c] = measure(gi, c-lo)
+				}
+				if sc.gains[c] > worst[bi] {
+					worst[bi] = sc.gains[c]
+				}
+			}
+		}
 	}
-	return out, nil
+	return worst, exact, nil
 }

@@ -26,6 +26,22 @@ func testEngine(t *testing.T, n int) *Engine {
 	return e
 }
 
+// groupRisks is the exact per-record knowledge gain of a (B,t)
+// requirement's candidate group, every gain measured: the oracle its
+// bound-first Satisfied and the risk sweep are checked against.
+func groupRisks(t *testing.T, bt privacy.BTPrivacy, rows []int) []float64 {
+	t.Helper()
+	priors := make([]prob.Dist, len(rows))
+	for i, ri := range rows {
+		priors[i] = bt.Priors[ri]
+	}
+	gains := make([]float64, len(rows))
+	if _, err := privacy.ClassGains(bt.Method, bt.Measure, priors, bt.Table.SensitiveCounts(rows), gains, make([]int, len(rows)), math.Inf(-1)); err != nil {
+		t.Fatal(err)
+	}
+	return gains
+}
+
 func TestEngineDefaults(t *testing.T) {
 	e := testEngine(t, 200)
 	if e.Kernel.Name() != "epanechnikov" {
@@ -176,7 +192,7 @@ func TestAttackRisksMatchRequirementGains(t *testing.T) {
 				t.Errorf("vulnerable = %d, want 0", rep.Vulnerable)
 			}
 			for gi, g := range res.Groups {
-				for i, gain := range bt.GroupRisks(g.Rows) {
+				for i, gain := range groupRisks(t, bt, g.Rows) {
 					if got := rep.Risks[g.Rows[i]]; math.Float64bits(got) != math.Float64bits(gain) {
 						t.Fatalf("group %d row %d: attack risk %v != requirement gain %v", gi, g.Rows[i], got, gain)
 					}
@@ -230,7 +246,7 @@ func TestSkylineRequirement(t *testing.T) {
 	// Both adversaries must be held to their respective thresholds.
 	for i, entry := range entries {
 		bvec := kernel.UniformBandwidth(e.Table.Schema.D(), entry.B)
-		risks, err := e.WorstCaseRiskSweep(res, [][]float64{bvec})
+		risks, err := e.WorstCaseRiskSweep(context.Background(), nil, res, [][]float64{bvec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +308,7 @@ func TestWorstCaseRiskMatchesAttack(t *testing.T) {
 		t.Fatal(err)
 	}
 	bvec := kernel.UniformBandwidth(e.Table.Schema.D(), 0.4)
-	risks, err := e.WorstCaseRiskSweep(res, [][]float64{bvec})
+	risks, err := e.WorstCaseRiskSweep(context.Background(), nil, res, [][]float64{bvec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,10 +567,10 @@ func TestOmegaWithinPaperBoundOnReleaseClasses(t *testing.T) {
 			}
 			counts := e.Table.SensitiveCounts(g.Rows)
 			exact, omega, same := make([]float64, g.Size()), make([]float64, g.Size()), make([]int, g.Size())
-			if _, err := privacy.ClassGains(inference.Exact{}, e.Measure, gp, counts, exact, same); err != nil {
+			if _, err := privacy.ClassGains(inference.Exact{}, e.Measure, gp, counts, exact, same, math.Inf(-1)); err != nil {
 				t.Fatalf("b'=%g class %d (%d tuples): %v", bp, gi, g.Size(), err)
 			}
-			if _, err := privacy.ClassGains(inference.Omega{}, e.Measure, gp, counts, omega, same); err != nil {
+			if _, err := privacy.ClassGains(inference.Omega{}, e.Measure, gp, counts, omega, same, math.Inf(-1)); err != nil {
 				t.Fatal(err)
 			}
 			rho := 0.0

@@ -36,7 +36,7 @@ func attackFingerprint(t *testing.T, e *Engine, m Model, p Params) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	worst, err := e.WorstCaseRiskSweep(res, [][]float64{bvec})
+	worst, err := e.WorstCaseRiskSweep(context.Background(), nil, res, [][]float64{bvec})
 	if err != nil {
 		t.Fatal(err)
 	}

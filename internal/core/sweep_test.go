@@ -2,12 +2,17 @@ package core
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
 	"repro/internal/adult"
+	"repro/internal/dataset"
+	"repro/internal/inference"
 	"repro/internal/kernel"
 	"repro/internal/parallel"
+	"repro/internal/privacy"
+	"repro/internal/prob"
 )
 
 // sweepGrid is the bandwidth grid the sweep tests exercise — mixed
@@ -122,7 +127,7 @@ func TestWorstCaseRiskSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	grid := sweepGrid(table.Schema.D())
-	got, err := e.WorstCaseRiskSweep(res, grid)
+	got, err := e.WorstCaseRiskSweep(context.Background(), nil, res, grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,4 +140,96 @@ func TestWorstCaseRiskSweep(t *testing.T) {
 			t.Fatalf("bandwidth %d: sweep risk %v != single %v", i, got[i], want.WorstRisk)
 		}
 	}
+}
+
+// TestWorstCaseRiskSweepMatchesAttack is the risk identity of the
+// bound-first risk pass: on (B,t), skyline and distinct-ℓ releases at
+// n=2000, under Ω, exact and adaptive inference and at workers 1, 2
+// and 4, WorstCaseRiskSweep equals the attack sweep's WorstRisk bit for
+// bit, or fails with the attack's error. The pairs it measures exactly
+// are the same number at every worker count and, under Ω on the
+// golden (B,t) release, fewer than the distinct pairs an attack
+// measures.
+func TestWorstCaseRiskSweepMatchesAttack(t *testing.T) {
+	table := adult.Generate(2000, 42)
+	grid := [][]float64{}
+	for _, bp := range []float64{0.05, 0.2, 0.3, 0.5} {
+		grid = append(grid, kernel.UniformBandwidth(table.Schema.D(), bp))
+	}
+	methods := []inference.Method{inference.Omega{}, inference.Exact{}, inference.Adaptive{MaxStates: 4096}}
+	exactAt := map[string]int{}
+	for _, workers := range []int{1, 2, 4} {
+		e, err := New(table, adult.Hierarchies(), nil, nil, WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, model := range []Model{BTPrivacy, Skyline, DistinctLDiversity} {
+			res, _, err := e.RunAlgorithm("mondrian", model.Key(), Table5()[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range methods {
+				key := model.Key() + " " + m.Name()
+				want, wantErr := e.AttackSweepWith(context.Background(), m, res, grid, 1, nil)
+				got, exact, err := e.riskSweep(nil, m, res, grid)
+				if (err != nil) != (wantErr != nil) || err != nil && err.Error() != wantErr.Error() {
+					t.Fatalf("workers=%d %s: risk error %v, attack error %v", workers, key, err, wantErr)
+				}
+				if err != nil {
+					continue
+				}
+				for i := range grid {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i].WorstRisk) {
+						t.Fatalf("workers=%d %s bandwidth %d: risk %v != attack worst %v", workers, key, i, got[i], want[i].WorstRisk)
+					}
+				}
+				if n, ok := exactAt[key]; ok && n != exact {
+					t.Errorf("workers=%d %s: %d exact measurements, %d at one worker", workers, key, exact, n)
+				}
+				exactAt[key] = exact
+			}
+		}
+	}
+	pairs := distinctPairs(t, table, "bt", grid)
+	if got := exactAt["bt omega"]; got >= pairs || got == 0 {
+		t.Errorf("golden (B,t) release under Ω: %d exact measurements for %d distinct pairs", got, pairs)
+	}
+	t.Logf("exact measurements per release and method: %v; %d distinct pairs on the golden (B,t) release", exactAt, pairs)
+}
+
+// distinctPairs counts the distinct (prior, posterior) pairs an Ω
+// attack measures on model's para1 release over the grid.
+func distinctPairs(t *testing.T, table *dataset.Table, model string, grid [][]float64) int {
+	t.Helper()
+	e, err := New(table, adult.Hierarchies(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := e.RunAlgorithm("mondrian", model, Table5()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := 0
+	for _, bvec := range grid {
+		priors, err := e.Priors(bvec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range res.Groups {
+			gp := make([]prob.Dist, g.Size())
+			for i, ri := range g.Rows {
+				gp[i] = priors[ri]
+			}
+			gains, same := make([]float64, g.Size()), make([]int, g.Size())
+			if _, err := privacy.ClassGains(inference.Omega{}, e.Measure, gp, e.Table.SensitiveCounts(g.Rows), gains, same, math.Inf(1)); err != nil {
+				t.Fatal(err)
+			}
+			for i := range same {
+				if same[i] == i {
+					pairs++
+				}
+			}
+		}
+	}
+	return pairs
 }

@@ -84,6 +84,17 @@ var forms = []Form{
 	{obs.StageInferenceAdaptive, "rows*lanes", func(s obs.Shape) float64 {
 		return f(s.Rows) * lanes(s)
 	}},
+	// A worst-case risk pass runs the same inference but measures few
+	// pairs exactly, so each method's risk pass fits its own line too.
+	{obs.StageRisk, "rows*lanes", func(s obs.Shape) float64 {
+		return f(s.Rows) * lanes(s)
+	}},
+	{obs.StageRiskExact, "rows*lanes", func(s obs.Shape) float64 {
+		return f(s.Rows) * lanes(s)
+	}},
+	{obs.StageRiskAdaptive, "rows*lanes", func(s obs.Shape) float64 {
+		return f(s.Rows) * lanes(s)
+	}},
 	{obs.StagePersistRead, "rows", func(s obs.Shape) float64 {
 		return f(s.Rows)
 	}},

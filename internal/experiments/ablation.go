@@ -181,7 +181,7 @@ func (r *Runner) AblationSmoothing() (*Report, error) {
 				gp[i] = priors[ri]
 			}
 			gains := make([]float64, g.Size())
-			if _, err := privacy.ClassGains(inference.Omega{}, measure, gp, r.Table.SensitiveCounts(g.Rows), gains, make([]int, g.Size())); err != nil {
+			if _, err := privacy.ClassGains(inference.Omega{}, measure, gp, r.Table.SensitiveCounts(g.Rows), gains, make([]int, g.Size()), math.Inf(-1)); err != nil {
 				return nil, err
 			}
 			for _, v := range gains {

@@ -47,10 +47,10 @@ func (r *Runner) Fig2() (*Report, error) {
 				}
 				counts := r.Table.SensitiveCounts(rows)
 				exact, omega, same := make([]float64, n), make([]float64, n), make([]int, n)
-				if _, err := privacy.ClassGains(inference.Exact{}, r.Engine.Measure, gp, counts, exact, same); err != nil {
+				if _, err := privacy.ClassGains(inference.Exact{}, r.Engine.Measure, gp, counts, exact, same, math.Inf(-1)); err != nil {
 					return nil, err
 				}
-				if _, err := privacy.ClassGains(inference.Omega{}, r.Engine.Measure, gp, counts, omega, same); err != nil {
+				if _, err := privacy.ClassGains(inference.Omega{}, r.Engine.Measure, gp, counts, omega, same, math.Inf(-1)); err != nil {
 					return nil, err
 				}
 				rho := 0.0

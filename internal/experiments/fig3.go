@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"repro/internal/anonymize"
 	"repro/internal/core"
 	"repro/internal/kernel"
@@ -38,7 +40,7 @@ func (r *Runner) Fig3a() (*Report, error) {
 		p := base
 		p.B = sweep[i]
 		cells, err := r.cells(core.BTPrivacy, p, len(bvecs), func(res *anonymize.Result) ([]string, error) {
-			risks, err := r.Engine.WorstCaseRiskSweep(res, bvecs)
+			risks, err := r.Engine.WorstCaseRiskSweep(context.Background(), nil, res, bvecs)
 			if err != nil {
 				return nil, err
 			}
@@ -97,7 +99,7 @@ func (r *Runner) Fig3b() (*Report, error) {
 		p.BVec = bvec
 		p.B = 0
 		cell, err := r.cells(core.BTPrivacy, p, 1, func(res *anonymize.Result) ([]string, error) {
-			risks, err := r.Engine.WorstCaseRiskSweep(res, [][]float64{adv})
+			risks, err := r.Engine.WorstCaseRiskSweep(context.Background(), nil, res, [][]float64{adv})
 			if err != nil {
 				return nil, err
 			}

@@ -73,6 +73,14 @@ const (
 	// StageInferenceAdaptive is an inference pass under the "adaptive"
 	// override (exact below the state bound, Ω above it).
 	StageInferenceAdaptive
+	// StageRisk is one worst-case risk pass (core.WorstCaseRiskSweep)
+	// under the Ω-estimate: inference plus bound-first measurement,
+	// which measures few pairs exactly, so it is priced apart from the
+	// attack's inference pass. StageRiskExact and StageRiskAdaptive
+	// are the same pass under the request-level method overrides.
+	StageRisk
+	StageRiskExact
+	StageRiskAdaptive
 
 	numStages
 )
@@ -93,6 +101,9 @@ var stageNames = [numStages]string{
 
 	StageInferenceExact:    "inference_exact",
 	StageInferenceAdaptive: "inference_adaptive",
+	StageRisk:              "risk",
+	StageRiskExact:         "risk_exact",
+	StageRiskAdaptive:      "risk_adaptive",
 }
 
 func (st Stage) String() string {

@@ -123,16 +123,21 @@ const ReservoirCap = 512
 
 // reservoir is one stage's bounded (shape, duration) window. Stage
 // passes are coarse (one observation per pipeline pass, never per
-// tuple), so a mutex — not atomics — is the right price here.
+// tuple), so a mutex — not atomics — is the right price here. The
+// window (24 KB) is allocated on the first shaped observation, so a
+// stage a server never runs costs it no heap.
 type reservoir struct {
 	mu   sync.Mutex
-	buf  [ReservoirCap]ShapeSample
+	buf  []ShapeSample
 	next int
 	n    int
 }
 
 func (r *reservoir) add(s ShapeSample) {
 	r.mu.Lock()
+	if r.buf == nil {
+		r.buf = make([]ShapeSample, ReservoirCap)
+	}
 	r.buf[r.next] = s
 	r.next = (r.next + 1) % ReservoirCap
 	if r.n < ReservoirCap {

@@ -50,7 +50,7 @@ func TestClassGainsMeasuresEachDistinctPairOnce(t *testing.T) {
 		for _, method := range []inference.Method{inference.Omega{}, inference.Exact{}, inference.Adaptive{}} {
 			meas := &countingMeasure{inner: smooth}
 			gains, same := make([]float64, k), make([]int, k)
-			posts, err := ClassGains(method, meas, priors, counts, gains, same)
+			posts, err := ClassGains(method, meas, priors, counts, gains, same, math.Inf(-1))
 			if err != nil {
 				t.Fatal(err)
 			}

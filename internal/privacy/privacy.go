@@ -4,7 +4,11 @@
 // (B,t)-privacy and its skyline generalization. A requirement is a
 // predicate over a candidate group of records, bound to the table it
 // protects; anonymization algorithms accept any Requirement, so every
-// model runs through the same Mondrian variant as in the paper.
+// model runs through the same Mondrian variant as in the paper. A
+// (B,t) check decides by a log-free bound on the disclosure measure
+// and measures exactly only the tuples whose bound exceeds t
+// (ClassGains, distance.Bounded); its decision is the one the exact
+// gains give.
 package privacy
 
 import (
@@ -223,27 +227,16 @@ func (b BTPrivacy) method() inference.Method {
 	return b.Method
 }
 
-// GroupRisks returns, per record in rows, the adversary's knowledge
-// gain D[prior, posterior] for the candidate group. A method that
-// refuses the group (Exact on an oversized class) panics here, as
-// Exact.Posteriors does.
-func (b BTPrivacy) GroupRisks(rows []int) []float64 {
-	priors := make([]prob.Dist, len(rows))
-	for i, ri := range rows {
-		priors[i] = b.Priors[ri]
-	}
-	gains := make([]float64, len(rows))
-	if _, err := ClassGains(b.method(), b.Measure, priors, b.Table.SensitiveCounts(rows), gains, make([]int, len(rows))); err != nil {
-		panic(err)
-	}
-	return gains
-}
-
 // ClassGains is the one evaluation of an equivalence class shared by
-// (B,t) checks, attacks and the experiments: the method's posteriors
-// for the class, then per tuple the knowledge gain
-// gains[i] = D[priors[i], posts[i]]. counts is the class's sensitive
-// histogram; gains and same are caller scratch of len(priors).
+// (B,t) checks, attacks, worst-case risk and the experiments: the
+// method's posteriors for the class, then per tuple the knowledge gain
+// gains[i] = distance.Bounded(d, priors[i], posts[i], floor). A gain
+// above floor is exactly D[priors[i], posts[i]]; one at or below floor
+// may be a log-free bound on it, which proves D ≤ floor. Attacks need
+// every gain and pass floor = -Inf; a (B,t) check passes its T; a
+// worst-case risk pass passes +Inf first, for bounds alone. counts is
+// the class's sensitive histogram; gains and same are caller scratch
+// of len(priors).
 //
 // The measure runs once per distinct (prior, posterior) pair: same[i]
 // is tuple i's first sharer j ≤ i (inference.FirstSharers: the first
@@ -256,7 +249,7 @@ func (b BTPrivacy) GroupRisks(rows []int) []float64 {
 // on an oversized group) returns its error instead of panicking.
 //
 //detlint:hotpath
-func ClassGains(m inference.Method, d distance.Measure, priors []prob.Dist, counts []int, gains []float64, same []int) (posts []prob.Dist, err error) {
+func ClassGains(m inference.Method, d distance.Measure, priors []prob.Dist, counts []int, gains []float64, same []int, floor float64) (posts []prob.Dist, err error) {
 	posts, err = inference.TryPosteriors(m, priors, counts)
 	if err != nil {
 		return nil, err
@@ -268,28 +261,36 @@ func ClassGains(m inference.Method, d distance.Measure, priors []prob.Dist, coun
 			continue
 		}
 		same[i] = i
-		gains[i] = d.Distance(prior, posts[i])
+		gains[i] = distance.Bounded(d, prior, posts[i], floor)
 	}
 	return posts, nil
 }
 
-// WorstRisk returns the maximum knowledge gain over the group.
-func (b BTPrivacy) WorstRisk(rows []int) float64 {
-	worst := 0.0
-	for _, r := range b.GroupRisks(rows) {
-		if r > worst {
-			worst = r
-		}
-	}
-	return worst
-}
-
-// Satisfied implements Requirement.
+// Satisfied implements Requirement: the group's worst knowledge gain,
+// max(0, gains), is at most T. The gains come from ClassGains at floor
+// T, so a tuple whose log-free bound is at most T is never measured
+// exactly; any gain above T is exact, so the decision is the one the
+// exact gains give. A method that refuses the group (Exact on an
+// oversized class) panics here, as Exact.Posteriors does.
 func (b BTPrivacy) Satisfied(rows []int) bool {
 	if len(rows) == 0 {
 		return false
 	}
-	return b.WorstRisk(rows) <= b.T
+	priors := make([]prob.Dist, len(rows))
+	for i, ri := range rows {
+		priors[i] = b.Priors[ri]
+	}
+	gains := make([]float64, len(rows))
+	if _, err := ClassGains(b.method(), b.Measure, priors, b.Table.SensitiveCounts(rows), gains, make([]int, len(rows)), b.T); err != nil {
+		panic(err)
+	}
+	worst := 0.0
+	for _, g := range gains {
+		if g > worst {
+			worst = g
+		}
+	}
+	return worst <= b.T
 }
 
 // Skyline is the skyline (B,t)-privacy principle (Definition 2): a

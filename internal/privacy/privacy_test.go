@@ -1,11 +1,13 @@
 package privacy
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/adult"
 	"repro/internal/dataset"
 	"repro/internal/distance"
 	"repro/internal/inference"
@@ -26,6 +28,34 @@ func testTable() *dataset.Table {
 		tab.Records = append(tab.Records, dataset.Record{QI: []int{i % 6}, S: s})
 	}
 	return tab
+}
+
+// GroupRisks returns, per record in rows, the adversary's knowledge
+// gain D[prior, posterior], every one measured exactly: the oracle the
+// bound-first Satisfied is checked against. A method that refuses the
+// group panics, as Satisfied does.
+func (b BTPrivacy) GroupRisks(rows []int) []float64 {
+	priors := make([]prob.Dist, len(rows))
+	for i, ri := range rows {
+		priors[i] = b.Priors[ri]
+	}
+	gains := make([]float64, len(rows))
+	if _, err := ClassGains(b.method(), b.Measure, priors, b.Table.SensitiveCounts(rows), gains, make([]int, len(rows)), math.Inf(-1)); err != nil {
+		panic(err)
+	}
+	return gains
+}
+
+// WorstRisk returns the maximum exact knowledge gain over the group,
+// and 0 for an empty one.
+func (b BTPrivacy) WorstRisk(rows []int) float64 {
+	worst := 0.0
+	for _, r := range b.GroupRisks(rows) {
+		if r > worst {
+			worst = r
+		}
+	}
+	return worst
 }
 
 func flatMatrix(m int) [][]float64 {
@@ -280,4 +310,55 @@ func TestNames(t *testing.T) {
 			t.Errorf("Name = %q, want %q", got, c.want)
 		}
 	}
+}
+
+// TestSatisfiedMatchesWorstRisk is the check identity of the
+// bound-first (B,t) decision: on random row subsets of an Adult table
+// under the engine's measure (smoothed JS on Occupation at b = 0.51),
+// Satisfied equals the exact oracle WorstRisk ≤ T at every threshold,
+// under Ω, adaptive and (on small subsets) exact inference.
+func TestSatisfiedMatchesWorstRisk(t *testing.T) {
+	tab := adult.Generate(400, 7)
+	hiers := adult.Hierarchies()
+	est, err := kernel.NewEstimator(tab, hiers, kernel.Epanechnikov{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	priors, err := est.Priors(kernel.UniformBandwidth(tab.Schema.D(), 0.3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm, err := kernel.AttributeMatrix(tab.Schema.Sensitive, hiers[tab.Schema.Sensitive.Name])
+	if err != nil {
+		t.Fatal(err)
+	}
+	measure := distance.NewSmoothedJS(sm, kernel.Epanechnikov{}, 0.51)
+	rng := rand.New(rand.NewSource(31))
+	passed, failed := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		size := 1 + rng.Intn(40)
+		methods := []inference.Method{inference.Omega{}, inference.Adaptive{MaxStates: 4096}}
+		if size <= 8 {
+			methods = append(methods, inference.Exact{})
+		}
+		rows := rng.Perm(tab.N())[:size]
+		for _, m := range methods {
+			for _, tt := range []float64{0, 1e-12, 0.05, 0.25, 1} {
+				bt := BTPrivacy{T: tt, Table: tab, Priors: priors, Measure: measure, Method: m}
+				want := bt.WorstRisk(rows) <= tt
+				if got := bt.Satisfied(rows); got != want {
+					t.Fatalf("trial %d %s T=%g: Satisfied %v, oracle WorstRisk %v", trial, m.Name(), tt, got, bt.WorstRisk(rows))
+				}
+				if want {
+					passed++
+				} else {
+					failed++
+				}
+			}
+		}
+	}
+	if passed == 0 || failed == 0 {
+		t.Errorf("%d checks passed and %d failed; the identity is not discriminating", passed, failed)
+	}
+	t.Logf("%d checks passed, %d failed", passed, failed)
 }

@@ -279,7 +279,8 @@ type AnonymizeResponse struct {
 // valid (0, 1] range — is distinguishable from an omitted field and is
 // rejected rather than silently replaced by the default. BPrimes is
 // the sweep form: a grid of adversary bandwidths evaluated in one
-// amortized pass (core.Engine.AttackSweepWith), returning per-bandwidth
+// amortized pass (core.Engine.AttackSweepWith for an attack,
+// core.Engine.WorstCaseRiskSweep for risk), returning per-bandwidth
 // results in one response. Exactly one of the two forms may be used.
 type AttackRequest struct {
 	Release string    `json:"release"`
@@ -334,7 +335,7 @@ type AttackResponse struct {
 	// Ω default, so default bodies are byte-identical to earlier
 	// releases of the API.
 	Inference string `json:"inference,omitempty"`
-	// Explain is the opt-in cost block. Per-request: computeSweep's
+	// Explain is the opt-in cost block. Per-request: sweepFlight's
 	// singleflight shares the value fields, never this pointer.
 	Explain *ExplainBlock `json:"explain,omitempty"`
 }

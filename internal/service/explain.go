@@ -65,10 +65,11 @@ func (s *Server) anonymizeShapes(op anonymizeOp) []stageShape {
 
 // attackShapes lists the cold-path stages of a resolved attack/risk
 // request over its grid, one lane per distinct bandwidth: one
-// kernel-table build and one prior pass per lane, one inference pass
-// priced under the request's method — each method fits its own
-// coefficients, since exact is orders of magnitude costlier per row
-// than the Ω default.
+// kernel-table build and one prior pass per lane, then one pass priced
+// under the request's method and kind (core.InferenceStage) — each
+// method fits its own coefficients, since exact is orders of magnitude
+// costlier per row than the Ω default, and a risk pass, which measures
+// few pairs exactly, fits its own apart from an attack's.
 // The engine caches priors per bandwidth, so a warm request spends far
 // less than this — the explain residual shows exactly how much the
 // cache saved.
@@ -84,7 +85,7 @@ func attackShapes(op attackOp) []stageShape {
 			stageShape{obs.StagePriors, obs.Shape{Profiles: profiles, Dims: d}},
 		)
 	}
-	return append(out, stageShape{core.InferenceStage(op.sel.Inference), obs.Shape{Rows: n, Dims: d, Lanes: lanes, Groups: groups}})
+	return append(out, stageShape{core.InferenceStage(op.sel.Inference, op.risk), obs.Shape{Rows: n, Dims: d, Lanes: lanes, Groups: groups}})
 }
 
 // price evaluates the cost model over a request's stage list, in list
@@ -144,11 +145,12 @@ func wantExplain(r *http.Request, body bool) bool {
 //	GET /v1/estimate?op=anonymize&dataset={id}&algo=mondrian&model=skyline&b=0.3
 //	GET /v1/estimate?op=attack&release={id}&bprimes=0.1,0.3&inference=adaptive
 //
-// (op=risk is an alias for attack — both run the same pipeline). The
-// query names the fields of the operation's own request body —
-// op=anonymize: dataset, algo, model, k, l, t, b, inference,
-// max_states; op=attack: release, bprime, bprimes (comma-separated),
-// inference, max_states — and the request they fill takes the
+// op=risk takes attack's fields and is priced as the risk pass it runs,
+// under its own stage. The query names the fields of the operation's
+// own request body — op=anonymize: dataset, algo, model, k, l, t, b,
+// inference, max_states; op=attack and op=risk: release, bprime,
+// bprimes (comma-separated), inference, max_states — and the request
+// they fill takes the
 // handler's own resolve path (resolveAnonymize, resolveAttack): the
 // same defaults, validation, and lookup. The response carries
 // per-stage predictions with fit quality; stages the model has no
@@ -181,7 +183,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			queryField{"inference", &req.Inference}, queryField{"max_states", &req.MaxStates}) {
 			return
 		}
-		a, ok := s.resolveAttack(w, r, req)
+		a, ok := s.resolveAttack(w, r, req, op == "risk")
 		if !ok {
 			return
 		}

@@ -158,18 +158,49 @@ func TestEstimateEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("attack: status %d", code)
 	}
-	code, body = get(t, ts, "/v1/estimate?op=risk&release="+rel)
+	code, body = get(t, ts, "/v1/estimate?op=attack&release="+rel)
 	if code != http.StatusOK {
-		t.Fatalf("estimate risk: status %d: %s", code, body)
+		t.Fatalf("estimate attack: status %d: %s", code, body)
 	}
 	est = mustJSON[EstimateResponse](t, body)
 	if est.PredictedUS <= 0 {
-		t.Fatalf("post-attack risk estimate predicted_us = %v, want > 0: %s", est.PredictedUS, body)
+		t.Fatalf("post-attack attack estimate predicted_us = %v, want > 0: %s", est.PredictedUS, body)
 	}
 	for _, st := range est.Uncalibrated {
 		if st == "inference" || st == "priors" {
 			t.Fatalf("%s still uncalibrated after an attack ran: %s", st, body)
 		}
+	}
+
+	// op=risk is priced as the risk pass it runs, under its own stage:
+	// an attack does not calibrate it, a risk request does.
+	riskStages := func() (priced, uncalibrated bool) {
+		t.Helper()
+		code, body := get(t, ts, "/v1/estimate?op=risk&release="+rel)
+		if code != http.StatusOK {
+			t.Fatalf("estimate risk: status %d: %s", code, body)
+		}
+		est := mustJSON[EstimateResponse](t, body)
+		for _, sp := range est.Stages {
+			priced = priced || sp.Stage == "risk"
+			if sp.Stage == "inference" {
+				t.Fatalf("risk estimate prices the attack's inference stage: %s", body)
+			}
+		}
+		for _, st := range est.Uncalibrated {
+			uncalibrated = uncalibrated || st == "risk"
+		}
+		return priced, uncalibrated
+	}
+	if priced, uncal := riskStages(); priced || !uncal {
+		t.Fatalf("risk stage priced=%v uncalibrated=%v before any risk request ran", priced, uncal)
+	}
+	code, _ = post(t, ts, "/v1/risk", fmt.Sprintf(`{"release":%q,"bprime":0.4}`, rel))
+	if code != http.StatusOK {
+		t.Fatalf("risk: status %d", code)
+	}
+	if priced, uncal := riskStages(); !priced || uncal {
+		t.Fatalf("risk stage priced=%v uncalibrated=%v after a risk request ran", priced, uncal)
 	}
 
 	for _, tc := range []struct {

@@ -154,14 +154,18 @@ type Server struct {
 	// jobs is the async-anonymize queue drained by the job workers.
 	jobs *jobQueue
 
-	// sweeps dedups concurrent identical attack/risk computations — a
-	// single bprime is the one-point sweep — keyed on the normalized
-	// (sorted, deduplicated) grid so permutations of the same bprimes
-	// collapse into one amortized pass. Results are not memoized — the
-	// expensive artifact, Adv(B)'s priors, stays in the engine's
-	// bounded prior cache — so repeated sequential attacks rerun only
-	// inference and the measure on the warm engine.
-	sweeps parallel.Group[map[float64]*AttackResponse]
+	// sweeps dedups concurrent identical attack computations, and
+	// risks concurrent identical worst-case risk computations — a
+	// single bprime is the one-point sweep — each keyed on the
+	// normalized (sorted, deduplicated) grid so permutations of the
+	// same bprimes collapse into one amortized pass. The two never
+	// share a flight: a risk pass measures exactly only the pairs that
+	// can reach the maximum, so its result cannot answer an attack.
+	// Neither memoizes results — the expensive artifact, Adv(B)'s
+	// priors, stays in the engine's bounded prior cache — so a repeated
+	// request reruns only inference and the measure on the warm engine.
+	sweeps parallel.Group[map[float64]*core.AttackReport]
+	risks  parallel.Group[map[float64]float64]
 }
 
 // New builds a server with the given configuration. The schema
@@ -204,8 +208,8 @@ func New(cfg Config) (*Server, error) {
 	})
 	s.route("/v1/datasets", methods{http.MethodPost: s.handleDatasets})
 	s.route("/v1/anonymize", methods{http.MethodPost: s.handleAnonymize})
-	s.route("/v1/attack", methods{http.MethodPost: s.handleAttack("attacking", attackPayload)})
-	s.route("/v1/risk", methods{http.MethodPost: s.handleAttack("evaluating risk", riskPayload)})
+	s.route("/v1/attack", methods{http.MethodPost: s.handleAttack(false)})
+	s.route("/v1/risk", methods{http.MethodPost: s.handleAttack(true)})
 	s.route("/v1/estimate", methods{http.MethodGet: s.handleEstimate})
 	s.route("/v1/releases/", methods{http.MethodGet: s.handleRelease})
 	s.route("/v1/jobs/", methods{http.MethodGet: s.handleJob})
@@ -804,9 +808,9 @@ func (s *Server) runPipeline(sp *obs.Span, id string, ds *datasetEntry, req Anon
 // attackResponse folds one attack report into its response body:
 // breach count plus the risk-profile quantiles. inf is echoed when a
 // non-default method produced the numbers.
-func attackResponse(entry *releaseEntry, bprime float64, inf string, rep *core.AttackReport) *AttackResponse {
+func attackResponse(entry *releaseEntry, bprime float64, inf string, rep *core.AttackReport) AttackResponse {
 	prof := core.Profile(rep.Risks)
-	return &AttackResponse{
+	return AttackResponse{
 		Release:    entry.id,
 		BPrime:     bprime,
 		Inference:  inf,
@@ -820,45 +824,45 @@ func attackResponse(entry *releaseEntry, bprime float64, inf string, rep *core.A
 	}
 }
 
-// computeSweep runs (or joins) one attack evaluation against a stored
-// release: adversary Adv(b') at every bandwidth of the grid — one point
-// for the single-bprime form — judged by the release's own requirement
-// at each b'. Classes fan out on the dataset's shared pool; responses
-// are bit-identical at any worker count. The singleflight key is the
-// normalized grid — sorted and deduplicated — plus the method
-// selection, so concurrent requests that permute or repeat the same
-// bandwidths share one engine pass while requests under different
-// methods never share a result. The return maps each distinct
-// bandwidth to its response; callers assemble request order from it.
-func (s *Server) computeSweep(ctx context.Context, entry *releaseEntry, bprimes []float64, sel methodSel) (map[float64]*AttackResponse, error) {
-	norm := normalizeGrid(bprimes)
+// sweepFlight runs (or joins) one evaluation of the request's grid
+// against its stored release — one point for the single-bprime form —
+// on g, the operation's own singleflight group: run evaluates the
+// normalized grid's uniform bandwidth vectors under the selected method
+// and returns one result per bandwidth. Classes fan out on the
+// dataset's shared pool; results are bit-identical at any worker count. The key is the normalized grid —
+// sorted and deduplicated — plus the method selection, so concurrent
+// requests that permute or repeat the same bandwidths share one engine
+// pass while requests under different methods never share a result.
+// The return maps each distinct bandwidth to its result; callers
+// assemble request order from it.
+func sweepFlight[T any](ctx context.Context, g *parallel.Group[map[float64]T], op attackOp,
+	run func(method inference.Method, bvecs [][]float64) ([]T, error)) (map[float64]T, error) {
+	norm := normalizeGrid(op.bprimes)
 	parts := make([]string, len(norm))
 	for i, bp := range norm {
 		parts[i] = strconv.FormatFloat(bp, 'g', -1, 64)
 	}
-	key := entry.id + "|sweep=" + strings.Join(parts, ",") + sel.key()
-	results, shared, err := s.sweeps.Do(key, func() (map[float64]*AttackResponse, error) {
+	key := op.entry.id + "|sweep=" + strings.Join(parts, ",") + op.sel.key()
+	results, shared, err := g.Do(key, func() (map[float64]T, error) {
 		// The singleflight leader runs here on its own goroutine's
 		// context, so the prior and inference spans land on exactly one
-		// trace; followers just share the responses.
-		method, err := sel.method()
+		// trace; followers just share the results.
+		method, err := op.sel.method()
 		if err != nil {
 			return nil, err
 		}
-		eng := entry.ds.engine
-		d := entry.ds.table.Schema.D()
+		d := op.entry.ds.table.Schema.D()
 		bvecs := make([][]float64, len(norm))
 		for i, bp := range norm {
 			bvecs[i] = kernel.UniformBandwidth(d, bp)
 		}
-		judge, _ := entry.requirement.(privacy.Judge)
-		reps, err := eng.AttackSweepWith(ctx, method, entry.res, bvecs, entry.req.T, judge)
+		vals, err := run(method, bvecs)
 		if err != nil {
 			return nil, err
 		}
-		out := make(map[float64]*AttackResponse, len(norm))
+		out := make(map[float64]T, len(norm))
 		for i, bp := range norm {
-			out[bp] = attackResponse(entry, bp, sel.Inference, reps[i])
+			out[bp] = vals[i]
 		}
 		return out, nil
 	})
@@ -901,14 +905,16 @@ func validateGrid(bprimes []float64) error {
 }
 
 // attackOp is an attack/risk request on its one parse → validate →
-// resolve path: the stored release, the bandwidth grid to evaluate, and
-// the (canonicalized) method selection. The handler runs it; its
-// explain block and GET /v1/estimate price it.
+// resolve path: the stored release, the bandwidth grid to evaluate, the
+// (canonicalized) method selection, and whether it asks for worst-case
+// risk alone. The handler runs it; its explain block and GET
+// /v1/estimate price it.
 type attackOp struct {
 	entry   *releaseEntry
 	bprimes []float64
 	sweep   bool
 	explain bool
+	risk    bool
 	sel     methodSel
 }
 
@@ -918,9 +924,10 @@ type attackOp struct {
 // only when the field is absent), the validated request-order grid for
 // the bprimes sweep form. op.sweep reports which form was used. An
 // explicit out-of-range value — zero included — is rejected, with the
-// check and the message agreeing on the valid (0, 1] range. On failure
-// it has written the 4xx.
-func (s *Server) resolveAttack(w http.ResponseWriter, r *http.Request, req AttackRequest) (op attackOp, ok bool) {
+// check and the message agreeing on the valid (0, 1] range. risk marks
+// a /v1/risk request. On failure it has written the 4xx.
+func (s *Server) resolveAttack(w http.ResponseWriter, r *http.Request, req AttackRequest, risk bool) (op attackOp, ok bool) {
+	op.risk = risk
 	req.methodSel.normalize()
 	if _, err := req.method(); err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
@@ -953,26 +960,6 @@ func (s *Server) resolveAttack(w http.ResponseWriter, r *http.Request, req Attac
 	return op, ok
 }
 
-// sweepResponses runs the request's grid and assembles per-bandwidth
-// responses in request order. They are copies, so per-request fields
-// never touch the singleflight's shared values. Only the bprimes form
-// counts into the sweep ledger.
-func (s *Server) sweepResponses(ctx context.Context, op attackOp) ([]AttackResponse, error) {
-	if op.sweep {
-		s.metrics.SweepRequests.Add(1)
-		s.metrics.SweepPoints.Add(int64(len(op.bprimes)))
-	}
-	results, err := s.computeSweep(ctx, op.entry, op.bprimes, op.sel)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]AttackResponse, len(op.bprimes))
-	for i, bp := range op.bprimes {
-		out[i] = *results[bp]
-	}
-	return out, nil
-}
-
 // writeAttackErr maps an attack/risk evaluation failure: an exact
 // inference refusing an oversized group is the request's own method
 // selection, a 422 recommending the adaptive method; everything else
@@ -987,56 +974,97 @@ func writeAttackErr(w http.ResponseWriter, what string, err error) {
 }
 
 // handleAttack returns the one handler of POST /v1/attack and
-// /v1/risk: both decode an AttackRequest, resolve it, and run the same
-// sweep; body shapes the per-bandwidth responses (and the opt-in
-// explain block) into the endpoint's own payload, and what names the
-// operation in error messages.
-func (s *Server) handleAttack(what string, body func(op attackOp, results []AttackResponse, explain *ExplainBlock) any) http.HandlerFunc {
+// /v1/risk: both decode an AttackRequest and resolve it on one path.
+// An attack runs the full sweep, since its quantiles and breach count
+// need every per-record gain; a risk request runs the bound-first
+// worst-case risk pass (core.WorstCaseRiskSweep), which measures
+// exactly only the pairs that can reach the maximum. Each has its own
+// singleflight group, as a risk result cannot answer an attack.
+func (s *Server) handleAttack(risk bool) http.HandlerFunc {
+	what := "attacking"
+	if risk {
+		what = "evaluating risk"
+	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req AttackRequest
 		if err := decodeJSON(w, r, &req); err != nil {
 			writeBodyErr(w, "decoding request", err)
 			return
 		}
-		op, ok := s.resolveAttack(w, r, req)
+		op, ok := s.resolveAttack(w, r, req, risk)
 		if !ok {
 			return
 		}
-		results, err := s.sweepResponses(r.Context(), op)
+		if op.sweep {
+			s.metrics.SweepRequests.Add(1)
+			s.metrics.SweepPoints.Add(int64(len(op.bprimes)))
+		}
+		var body any
+		var err error
+		if risk {
+			body, err = s.riskBody(r.Context(), op)
+		} else {
+			body, err = s.attackBody(r.Context(), op)
+		}
 		if err != nil {
 			writeAttackErr(w, what, err)
 			return
 		}
-		var explain *ExplainBlock
-		if op.explain {
-			explain = s.explain(obs.SpanFromContext(r.Context()), attackShapes(op))
-		}
-		writeJSON(w, http.StatusOK, body(op, results, explain))
+		writeJSON(w, http.StatusOK, body)
 	}
 }
 
-// attackPayload is POST /v1/attack's payload: the full response per
-// bandwidth.
-func attackPayload(op attackOp, results []AttackResponse, explain *ExplainBlock) any {
-	if op.sweep {
-		return AttackSweepResponse{Release: op.entry.id, Sweep: results, Explain: explain}
+// opExplain is the request's opt-in explain block, nil without it.
+func (s *Server) opExplain(ctx context.Context, op attackOp) *ExplainBlock {
+	if !op.explain {
+		return nil
 	}
-	results[0].Explain = explain
-	return results[0]
+	return s.explain(obs.SpanFromContext(ctx), attackShapes(op))
 }
 
-// riskPayload is POST /v1/risk's payload: the worst-case risk per
-// bandwidth.
-func riskPayload(op attackOp, results []AttackResponse, explain *ExplainBlock) any {
-	risks := make([]RiskResponse, len(results))
-	for i, ar := range results {
-		risks[i] = RiskResponse{Release: ar.Release, BPrime: ar.BPrime, WorstRisk: ar.WorstRisk, Inference: ar.Inference}
+// attackBody runs POST /v1/attack: the full response per bandwidth, in
+// request order.
+func (s *Server) attackBody(ctx context.Context, op attackOp) (any, error) {
+	entry := op.entry
+	reps, err := sweepFlight(ctx, &s.sweeps, op, func(method inference.Method, bvecs [][]float64) ([]*core.AttackReport, error) {
+		judge, _ := entry.requirement.(privacy.Judge)
+		return entry.ds.engine.AttackSweepWith(ctx, method, entry.res, bvecs, entry.req.T, judge)
+	})
+	if err != nil {
+		return nil, err
 	}
+	sweep := make([]AttackResponse, len(op.bprimes))
+	for i, bp := range op.bprimes {
+		sweep[i] = attackResponse(entry, bp, op.sel.Inference, reps[bp])
+	}
+	explain := s.opExplain(ctx, op)
 	if op.sweep {
-		return RiskSweepResponse{Release: op.entry.id, Sweep: risks, Explain: explain}
+		return AttackSweepResponse{Release: entry.id, Sweep: sweep, Explain: explain}, nil
 	}
-	risks[0].Explain = explain
-	return risks[0]
+	sweep[0].Explain = explain
+	return sweep[0], nil
+}
+
+// riskBody runs POST /v1/risk: the worst-case risk per bandwidth, in
+// request order.
+func (s *Server) riskBody(ctx context.Context, op attackOp) (any, error) {
+	entry := op.entry
+	worst, err := sweepFlight(ctx, &s.risks, op, func(method inference.Method, bvecs [][]float64) ([]float64, error) {
+		return entry.ds.engine.WorstCaseRiskSweep(ctx, method, entry.res, bvecs)
+	})
+	if err != nil {
+		return nil, err
+	}
+	sweep := make([]RiskResponse, len(op.bprimes))
+	for i, bp := range op.bprimes {
+		sweep[i] = RiskResponse{Release: entry.id, BPrime: bp, WorstRisk: worst[bp], Inference: op.sel.Inference}
+	}
+	explain := s.opExplain(ctx, op)
+	if op.sweep {
+		return RiskSweepResponse{Release: entry.id, Sweep: sweep, Explain: explain}, nil
+	}
+	sweep[0].Explain = explain
+	return sweep[0], nil
 }
 
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
