@@ -37,7 +37,7 @@ func bodyDigest(label string, code int, body []byte) string {
 
 // goldenScript drives a fixed request script against a durable server
 // and returns one digest line per response: ingest (synthetic and CSV),
-// anonymize under every model × algo (sync, async submitted fresh, and
+// anonymize under every model (sync, async submitted fresh, and
 // async born done), attack and risk in the single and sweep forms with
 // and without an inference selection, release metadata, job polls, and
 // the 4xx bodies of malformed requests.
@@ -79,34 +79,32 @@ func goldenScript(t *testing.T) []string {
 		csvDS = mustJSON[DatasetResponse](t, body).ID
 	}
 
-	// Anonymize: every model under every algorithm. The sync request
-	// computes the release, an async resubmission of it is born done,
-	// and an async request for a fresh key (k=4) runs as a queued job.
+	// Anonymize: every model under Mondrian. The sync request computes
+	// the release, an async resubmission of it is born done, and an
+	// async request for a fresh key (k=4) runs as a queued job.
 	releases := map[string]string{}
 	for _, model := range []string{"distinct", "prob", "tclose", "bt", "skyline"} {
-		for _, algo := range []string{"mondrian", "anatomy", "incognito"} {
-			label := "anonymize " + model + " " + algo
-			req := fmt.Sprintf(`{"dataset":%q,"algo":%q,"model":%q`, ds, algo, model)
-			code, body := post(t, ts, "/v1/anonymize", req+`}`)
-			record(label+" sync", code, body)
-			if code == http.StatusOK {
-				rel := mustJSON[AnonymizeResponse](t, body).Release
-				releases[model+" "+algo] = rel
-				code, body = get(t, ts, "/v1/releases/"+rel)
-				record(label+" release", code, body)
-			}
-			code, body = post(t, ts, "/v1/anonymize", req+`,"async":true}`)
-			record(label+" async resident", code, body)
-			code, body = post(t, ts, "/v1/anonymize", req+`,"k":4,"async":true}`)
-			record(label+" async fresh", code, body)
-			if code != http.StatusAccepted {
-				continue
-			}
-			j := pollJob(t, ts, mustJSON[JobResponse](t, body).Job)
-			lines = append(lines, fmt.Sprintf("%s async done: %s %s %s", label, j.State, j.Release, j.Error))
-			code, body = get(t, ts, "/v1/jobs/"+j.Job)
-			record(label+" job", code, body)
+		label := "anonymize " + model + " mondrian"
+		req := fmt.Sprintf(`{"dataset":%q,"algo":"mondrian","model":%q`, ds, model)
+		code, body := post(t, ts, "/v1/anonymize", req+`}`)
+		record(label+" sync", code, body)
+		if code == http.StatusOK {
+			rel := mustJSON[AnonymizeResponse](t, body).Release
+			releases[model+" mondrian"] = rel
+			code, body = get(t, ts, "/v1/releases/"+rel)
+			record(label+" release", code, body)
 		}
+		code, body = post(t, ts, "/v1/anonymize", req+`,"async":true}`)
+		record(label+" async resident", code, body)
+		code, body = post(t, ts, "/v1/anonymize", req+`,"k":4,"async":true}`)
+		record(label+" async fresh", code, body)
+		if code != http.StatusAccepted {
+			continue
+		}
+		j := pollJob(t, ts, mustJSON[JobResponse](t, body).Job)
+		lines = append(lines, fmt.Sprintf("%s async done: %s %s %s", label, j.State, j.Release, j.Error))
+		code, body = get(t, ts, "/v1/jobs/"+j.Job)
+		record(label+" job", code, body)
 	}
 	code, body := post(t, ts, "/v1/anonymize", fmt.Sprintf(`{"dataset":%q}`, csvDS))
 	record("anonymize csv default", code, body)
@@ -114,7 +112,7 @@ func goldenScript(t *testing.T) []string {
 
 	// Attack and risk, single and sweep, under the default method and
 	// an explicit adaptive selection.
-	for _, key := range []string{"bt mondrian", "skyline mondrian", "distinct anatomy", "tclose incognito", "csv"} {
+	for _, key := range []string{"bt mondrian", "skyline mondrian", "csv"} {
 		rel, ok := releases[key]
 		if !ok {
 			t.Fatalf("no release for %s", key)
