@@ -78,14 +78,12 @@ examples:
 		$(GO) run ./$$d >/dev/null || exit 1; done
 
 # Run the batch binaries once each at a small size from the repo root:
-# attack under (B,t) and skyline, anonymize with stats under Mondrian
-# and Anatomy, datagen, and one experiments figure. Any non-zero exit
-# fails the target.
+# attack under (B,t) and skyline, anonymize with stats, datagen, and
+# one experiments figure. Any non-zero exit fails the target.
 cmds:
 	$(GO) run ./cmd/attack -n 300 -model bt >/dev/null
 	$(GO) run ./cmd/attack -n 300 -model skyline >/dev/null
-	$(GO) run ./cmd/anonymize -n 300 -stats -algo mondrian >/dev/null
-	$(GO) run ./cmd/anonymize -n 300 -stats -algo anatomy >/dev/null
+	$(GO) run ./cmd/anonymize -n 300 -stats >/dev/null
 	$(GO) run ./cmd/datagen -n 50 >/dev/null
 	$(GO) run ./cmd/experiments -n 200 -fig fig3b >/dev/null
 

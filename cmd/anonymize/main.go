@@ -1,12 +1,11 @@
 // Command anonymize reads a microdata CSV (or generates a synthetic
 // Adult table), anonymizes it under a chosen privacy model with the
-// Mondrian algorithm (or Anatomy bucketization), and writes the
-// generalized table.
+// Mondrian algorithm, and writes the generalized table.
 //
 // Usage:
 //
 //	anonymize [-in data.csv] [-n N] [-seed S]
-//	          [-model distinct|prob|tclose|bt|skyline] [-algo mondrian|anatomy|incognito]
+//	          [-model distinct|prob|tclose|bt|skyline]
 //	          [-k K] [-l L] [-t T] [-b B] [-stats] [-workers W]
 //
 // Without -in, a synthetic Adult table of size N is generated; the CSV
@@ -33,7 +32,6 @@ func main() {
 	n := cli.N(2000, "synthetic table size when -in is absent")
 	seed := cli.Seed()
 	model := cli.ModelFlags("bt", "distinct|prob|tclose|bt|skyline")
-	algo := flag.String("algo", "mondrian", "algorithm: mondrian|anatomy|incognito")
 	stats := flag.Bool("stats", false, "print utility statistics instead of the table")
 	workers := cli.Workers()
 	flag.Parse()
@@ -43,21 +41,14 @@ func main() {
 		cli.Fatal("anonymize", err)
 	}
 
-	// The engine is built for every algorithm — anatomy only needs the
-	// table, but construction is lazy about the expensive parts (kernel
-	// weights, priors) and costs ~10ms even at the paper's 30K scale,
-	// which one shared dispatch path is worth.
 	engine, err := core.New(table, adult.Hierarchies(), nil, nil,
 		core.WithWorkers(parallel.Resolve(*workers)))
 	if err != nil {
 		cli.Fatal("anonymize", err)
 	}
-	res, levels, err := engine.RunAlgorithm(*algo, *model.Name, model.Params())
+	res, _, err := engine.RunAlgorithm("mondrian", *model.Name, model.Params())
 	if err != nil {
 		cli.Fatal("anonymize", err)
-	}
-	if levels != nil {
-		fmt.Fprintf(os.Stderr, "incognito: minimal generalization levels %v\n", levels)
 	}
 	if *stats {
 		fmt.Printf("algorithm:    %s\n", res.Algorithm)

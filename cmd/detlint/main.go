@@ -101,7 +101,6 @@ func everywhere(string) bool { return true }
 //     data race no package is licensed to carry.
 var suite = []scoped{
 	{maporder.Analyzer, pkgs(
-		"repro/internal/anatomy",
 		"repro/internal/anonymize",
 		"repro/internal/core",
 		"repro/internal/costmodel",
@@ -113,7 +112,6 @@ var suite = []scoped{
 		"repro/internal/service",
 	)},
 	{nondetsource.Analyzer, pkgs(
-		"repro/internal/anatomy",
 		"repro/internal/anonymize",
 		"repro/internal/core",
 		"repro/internal/costmodel",

@@ -11,9 +11,9 @@
 // disclosure with a kernel-smoothed Jensen–Shannon divergence
 // satisfying five desiderata (internal/distance); and enforces the
 // (B,t)- and skyline (B,t)-privacy models inside a Mondrian anonymizer
-// (internal/privacy, internal/mondrian), with Anatomy bucketization,
-// utility measures, and a full experiment harness regenerating every
-// figure of the paper's evaluation (internal/experiments).
+// (internal/privacy, internal/mondrian), with utility measures and a
+// full experiment harness regenerating every figure of the paper's
+// evaluation (internal/experiments).
 //
 // The pipeline's hot paths — breach testing and attacks over
 // equivalence classes, kernel prior estimation over QI profiles,

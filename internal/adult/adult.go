@@ -106,8 +106,7 @@ func builtinHierarchies() map[string]*hierarchy.Hierarchy {
 		// blending sibling values), not just the Age window.
 		// Children are ordered so each hierarchy's DFS leaf order equals
 		// the attribute's domain order: Mondrian's categorical index
-		// ranges then respect subtree boundaries, and Incognito's
-		// full-domain ladders get contiguous groups.
+		// ranges then respect subtree boundaries.
 		"Workclass": hierarchy.MustNew(hierarchy.N("*",
 			hierarchy.N("Employed",
 				hierarchy.N("Private-sector", hierarchy.N("Private")),

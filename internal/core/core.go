@@ -12,12 +12,10 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/anatomy"
 	"repro/internal/anonymize"
 	"repro/internal/dataset"
 	"repro/internal/distance"
 	"repro/internal/hierarchy"
-	"repro/internal/incognito"
 	"repro/internal/inference"
 	"repro/internal/kernel"
 	"repro/internal/mondrian"
@@ -335,74 +333,44 @@ func (e *Engine) anonymizeSpan(sp *obs.Span, req privacy.Requirement) *anonymize
 	return p.Anonymize()
 }
 
-// RunAlgorithm is the shared dispatch for the CLI and the serving
-// layer: it runs the named algorithm (mondrian, anatomy, incognito)
-// under the named model (see RequirementByName) and audits the release.
-// A requirement no release meets fails with an error wrapping
-// privacy.ErrUnsatisfiable. The levels return is Incognito's minimal
-// generalization node (nil for the other algorithms). Anatomy enforces
-// distinct ℓ-diversity, whatever the model, and uses only p.L.
+// RunAlgorithm is the shared dispatch for the CLI and the examples: it
+// runs Mondrian under the named model (see RequirementByName) and
+// audits the release. A requirement no release meets fails with an
+// error wrapping privacy.ErrUnsatisfiable. algo must be "mondrian",
+// and levels is always nil; both stay for callers that pin this
+// signature.
 func (e *Engine) RunAlgorithm(algo, model string, p Params) (res *anonymize.Result, levels []int, err error) {
-	res, levels, _, err = e.runAlgorithm(nil, nil, algo, model, p)
-	return res, levels, err
+	if algo != "mondrian" {
+		return nil, nil, fmt.Errorf("core: unknown algorithm %q (want mondrian)", algo)
+	}
+	res, _, err = e.runAlgorithm(nil, nil, model, p)
+	return res, nil, err
 }
 
 // RunAlgorithmWith is RunAlgorithm under a traced request, with a
 // per-release inference method for the (B,t) breach checks the
 // pipeline runs (nil = engine default). The pipeline's stages (prior
-// passes, partitioning, anatomy, incognito search) are recorded as
-// children of the context's span; a context without one runs
-// identically with zero recording overhead. Exact is rejected at the
-// request layer for releases — Mondrian's initial group is the whole
-// table, far past any exact bound — so only Ω and adaptive reach here.
-// It also returns the requirement, which judges attacks on the release.
-func (e *Engine) RunAlgorithmWith(ctx context.Context, m inference.Method, algo, model string, p Params) (res *anonymize.Result, levels []int, req privacy.Requirement, err error) {
-	return e.runAlgorithm(obs.SpanFromContext(ctx), m, algo, model, p)
+// passes, partitioning) are recorded as children of the context's
+// span; a context without one runs identically with zero recording
+// overhead. Exact is rejected at the request layer for releases —
+// Mondrian's initial group is the whole table, far past any exact
+// bound — so only Ω and adaptive reach here. It also returns the
+// requirement, which judges attacks on the release.
+func (e *Engine) RunAlgorithmWith(ctx context.Context, m inference.Method, model string, p Params) (res *anonymize.Result, req privacy.Requirement, err error) {
+	return e.runAlgorithm(obs.SpanFromContext(ctx), m, model, p)
 }
 
-// runAlgorithm is the span-threaded dispatch behind the entry points.
-func (e *Engine) runAlgorithm(sp *obs.Span, method inference.Method, algo, model string, p Params) (res *anonymize.Result, levels []int, req privacy.Requirement, err error) {
-	if req, err = e.releaseRequirement(sp, method, algo, model, p); err != nil {
-		return nil, nil, nil, err
+// runAlgorithm is the span-threaded Mondrian run behind the entry
+// points.
+func (e *Engine) runAlgorithm(sp *obs.Span, method inference.Method, model string, p Params) (res *anonymize.Result, req privacy.Requirement, err error) {
+	if req, err = e.requirementByNameSpan(sp, method, model, p); err != nil {
+		return nil, nil, err
 	}
-	switch algo {
-	case "anatomy":
-		asp := sp.StartStage(obs.StageAnatomy)
-		asp.SetShape(obs.Shape{Rows: e.Table.N(), Dims: e.Table.Schema.D()})
-		res, err = anatomy.Anatomize(e.Table, p.L)
-		asp.End()
-	case "incognito":
-		ladders, lerr := incognito.Ladders(e.Table.Schema, e.Hiers)
-		if lerr != nil {
-			return nil, nil, nil, lerr
-		}
-		g := &incognito.Generalizer{Table: e.Table, Ladders: ladders, Req: req}
-		isp := sp.StartStage(obs.StageIncognito)
-		isp.SetShape(obs.Shape{Rows: e.Table.N(), Dims: e.Table.Schema.D()})
-		levels, res, err = g.Search()
-		isp.End()
-	default: // mondrian
-		res = e.anonymizeSpan(sp, req)
+	res = e.anonymizeSpan(sp, req)
+	if err = Audit(res, req); err != nil {
+		return nil, nil, err
 	}
-	if err == nil {
-		err = Audit(res, req)
-	}
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return res, levels, req, nil
-}
-
-// releaseRequirement is what a release of algo under model must meet:
-// distinct ℓ-diversity for anatomy, else RequirementByName's.
-func (e *Engine) releaseRequirement(sp *obs.Span, method inference.Method, algo, model string, p Params) (privacy.Requirement, error) {
-	switch algo {
-	case "anatomy":
-		return privacy.DistinctLDiversity{L: p.L, Table: e.Table}, nil
-	case "mondrian", "incognito":
-		return e.requirementByNameSpan(sp, method, model, p)
-	}
-	return nil, fmt.Errorf("core: unknown algorithm %q", algo)
+	return res, req, nil
 }
 
 // Audit is the one check of a release, computed or recovered: res must
@@ -424,10 +392,10 @@ func Audit(res *anonymize.Result, req privacy.Requirement) error {
 }
 
 // AuditWith audits a release recovered from disk: it rebuilds the
-// requirement of algo under model (method m in (B,t) checks, nil =
-// engine default), audits res against it and returns it.
-func (e *Engine) AuditWith(ctx context.Context, m inference.Method, algo, model string, p Params, res *anonymize.Result) (privacy.Requirement, error) {
-	req, err := e.releaseRequirement(obs.SpanFromContext(ctx), m, algo, model, p)
+// requirement of model (method m in (B,t) checks, nil = engine
+// default), audits res against it and returns it.
+func (e *Engine) AuditWith(ctx context.Context, m inference.Method, model string, p Params, res *anonymize.Result) (privacy.Requirement, error) {
+	req, err := e.requirementByNameSpan(obs.SpanFromContext(ctx), m, model, p)
 	if err != nil {
 		return nil, err
 	}

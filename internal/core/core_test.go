@@ -454,30 +454,43 @@ var _ privacy.Requirement = privacy.Skyline{} // interface conformance pin
 
 // TestRunAlgorithmRejectsUnsatisfiableRoot pins the release audit:
 // Mondrian never checks its root, so a request no split can meet used
-// to come back as one group failing the requirement it names. Both
-// searching algorithms now report it as privacy.ErrUnsatisfiable, and a
-// single group that does meet its requirement is still released.
+// to come back as one group failing the requirement it names. It now
+// reports it as privacy.ErrUnsatisfiable, and a single group that does
+// meet its requirement is still released.
 func TestRunAlgorithmRejectsUnsatisfiableRoot(t *testing.T) {
 	e, err := New(adult.Generate(200, 1), adult.Hierarchies(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Params{K: 1000, L: 50}
-	for _, algo := range []string{"mondrian", "incognito"} {
-		res, _, err := e.RunAlgorithm(algo, "distinct", p)
-		if !errors.Is(err, privacy.ErrUnsatisfiable) {
-			t.Fatalf("%s: err = %v (release %v), want privacy.ErrUnsatisfiable", algo, err, res)
-		}
-		if !strings.Contains(err.Error(), "1000-anonymity+distinct-50-diversity") {
-			t.Errorf("%s: error %q does not name the requirement", algo, err)
-		}
+	res, _, err := e.RunAlgorithm("mondrian", "distinct", Params{K: 1000, L: 50})
+	if !errors.Is(err, privacy.ErrUnsatisfiable) {
+		t.Fatalf("err = %v (release %v), want privacy.ErrUnsatisfiable", err, res)
 	}
-	res, _, err := e.RunAlgorithm("mondrian", "distinct", Params{K: 200, L: 1})
+	if !strings.Contains(err.Error(), "1000-anonymity+distinct-50-diversity") {
+		t.Errorf("error %q does not name the requirement", err)
+	}
+	res, _, err = e.RunAlgorithm("mondrian", "distinct", Params{K: 200, L: 1})
 	if err != nil {
 		t.Fatalf("satisfiable whole-table release: %v", err)
 	}
 	if len(res.Groups) != 1 {
 		t.Fatalf("k=n release has %d groups, want 1", len(res.Groups))
+	}
+}
+
+// TestRunAlgorithmRejectsRetiredAlgorithms: Mondrian is the one
+// algorithm RunAlgorithm runs; any other name is an error naming it,
+// with no release and no levels.
+func TestRunAlgorithmRejectsRetiredAlgorithms(t *testing.T) {
+	e, err := New(adult.Generate(200, 1), adult.Hierarchies(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []string{"anatomy", "incognito", ""} {
+		res, levels, err := e.RunAlgorithm(algo, "distinct", Table5()[0])
+		if err == nil || !strings.Contains(err.Error(), "mondrian") || res != nil || levels != nil {
+			t.Errorf("%q: release %v, levels %v, err %v; want an error naming mondrian", algo, res, levels, err)
+		}
 	}
 }
 

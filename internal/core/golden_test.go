@@ -21,7 +21,7 @@ import (
 var goldenBPrimes = []float64{0.05, 0.2, 0.3, 0.5}
 
 // goldenAttackDigests computes one line per release: every model ×
-// {mondrian, anatomy} × Table5()[:2], attacked with method m at every
+// Table5()[:2] under Mondrian, attacked with method m at every
 // goldenBPrimes point. The digest is SHA-256 over each report's
 // per-record risk bits, its Vulnerable count and its WorstRisk bits, so
 // any change to a single float of any attack shows.
@@ -33,35 +33,33 @@ func goldenAttackDigests(t *testing.T, label string, n int, m inference.Method) 
 	}
 	var lines []string
 	for _, model := range AllModels() {
-		for _, algo := range []string{"mondrian", "anatomy"} {
-			for pi, p := range Table5()[:2] {
-				key := fmt.Sprintf("%s n=%d %s %s para%d", label, n, model.Key(), algo, pi+1)
-				res, _, err := e.RunAlgorithm(algo, model.Key(), p)
-				if err != nil {
-					lines = append(lines, key+": error "+err.Error())
-					continue
-				}
-				h := sha256.New()
-				var word [8]byte
-				put := func(v uint64) {
-					binary.LittleEndian.PutUint64(word[:], v)
-					h.Write(word[:])
-				}
-				breach := e.BreachTest(model, p)
-				for _, bp := range goldenBPrimes {
-					bvec := kernel.UniformBandwidth(e.Table.Schema.D(), bp)
-					rep, err := e.AttackWith(context.Background(), m, res, bvec, p.T, breach)
-					if err != nil {
-						t.Fatalf("%s b'=%g: %v", key, bp, err)
-					}
-					for _, r := range rep.Risks {
-						put(math.Float64bits(r))
-					}
-					put(uint64(rep.Vulnerable))
-					put(math.Float64bits(rep.WorstRisk))
-				}
-				lines = append(lines, fmt.Sprintf("%s: %x", key, h.Sum(nil)))
+		for pi, p := range Table5()[:2] {
+			key := fmt.Sprintf("%s n=%d %s mondrian para%d", label, n, model.Key(), pi+1)
+			res, _, err := e.RunAlgorithm("mondrian", model.Key(), p)
+			if err != nil {
+				lines = append(lines, key+": error "+err.Error())
+				continue
 			}
+			h := sha256.New()
+			var word [8]byte
+			put := func(v uint64) {
+				binary.LittleEndian.PutUint64(word[:], v)
+				h.Write(word[:])
+			}
+			breach := e.BreachTest(model, p)
+			for _, bp := range goldenBPrimes {
+				bvec := kernel.UniformBandwidth(e.Table.Schema.D(), bp)
+				rep, err := e.AttackWith(context.Background(), m, res, bvec, p.T, breach)
+				if err != nil {
+					t.Fatalf("%s b'=%g: %v", key, bp, err)
+				}
+				for _, r := range rep.Risks {
+					put(math.Float64bits(r))
+				}
+				put(uint64(rep.Vulnerable))
+				put(math.Float64bits(rep.WorstRisk))
+			}
+			lines = append(lines, fmt.Sprintf("%s: %x", key, h.Sum(nil)))
 		}
 	}
 	return lines

@@ -1,18 +1,17 @@
-package incognito_test
+package core
 
 import (
 	"math/rand"
 	"testing"
 
 	"repro/internal/adult"
-	"repro/internal/core"
 )
 
 // TestMergeMonotonicity measures, per model (each composed with
 // k-anonymity), whether merging two disjoint groups that each satisfy
 // the requirement yields a group that satisfies it: the property a
-// pruning lattice search would rely on (Search does not; see its doc).
-// Groups of 2–8 records are drawn at random from n=120 synthetic
+// pruning lattice search over full-domain generalizations would rely
+// on. Groups of 2–8 records are drawn at random from n=120 synthetic
 // tables. Both ℓ-diversity models and t-closeness (EMD is convex in
 // the group distribution) must never fail. (B,t) and skyline are not
 // monotone: a few merges fail, e.g. worst gains 0.183 and 0.185 merge
@@ -30,10 +29,10 @@ func TestMergeMonotonicity(t *testing.T) {
 		{"bt", 0.2, false}, {"skyline", 0.2, false},
 	}
 	for _, c := range cases {
-		model, p := c.model, core.Params{K: 2, L: 2, T: c.t, B: 0.3}
+		model, p := c.model, Params{K: 2, L: 2, T: c.t, B: 0.3}
 		trials, fails := 0, 0
 		for seed := int64(1); seed <= tables; seed++ {
-			e, err := core.New(adult.Generate(120, seed), adult.Hierarchies(), nil, nil, core.WithWorkers(-1))
+			e, err := New(adult.Generate(120, seed), adult.Hierarchies(), nil, nil, WithWorkers(-1))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -59,12 +59,6 @@ var forms = []Form{
 	{obs.StageMondrian, "rows*log2(rows)*d", func(s obs.Shape) float64 {
 		return f(s.Rows) * log2(s.Rows) * f(s.Dims)
 	}},
-	{obs.StageAnatomy, "rows", func(s obs.Shape) float64 {
-		return f(s.Rows)
-	}},
-	{obs.StageIncognito, "rows*d", func(s obs.Shape) float64 {
-		return f(s.Rows) * f(s.Dims)
-	}},
 	{obs.StageKernelTable, "profiles*d", func(s obs.Shape) float64 {
 		return f(s.Profiles) * f(s.Dims)
 	}},

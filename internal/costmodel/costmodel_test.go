@@ -154,13 +154,13 @@ func TestReservoirWindowSlides(t *testing.T) {
 	g := &obs.Stages{}
 	// Old regime: 1 µs per work unit.
 	for i := 0; i < obs.ReservoirCap; i++ {
-		feed(g, obs.StageAnatomy, obs.Shape{Rows: 100 + i}, float64(100+i))
+		feed(g, obs.StagePersistRead, obs.Shape{Rows: 100 + i}, float64(100+i))
 	}
 	// New regime: the machine got 10× slower.
 	for i := 0; i < obs.ReservoirCap; i++ {
-		feed(g, obs.StageAnatomy, obs.Shape{Rows: 100 + i}, float64(100+i)*10)
+		feed(g, obs.StagePersistRead, obs.Shape{Rows: 100 + i}, float64(100+i)*10)
 	}
-	fit := New(g).Snapshot()["anatomy"]
+	fit := New(g).Snapshot()["persist_read"]
 	if fit.Samples != obs.ReservoirCap {
 		t.Fatalf("samples = %d, want %d", fit.Samples, obs.ReservoirCap)
 	}

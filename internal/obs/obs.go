@@ -48,10 +48,6 @@ const (
 	StageEngineBuild
 	// StageMondrian is one full Mondrian partitioning recursion.
 	StageMondrian
-	// StageAnatomy is one anatomy bucketization pass.
-	StageAnatomy
-	// StageIncognito is one incognito lattice search.
-	StageIncognito
 	// StageKernelTable is one per-bandwidth flat weight-table build,
 	// run by the prior pass that uses it.
 	StageKernelTable
@@ -91,8 +87,6 @@ var stageNames = [numStages]string{
 	StageDatasetDecode: "dataset_decode",
 	StageEngineBuild:   "engine_build",
 	StageMondrian:      "mondrian",
-	StageAnatomy:       "anatomy",
-	StageIncognito:     "incognito",
 	StageKernelTable:   "kernel_table",
 	StagePriors:        "priors",
 	StageInference:     "inference",

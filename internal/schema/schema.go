@@ -84,8 +84,7 @@ type Attr struct {
 	Sensitive bool   `json:"sensitive,omitempty"`
 	// Values is the categorical domain. It may be omitted when
 	// Hierarchy is set, in which case the domain is the hierarchy's
-	// DFS leaf order — the order Mondrian range splits and Incognito
-	// ladders want.
+	// DFS leaf order — the order Mondrian range splits want.
 	Values []string `json:"values,omitempty"`
 	// Range declares a numeric domain as an inclusive stepped interval.
 	Range *NumericRange `json:"range,omitempty"`

@@ -109,11 +109,9 @@ type SchemaListResponse struct {
 // documented defaults.
 type AnonymizeRequest struct {
 	Dataset string `json:"dataset"`
-	// Algo: mondrian (default) | anatomy | incognito.
+	// Algo: mondrian, the default and the one algorithm.
 	Algo string `json:"algo"`
 	// Model: distinct | prob | tclose | bt (default) | skyline.
-	// Anatomy enforces ℓ-diversity by construction, so its default
-	// model — used for breach criteria in later attacks — is distinct.
 	Model string  `json:"model"`
 	K     int     `json:"k"` // default 3
 	L     int     `json:"l"` // default 3
@@ -192,11 +190,7 @@ func (r *AnonymizeRequest) normalize() {
 		r.Algo = "mondrian"
 	}
 	if r.Model == "" {
-		if r.Algo == "anatomy" {
-			r.Model = "distinct"
-		} else {
-			r.Model = "bt"
-		}
+		r.Model = "bt"
 	}
 	if r.K == 0 {
 		r.K = 3
@@ -215,10 +209,8 @@ func (r *AnonymizeRequest) normalize() {
 
 // validate rejects out-of-range or unknown fields after normalize.
 func (r *AnonymizeRequest) validate() error {
-	switch r.Algo {
-	case "mondrian", "anatomy", "incognito":
-	default:
-		return fmt.Errorf("unknown algo %q (want mondrian|anatomy|incognito)", r.Algo)
+	if r.Algo != "mondrian" {
+		return fmt.Errorf("unknown algo %q (want mondrian)", r.Algo)
 	}
 	if _, ok := core.ParseModel(r.Model); !ok {
 		return fmt.Errorf("unknown model %q (want distinct|prob|tclose|bt|skyline)", r.Model)

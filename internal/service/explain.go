@@ -18,25 +18,22 @@ type stageShape struct {
 }
 
 // anonymizeShapes lists the cold-path stages of a resolved anonymize
-// request. The requirement derivation runs first: a Mondrian or
-// Incognito release under (B,t) builds one kernel table and runs one
-// prior pass at B, under skyline one per distinct ladder bandwidth
-// (the other models and anatomy run none). Then comes the algorithm's
-// partitioning pass over the full table, plus the release
-// write-through when a durable tier is configured. Response assembly
-// is unstaged noise by design.
+// request. The requirement derivation runs first: a release under
+// (B,t) builds one kernel table and runs one prior pass at B, under
+// skyline one per distinct ladder bandwidth (the other models run
+// none). Then comes Mondrian's partitioning pass over the full table,
+// plus the release write-through when a durable tier is configured.
+// Response assembly is unstaged noise by design.
 func (s *Server) anonymizeShapes(op anonymizeOp) []stageShape {
 	ds, req := op.ds, &op.req
 	n, d := ds.table.N(), ds.table.Schema.D()
 	var bandwidths []float64
-	if req.Algo != "anatomy" {
-		switch m, _ := core.ParseModel(req.Model); m {
-		case core.BTPrivacy:
-			bandwidths = []float64{req.B}
-		case core.Skyline:
-			for _, p := range core.SkylineLadder(core.Params{B: req.B, T: req.T}) {
-				bandwidths = append(bandwidths, p.B)
-			}
+	switch m, _ := core.ParseModel(req.Model); m {
+	case core.BTPrivacy:
+		bandwidths = []float64{req.B}
+	case core.Skyline:
+		for _, p := range core.SkylineLadder(core.Params{B: req.B, T: req.T}) {
+			bandwidths = append(bandwidths, p.B)
 		}
 	}
 	var out []stageShape
@@ -47,16 +44,7 @@ func (s *Server) anonymizeShapes(op anonymizeOp) []stageShape {
 			stageShape{obs.StagePriors, obs.Shape{Profiles: profiles, Dims: d}},
 		)
 	}
-	var st obs.Stage
-	switch req.Algo {
-	case "anatomy":
-		st = obs.StageAnatomy
-	case "incognito":
-		st = obs.StageIncognito
-	default:
-		st = obs.StageMondrian
-	}
-	out = append(out, stageShape{st, obs.Shape{Rows: n, Dims: d}})
+	out = append(out, stageShape{obs.StageMondrian, obs.Shape{Rows: n, Dims: d}})
 	if s.disk != nil {
 		out = append(out, stageShape{obs.StagePersistWrite, obs.Shape{Rows: n}})
 	}

@@ -227,7 +227,7 @@ func TestEstimateEndpoint(t *testing.T) {
 // its requirement's priors before it partitions, so the priced cold
 // path names every stage the request ran, and the estimate of the
 // default request (bt) prices the same path. Skyline prices one prior
-// pass per distinct ladder bandwidth; anatomy runs none.
+// pass per distinct ladder bandwidth; t-closeness runs none.
 func TestAnonymizePricingIncludesPriorPass(t *testing.T) {
 	_, ts := newTestServerCfg(t, Config{Workers: 0, TraceRing: 32})
 	ds := createDataset(t, ts, 300, 3)
@@ -273,7 +273,6 @@ func TestAnonymizePricingIncludesPriorPass(t *testing.T) {
 		{`"model":"skyline","b":0.3`, 3}, // ladder 0.2, 0.3, 0.5
 		{`"model":"skyline","b":0.2`, 2}, // ladder 0.2, 0.2, 0.5
 		{`"model":"tclose"`, 0},
-		{`"algo":"anatomy"`, 0},
 	} {
 		code, body := post(t, ts, "/v1/anonymize?explain=1", fmt.Sprintf(`{"dataset":%q,%s}`, ds, tc.body))
 		if code != http.StatusOK {
@@ -333,8 +332,8 @@ func TestEstimateGridMatchesAttack(t *testing.T) {
 
 // TestEstimatePricesTheRequestedModel: GET /v1/estimate?op=anonymize
 // fills the anonymize request from the query and prices it through the
-// handler's own path, so for every model × algo the estimate lists the
-// stages the explain block of the same anonymize request predicts.
+// handler's own path, so for every model the estimate lists the stages
+// the explain block of the same anonymize request predicts.
 // Distinct runs no prior pass; skyline runs one kernel_table/priors
 // pair per distinct core.SkylineLadder bandwidth.
 func TestEstimatePricesTheRequestedModel(t *testing.T) {
@@ -363,43 +362,40 @@ func TestEstimatePricesTheRequestedModel(t *testing.T) {
 	}
 
 	for _, model := range []string{"distinct", "prob", "tclose", "bt", "skyline"} {
-		for _, algo := range []string{"mondrian", "anatomy", "incognito"} {
-			body := fmt.Sprintf(`{"dataset":%q,"algo":%q,"model":%q,"k":%d,"t":%g,"b":%g}`, ds, algo, model, k, tt, b)
-			// The cold run calibrates every stage the request runs; the
-			// explained rerun prices the same cold path.
-			if code, resp := post(t, ts, "/v1/anonymize", body); code != http.StatusOK {
-				t.Fatalf("anonymize %s: status %d: %s", body, code, resp)
-			}
-			code, resp := post(t, ts, "/v1/anonymize?explain=1", body)
-			if code != http.StatusOK {
-				t.Fatalf("anonymize?explain=1 %s: status %d: %s", body, code, resp)
-			}
-			ex := mustJSON[AnonymizeResponse](t, resp).Explain
-			q := url.Values{"op": {"anonymize"}, "dataset": {ds}, "algo": {algo}, "model": {model},
-				"k": {fmt.Sprint(k)}, "t": {fmt.Sprint(tt)}, "b": {fmt.Sprint(b)}}
-			code, resp = get(t, ts, "/v1/estimate?"+q.Encode())
-			if code != http.StatusOK {
-				t.Fatalf("estimate %s: status %d: %s", q.Encode(), code, resp)
-			}
-			est := mustJSON[EstimateResponse](t, resp)
-			got, want := stages(est.Stages), stages(ex.Predicted)
-			if strings.Join(got, " ") != strings.Join(want, " ") ||
-				strings.Join(est.Uncalibrated, " ") != strings.Join(ex.Uncalibrated, " ") {
-				t.Errorf("%s %s: estimate lists %v (uncalibrated %v), explain predicted %v (uncalibrated %v)",
-					model, algo, got, est.Uncalibrated, want, ex.Uncalibrated)
-			}
-			all := append(got, est.Uncalibrated...)
-			wantPairs := 0
-			switch {
-			case algo == "anatomy":
-			case model == "bt":
-				wantPairs = 1
-			case model == "skyline":
-				wantPairs = len(ladder)
-			}
-			if count(all, "kernel_table") != wantPairs || count(all, "priors") != wantPairs {
-				t.Errorf("%s %s: estimate lists %v, want %d kernel_table/priors pairs", model, algo, all, wantPairs)
-			}
+		body := fmt.Sprintf(`{"dataset":%q,"algo":"mondrian","model":%q,"k":%d,"t":%g,"b":%g}`, ds, model, k, tt, b)
+		// The cold run calibrates every stage the request runs; the
+		// explained rerun prices the same cold path.
+		if code, resp := post(t, ts, "/v1/anonymize", body); code != http.StatusOK {
+			t.Fatalf("anonymize %s: status %d: %s", body, code, resp)
+		}
+		code, resp := post(t, ts, "/v1/anonymize?explain=1", body)
+		if code != http.StatusOK {
+			t.Fatalf("anonymize?explain=1 %s: status %d: %s", body, code, resp)
+		}
+		ex := mustJSON[AnonymizeResponse](t, resp).Explain
+		q := url.Values{"op": {"anonymize"}, "dataset": {ds}, "algo": {"mondrian"}, "model": {model},
+			"k": {fmt.Sprint(k)}, "t": {fmt.Sprint(tt)}, "b": {fmt.Sprint(b)}}
+		code, resp = get(t, ts, "/v1/estimate?"+q.Encode())
+		if code != http.StatusOK {
+			t.Fatalf("estimate %s: status %d: %s", q.Encode(), code, resp)
+		}
+		est := mustJSON[EstimateResponse](t, resp)
+		got, want := stages(est.Stages), stages(ex.Predicted)
+		if strings.Join(got, " ") != strings.Join(want, " ") ||
+			strings.Join(est.Uncalibrated, " ") != strings.Join(ex.Uncalibrated, " ") {
+			t.Errorf("%s: estimate lists %v (uncalibrated %v), explain predicted %v (uncalibrated %v)",
+				model, got, est.Uncalibrated, want, ex.Uncalibrated)
+		}
+		all := append(got, est.Uncalibrated...)
+		wantPairs := 0
+		switch model {
+		case "bt":
+			wantPairs = 1
+		case "skyline":
+			wantPairs = len(ladder)
+		}
+		if count(all, "kernel_table") != wantPairs || count(all, "priors") != wantPairs {
+			t.Errorf("%s: estimate lists %v, want %d kernel_table/priors pairs", model, all, wantPairs)
 		}
 	}
 }

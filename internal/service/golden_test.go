@@ -39,8 +39,9 @@ func bodyDigest(label string, code int, body []byte) string {
 // and returns one digest line per response: ingest (synthetic and CSV),
 // anonymize under every model (sync, async submitted fresh, and
 // async born done), attack and risk in the single and sweep forms with
-// and without an inference selection, release metadata, job polls, and
-// the 4xx bodies of malformed requests.
+// and without an inference selection, release metadata, job polls, the
+// 4xx bodies of malformed requests, and the 400s of the retired
+// algorithms.
 func goldenScript(t *testing.T) []string {
 	_, ts := newTestServerCfg(t, Config{Workers: 0, DataDir: t.TempDir()})
 	var lines []string
@@ -180,6 +181,17 @@ func goldenScript(t *testing.T) []string {
 	record("anonymize unsatisfiable async", code, body)
 	j := pollJob(t, ts, mustJSON[JobResponse](t, body).Job)
 	lines = append(lines, fmt.Sprintf("anonymize unsatisfiable async done: %s %s %s", j.State, j.Release, j.Error))
+	// Retired algorithms: a 400 naming mondrian, sync, async and as an
+	// estimate query.
+	for _, algo := range []string{"anatomy", "incognito"} {
+		req := fmt.Sprintf(`{"dataset":%q,"algo":%q`, ds, algo)
+		code, body = post(t, ts, "/v1/anonymize", req+`}`)
+		record("anonymize "+algo+" sync", code, body)
+		code, body = post(t, ts, "/v1/anonymize", req+`,"async":true}`)
+		record("anonymize "+algo+" async", code, body)
+		code, body = get(t, ts, "/v1/estimate?op=anonymize&dataset="+ds+"&algo="+algo)
+		record("estimate anonymize "+algo, code, body)
+	}
 	// Release and dataset ids are content addresses, so they are part of
 	// what the golden pins; stripping the ids from the labels keeps the
 	// file readable.

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/privacy"
 )
 
 // pollJob polls GET /v1/jobs/{id} until the job reaches a terminal
@@ -99,21 +101,26 @@ func TestAsyncAnonymizeLifecycle(t *testing.T) {
 }
 
 // TestAsyncJobFailure: a request that validates but whose pipeline
-// fails (anatomy on an ineligible table) lands in state "failed" with
-// the pipeline's error, and its release never materializes.
+// fails (distinct ℓ=50 over the 14 Occupation values, which no release
+// meets) lands in state "failed" with the pipeline's error, its release
+// never materializes, and the sync form of the same request answers
+// 422.
 func TestAsyncJobFailure(t *testing.T) {
 	s, ts := newTestServer(t, -1)
 	ds := createDataset(t, ts, 120, 5)
 
-	body := fmt.Sprintf(`{"dataset":%q,"algo":"anatomy","l":50,"async":true}`, ds)
-	code, b := post(t, ts, "/v1/anonymize", body)
+	req := fmt.Sprintf(`{"dataset":%q,"model":"distinct","l":50`, ds)
+	code, b := post(t, ts, "/v1/anonymize", req+`,"async":true}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("async anonymize: status %d: %s", code, b)
 	}
 	sub := mustJSON[JobResponse](t, b)
 	done := pollJob(t, ts, sub.Job)
-	if done.State != "failed" || done.Error == "" {
-		t.Fatalf("expected a failed job with an error, got %+v", done)
+	if done.State != "failed" || !strings.Contains(done.Error, privacy.ErrUnsatisfiable.Error()) {
+		t.Fatalf("expected a failed job with an unsatisfiable error, got %+v", done)
+	}
+	if code, b := post(t, ts, "/v1/anonymize", req+`}`); code != http.StatusUnprocessableEntity {
+		t.Fatalf("sync anonymize: status %d, want 422: %s", code, b)
 	}
 	if code, _ := get(t, ts, "/v1/releases/"+sub.Release); code != http.StatusNotFound {
 		t.Fatalf("failed job's release should 404, got %d", code)

@@ -461,7 +461,7 @@ func (s *Server) recoverRelease(sp *obs.Span, id string, ds *datasetEntry) (*rel
 	r := rec.Request
 	method, _ := r.method() // loadRelease validated the request
 	requirement, err := ds.engine.AuditWith(obs.ContextWithSpan(context.Background(), sp), method,
-		r.Algo, r.Model, core.Params{K: r.K, L: r.L, T: r.T, B: r.B}, res)
+		r.Model, core.Params{K: r.K, L: r.L, T: r.T, B: r.B}, res)
 	if err != nil {
 		s.metrics.PersistErrors.Add(1)
 		return nil, false

@@ -418,6 +418,53 @@ func TestRecoveredReleaseRequestIsValidated(t *testing.T) {
 	}
 }
 
+// TestRetiredAlgorithmReleasesReadAsAbsent: a data directory written
+// before Mondrian became the one algorithm may hold anatomy or
+// incognito releases. Their requests no longer validate, so each
+// reads as absent: the release lookup and an attack on it answer 404,
+// never 500, and every failed recovery counts as a persist error.
+func TestRetiredAlgorithmReleasesReadAsAbsent(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1 := diskServer(t, dir)
+	ds := createDataset(t, ts1, 120, 3)
+	code, body := post(t, ts1, "/v1/anonymize", fmt.Sprintf(`{"dataset":%q,"model":"distinct"}`, ds))
+	if code != http.StatusOK {
+		t.Fatalf("anonymize: status %d: %s", code, body)
+	}
+	doc, err := os.ReadFile(filepath.Join(dir, "releases", mustJSON[AnonymizeResponse](t, body).Release+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, algo := range []string{"anatomy", "incognito"} {
+		rec := mustJSON[releaseRecord](t, doc)
+		rec.Request.Algo, rec.Algorithm = algo, algo
+		rec.ID = hashID("rel", rec.Request.key())
+		if err := s1.disk.saveRelease(rec); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, rec.ID)
+	}
+	ts1.Close()
+
+	s2, ts2 := diskServer(t, dir)
+	for _, id := range ids {
+		before := s2.metrics.PersistErrors.Value()
+		if code, b := get(t, ts2, "/v1/releases/"+id); code != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404: %s", id, code, b)
+		}
+		if code, b := post(t, ts2, "/v1/attack", fmt.Sprintf(`{"release":%q}`, id)); code != http.StatusNotFound {
+			t.Errorf("attack %s: status %d, want 404: %s", id, code, b)
+		}
+		if got := s2.metrics.PersistErrors.Value() - before; got != 2 {
+			t.Errorf("%s: %d persist errors over two lookups, want 2", id, got)
+		}
+	}
+	if got := s2.metrics.PersistReleaseLoads.Value(); got != 0 {
+		t.Errorf("release loads = %d, want 0", got)
+	}
+}
+
 // TestRestartRecoverySchemas: specs registered over HTTP persist and
 // resolve after a restart, so datasets under them stay rebuildable.
 func TestRestartRecoverySchemas(t *testing.T) {

@@ -32,12 +32,12 @@ func TestRenderPromDeterministicAndEscaped(t *testing.T) {
 			"GET /v1/healthz": {Count: 9},
 		},
 		Stages: map[string]obs.StageStats{
-			"mondrian": {Count: 2, TotalSeconds: 0.01, Buckets: []obs.HistBucket{{LeMicros: 4096, Count: 2}}},
-			"anatomy":  {Count: 1, TotalSeconds: 0.002, Buckets: []obs.HistBucket{{LeMicros: 2048, Count: 1}}},
+			"mondrian":  {Count: 2, TotalSeconds: 0.01, Buckets: []obs.HistBucket{{LeMicros: 4096, Count: 2}}},
+			"inference": {Count: 1, TotalSeconds: 0.002, Buckets: []obs.HistBucket{{LeMicros: 2048, Count: 1}}},
 		},
 		CostModel: map[string]costmodel.Fit{
-			"mondrian": {Formula: "n*log2(n)*d", A: 0.1, B: 12, R2: 0.99, MedAbsRelErr: 0.05, Samples: 2},
-			"anatomy":  {Formula: "n", A: 0.2, B: 3, R2: 1, Samples: 1},
+			"mondrian":  {Formula: "n*log2(n)*d", A: 0.1, B: 12, R2: 0.99, MedAbsRelErr: 0.05, Samples: 2},
+			"inference": {Formula: "rows*lanes", A: 0.2, B: 3, R2: 1, Samples: 1},
 		},
 	}
 	// The process-health block samples live runtime/metrics, so it is
@@ -68,8 +68,8 @@ func TestRenderPromDeterministicAndEscaped(t *testing.T) {
 	if strings.Count(out, "# EOF") != 1 {
 		t.Fatal("# EOF must appear exactly once")
 	}
-	// Sorted map walks: anatomy's families render before mondrian's.
-	if strings.Index(out, `stage="anatomy"`) > strings.Index(out, `stage="mondrian"`) {
+	// Sorted map walks: inference's families render before mondrian's.
+	if strings.Index(out, `stage="inference"`) > strings.Index(out, `stage="mondrian"`) {
 		t.Fatal("stage families are not sorted")
 	}
 	for _, line := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {

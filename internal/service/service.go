@@ -787,8 +787,8 @@ func (s *Server) runPipeline(sp *obs.Span, id string, ds *datasetEntry, req Anon
 	}
 	psp := sp.Child(obs.StageNone, "pipeline "+req.Algo)
 	start := time.Now()
-	res, _, requirement, err := ds.engine.RunAlgorithmWith(
-		obs.ContextWithSpan(context.Background(), psp), method, req.Algo, req.Model, params)
+	res, requirement, err := ds.engine.RunAlgorithmWith(
+		obs.ContextWithSpan(context.Background(), psp), method, req.Model, params)
 	seconds := time.Since(start).Seconds()
 	psp.End()
 	if err != nil {

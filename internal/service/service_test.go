@@ -201,6 +201,40 @@ func TestServiceErrors(t *testing.T) {
 	}
 }
 
+// TestRetiredAlgorithmsRejected: Mondrian is the one algorithm, so an
+// anonymize request naming anatomy or incognito is a 400 that names
+// mondrian, whether it is sent sync, async or as an estimate query.
+func TestRetiredAlgorithmsRejected(t *testing.T) {
+	s, ts := newTestServer(t, -1)
+	ds := createDataset(t, ts, 120, 3)
+	for _, algo := range []string{"anatomy", "incognito"} {
+		req := fmt.Sprintf(`{"dataset":%q,"algo":%q`, ds, algo)
+		for _, tc := range []struct{ name, method, target, body string }{
+			{"sync", http.MethodPost, "/v1/anonymize", req + `}`},
+			{"async", http.MethodPost, "/v1/anonymize", req + `,"async":true}`},
+			{"estimate", http.MethodGet, "/v1/estimate?op=anonymize&dataset=" + ds + "&algo=" + algo, ""},
+		} {
+			var code int
+			var body []byte
+			if tc.method == http.MethodGet {
+				code, body = get(t, ts, tc.target)
+			} else {
+				code, body = post(t, ts, tc.target, tc.body)
+			}
+			if code != http.StatusBadRequest {
+				t.Errorf("%s %s: status %d, want 400: %s", algo, tc.name, code, body)
+				continue
+			}
+			if e := mustJSON[errorResponse](t, body).Error; !strings.Contains(e, "mondrian") {
+				t.Errorf("%s %s: error %q does not name mondrian", algo, tc.name, e)
+			}
+		}
+	}
+	if got := s.metrics.PipelineRuns.Value(); got != 0 {
+		t.Errorf("pipeline runs = %d, want 0", got)
+	}
+}
+
 // TestBPrimeValidation: an explicitly supplied bprime of 0 — or any
 // out-of-range value — is a 400 whose message matches the actual
 // (0, 1] check; only an *omitted* field takes the 0.3 default.

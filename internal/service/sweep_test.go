@@ -162,35 +162,3 @@ func TestSkylineAttackJudgedByItsLadder(t *testing.T) {
 		}
 	}
 }
-
-// TestAnatomyAttackJudgedByDistinctDiversity: anatomy enforces distinct
-// ℓ-diversity whatever model the request names, so an anatomy release
-// requested under bt is judged by distinct ℓ-diversity, exactly as the
-// same release requested under distinct.
-func TestAnatomyAttackJudgedByDistinctDiversity(t *testing.T) {
-	_, ts := newTestServer(t, 2)
-	ds := createDataset(t, ts, 400, 5)
-	var sweeps []AttackSweepResponse
-	for _, model := range []string{"distinct", "bt"} {
-		code, body := post(t, ts, "/v1/anonymize", fmt.Sprintf(`{"dataset":%q,"algo":"anatomy","model":%q}`, ds, model))
-		if code != http.StatusOK {
-			t.Fatalf("anonymize %s: %d %s", model, code, body)
-		}
-		anon := mustJSON[AnonymizeResponse](t, body)
-		if anon.Requirement != "distinct-3-diversity" {
-			t.Errorf("%s: requirement %q, want distinct-3-diversity", model, anon.Requirement)
-		}
-		code, body = post(t, ts, "/v1/attack", fmt.Sprintf(`{"release":%q,"bprimes":[0.1,0.3,0.5]}`, anon.Release))
-		if code != http.StatusOK {
-			t.Fatalf("attack %s: %d %s", model, code, body)
-		}
-		sweep := mustJSON[AttackSweepResponse](t, body)
-		for i := range sweep.Sweep {
-			sweep.Sweep[i].Release = ""
-		}
-		sweeps = append(sweeps, sweep)
-	}
-	if !reflect.DeepEqual(sweeps[0].Sweep, sweeps[1].Sweep) {
-		t.Errorf("anatomy under bt judged differently from under distinct:\n%+v\n%+v", sweeps[1].Sweep, sweeps[0].Sweep)
-	}
-}
