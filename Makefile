@@ -1,6 +1,8 @@
 # CI entry points. `make ci` is what every change must keep green:
 # gofmt enforcement, vet, the detlint invariant suite (determinism,
-# concurrency, and hot-path analyzers under internal/analysis), build,
+# concurrency, and hot-path analyzers under internal/analysis), an
+# arm64 cross-compile that rejects fused multiply-adds in the disclosure
+# measure, build,
 # the full test suite under the race detector (the parallel engine's
 # and the job queue's safety net), one pass over every benchmark so
 # the bench targets cannot rot, a 10-iteration smoke over the prior-pass,
@@ -22,9 +24,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet lint build test race bench bench-smoke perfbench-check examples cmds fuzz cover serve loadgen restart-smoke obs-smoke cost-smoke loc
+.PHONY: ci fmt vet lint fma-check build test race bench bench-smoke perfbench-check examples cmds fuzz cover serve loadgen restart-smoke obs-smoke cost-smoke loc
 
-ci: fmt vet lint build race bench bench-smoke perfbench-check examples cmds fuzz restart-smoke obs-smoke cost-smoke
+ci: fmt vet lint fma-check build race bench bench-smoke perfbench-check examples cmds fuzz restart-smoke obs-smoke cost-smoke
 
 # gofmt -l as a check: fails listing any file that needs formatting.
 fmt:
@@ -45,6 +47,18 @@ lint:
 	$(GO) build -o bin/detlint ./cmd/detlint
 	./bin/detlint -ignore-budget .detlint-ignore-budget $(DETLINT_FLAGS) ./...
 
+# No fused multiply-add in the disclosure measure. The Go spec lets a
+# compiler fuse x*y + z into one rounding unless an explicit float64(...)
+# conversion rounds the product; amd64 never fuses, arm64 does, so
+# without the conversions a gain could differ by GOARCH. Cross-compiles
+# internal/distance for arm64 (offline, no emulator) and fails on any
+# fused instruction in its assembly.
+fma-check:
+	@out="$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/distance 2>&1)" || { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -q 'TEXT.*distance\.js(' || { echo "fma-check: no arm64 assembly for internal/distance"; exit 1; }; \
+	if echo "$$out" | grep -E 'FMADDD|FMSUBD|FNMADDD|FNMSUBD'; then \
+		echo "fma-check: fused multiply-add in internal/distance on arm64"; exit 1; fi
+
 build:
 	$(GO) build ./...
 
@@ -59,11 +73,12 @@ bench:
 
 # Focused 10-iteration pass over the hot-path kernels this repo's perf
 # claims rest on: the support-intersection prior pass, the
-# adaptive-inference attack, the warm Ω attack, and the two bound-first
-# paths — the worst-case risk pass and sequential (B,t) Mondrian — with
-# their allocation counts.
+# adaptive-inference attack, the warm Ω attack, the two bound-first
+# paths — the worst-case risk pass and sequential (B,t) Mondrian — and
+# the disclosure measure on dense and on served pairs, with their
+# allocation counts.
 bench-smoke:
-	$(GO) test -run '^$$' -bench '(Priors$$|AttackAdaptive|BreachTest$$|Fig3aRisk$$|MondrianBT$$)' -benchtime=10x -benchmem .
+	$(GO) test -run '^$$' -bench '(Priors$$|AttackAdaptive|BreachTest$$|Fig3aRisk$$|MondrianBT$$|SmoothedJS$$)' -benchtime=10x -benchmem .
 
 # The repository benchmark (perfbench/, run by `bash perfbench/run.sh`)
 # is a module of its own: vet it and run its short self-tests so an API

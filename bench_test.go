@@ -345,28 +345,73 @@ func BenchmarkAttackSweep(b *testing.B) {
 	})
 }
 
-// BenchmarkSmoothedJS measures the disclosure measure itself.
+// BenchmarkSmoothedJS measures the disclosure measure itself on two
+// input shapes. dense draws one pair with every component positive,
+// which no served pair looks like. real cycles through the distinct
+// (prior, Ω posterior) pairs of a warm attack: the n=2000 (B,t)
+// release at para1, b'=0.3, where most distributions have a few
+// nonzero components of 14.
 func BenchmarkSmoothedJS(b *testing.B) {
-	h := adult.OccupationHierarchy()
-	sch := adult.NewSchema()
-	m, err := h.DistanceMatrix(sch.Sensitive.Values)
+	e := benchEngineWorkers(b, 2000, -1)
+	s := distance.NewSmoothedJS(e.SensMatrix, kernel.Epanechnikov{}, core.SmoothingBandwidth)
+	b.Run("dense", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(3))
+		p := make(prob.Dist, 14)
+		q := make(prob.Dist, 14)
+		for i := range p {
+			p[i], q[i] = rng.Float64(), rng.Float64()
+		}
+		p.Normalize()
+		q.Normalize()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			distanceSink = s.Distance(p, q)
+		}
+	})
+	b.Run("real", func(b *testing.B) {
+		pairs := warmAttackPairs(b, e, 0.3)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pq := pairs[i%len(pairs)]
+			distanceSink = s.Distance(pq[0], pq[1])
+		}
+	})
+}
+
+// distanceSink keeps the measured Distance calls live.
+var distanceSink float64
+
+// warmAttackPairs returns the distinct (prior, Ω posterior) pairs, in
+// class and tuple order, that a warm attack on e's (B,t) release at
+// para1 measures at a uniform bandwidth b'.
+func warmAttackPairs(b *testing.B, e *core.Engine, bp float64) [][2]prob.Dist {
+	b.Helper()
+	res, _, err := e.RunAlgorithm("mondrian", core.BTPrivacy.Key(), core.Table5()[0])
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := distance.NewSmoothedJS(m, kernel.Epanechnikov{}, core.SmoothingBandwidth)
-	rng := rand.New(rand.NewSource(3))
-	p := make(prob.Dist, 14)
-	q := make(prob.Dist, 14)
-	for i := range p {
-		p[i], q[i] = rng.Float64(), rng.Float64()
+	priors, err := e.Priors(kernel.UniformBandwidth(e.Table.Schema.D(), bp))
+	if err != nil {
+		b.Fatal(err)
 	}
-	p.Normalize()
-	q.Normalize()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Distance(p, q)
+	var pairs [][2]prob.Dist
+	for _, g := range res.Groups {
+		gp := make([]prob.Dist, g.Size())
+		for i, r := range g.Rows {
+			gp[i] = priors[r]
+		}
+		posts := inference.Omega{}.Posteriors(gp, e.Table.SensitiveCounts(g.Rows))
+		first := make([]int, len(gp))
+		inference.FirstSharers(gp, first)
+		for i := range gp {
+			if first[i] == i {
+				pairs = append(pairs, [2]prob.Dist{gp[i], posts[i]})
+			}
+		}
 	}
+	return pairs
 }
 
 // BenchmarkMondrianScaling shows anonymization scaling with table size.

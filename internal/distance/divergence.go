@@ -30,21 +30,21 @@ func js(p, q []float64) float64 {
 	kp, kq := 0.0, 0.0
 	for i, pi := range p {
 		qi := q[i]
-		m := 0.5*pi + 0.5*qi
+		m := float64(0.5*pi) + float64(0.5*qi)
 		if pi != 0 {
 			if m == 0 {
 				return math.Inf(1)
 			}
-			kp += pi * math.Log2(pi/m)
+			kp += float64(pi * math.Log2(pi/m))
 		}
 		if qi != 0 {
 			if m == 0 {
 				return math.Inf(1)
 			}
-			kq += qi * math.Log2(qi/m)
+			kq += float64(qi * math.Log2(qi/m))
 		}
 	}
-	return 0.5*kp + 0.5*kq
+	return float64(0.5*kp) + float64(0.5*kq)
 }
 
 // boundSlack is added to every computed jsBound, so that it bounds the
@@ -82,7 +82,7 @@ func jsBound(p, q []float64) float64 {
 		d := pi - qi
 		u += d * d / s
 	}
-	return 0.5*u + boundSlack
+	return float64(0.5*u) + boundSlack
 }
 
 // bounder is a Measure with a log-free upper bound: distanceOrBound

@@ -127,7 +127,7 @@ func transport(sup, dem []float64, cost func(i, j int) float64) float64 {
 			e := &graph[prevV[v]][prevE[v]]
 			e.cap -= flow
 			graph[v][e.rev].cap += flow
-			totalCost += flow * e.cost
+			totalCost += float64(flow * e.cost)
 		}
 		total -= flow
 	}

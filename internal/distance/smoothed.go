@@ -21,15 +21,18 @@ import (
 // identity, non-negativity, probability scaling, and zero-probability
 // definability; the smoothing supplies semantic awareness.
 type SmoothedJS struct {
-	weights [][]float64 // row-normalized kernel weights
-	// rows[i] is weights[i] trimmed to its nonzero span, which starts
-	// at column lo[i]: a compact kernel weights only nearby values, so
-	// most of each row is exactly 0.
-	rows [][]float64
-	lo   []int
-	// quad[i] reports that rows i..i+3 share row i's span.
-	quad []bool
+	// cols[j] is weight column j cut to its nonzero span: a compact
+	// kernel weights only nearby values, so most of each column is
+	// exactly 0.
+	cols []column
 	id   string
+}
+
+// column is one weight column cut to the rows lo..lo+len(w)-1 that
+// hold its nonzero entries.
+type column struct {
+	lo int
+	w  []float64
 }
 
 // NewSmoothedJS builds the measure from the sensitive distance matrix,
@@ -41,8 +44,7 @@ func NewSmoothedJS(m [][]float64, k kernel.Func, bandwidth float64) *SmoothedJS 
 		k = kernel.Epanechnikov{}
 	}
 	n := len(m)
-	w := make([][]float64, n)
-	rows, los := make([][]float64, n), make([]int, n)
+	w := make([][]float64, n) // row-normalized kernel weights
 	for i := 0; i < n; i++ {
 		w[i] = make([]float64, n)
 		rowSum := 0.0
@@ -62,23 +64,23 @@ func NewSmoothedJS(m [][]float64, k kernel.Func, bandwidth float64) *SmoothedJS 
 				w[i][j] /= rowSum
 			}
 		}
+	}
+	cols := make([]column, n)
+	for j := range cols {
 		lo, hi := 0, n
-		for lo < hi && w[i][lo] == 0 {
+		for lo < hi && w[lo][j] == 0 {
 			lo++
 		}
-		for hi > lo && w[i][hi-1] == 0 {
+		for hi > lo && w[hi-1][j] == 0 {
 			hi--
 		}
-		rows[i], los[i] = w[i][lo:hi], lo
-	}
-	quad := make([]bool, n)
-	for i := 0; i+4 <= n; i++ {
-		quad[i] = true
-		for r := i + 1; r < i+4; r++ {
-			quad[i] = quad[i] && los[r] == los[i] && len(rows[r]) == len(rows[i])
+		c := column{lo: lo, w: make([]float64, hi-lo)}
+		for i := range c.w {
+			c.w[i] = w[lo+i][j]
 		}
+		cols[j] = c
 	}
-	return &SmoothedJS{weights: w, rows: rows, lo: los, quad: quad, id: "smoothedJS(" + k.Name() + ")"}
+	return &SmoothedJS{cols: cols, id: "smoothedJS(" + k.Name() + ")"}
 }
 
 // stackDomain is the largest sensitive domain whose smoothed pair
@@ -100,8 +102,8 @@ func (s *SmoothedJS) Distance(p, q prob.Dist) float64 {
 //
 //detlint:hotpath
 func (s *SmoothedJS) distanceOrBound(p, q prob.Dist, floor float64) float64 {
-	n := len(s.weights)
-	var stack [2 * stackDomain]float64
+	n := len(s.cols)
+	var stack [2 * stackDomain]float64 // zeroed, as smoothInto needs
 	buf := stack[:]
 	if n > stackDomain {
 		buf = make([]float64, 2*n)
@@ -117,40 +119,27 @@ func (s *SmoothedJS) distanceOrBound(p, q prob.Dist, floor float64) float64 {
 	return js(ps, qs)
 }
 
-// smoothInto writes the kernel-smoothed version of p into out:
-// p̂_i = Σ_j p_j·w_ij, renormalized, since row-normalized smoothing
-// does not exactly preserve total mass when rows mix unevenly. Each
-// sum adds p_j·w_ij in ascending j over the row's nonzero span only:
-// every product left out is exactly +0, and adding +0 to a sum of
-// non-negative products leaves it unchanged.
+// smoothInto writes the kernel-smoothed version of p into out, which
+// must arrive all +0: p̂_i = Σ_j p_j·w_ij, renormalized, since
+// row-normalized smoothing does not exactly preserve total mass when
+// rows mix unevenly. It scatters each nonzero p_j, in ascending j, into
+// the rows of column j's nonzero span, so every out[i] adds its nonzero
+// products p_j·w_ij in ascending j starting from +0. Every product left
+// out is exactly ±0, and adding ±0 to a sum of non-negative products
+// leaves it unchanged, so out[i] is bit for bit the full sum over j.
 //
 //detlint:hotpath
 func (s *SmoothedJS) smoothInto(out []float64, p prob.Dist) {
-	rows, n := s.rows, len(s.rows)
-	for i := 0; i < n; {
-		lo, w0 := s.lo[i], rows[i]
-		ps := p[lo : lo+len(w0)]
-		if s.quad[i] {
-			// Four rows with one span: each sum still adds in ascending
-			// j, but the four dependency chains overlap.
-			w1, w2, w3 := rows[i+1][:len(ps)], rows[i+2][:len(ps)], rows[i+3][:len(ps)]
-			a0, a1, a2, a3 := 0.0, 0.0, 0.0, 0.0
-			for j, pj := range ps {
-				a0 += pj * w0[j]
-				a1 += pj * w1[j]
-				a2 += pj * w2[j]
-				a3 += pj * w3[j]
-			}
-			out[i], out[i+1], out[i+2], out[i+3] = a0, a1, a2, a3
-			i += 4
+	p = p[:len(s.cols)]
+	for j, c := range s.cols {
+		pj := p[j]
+		if pj == 0 {
 			continue
 		}
-		acc := 0.0
-		for j, pj := range ps {
-			acc += pj * w0[j]
+		o := out[c.lo:][:len(c.w)]
+		for i, w := range c.w {
+			o[i] += float64(pj * w)
 		}
-		out[i] = acc
-		i++
 	}
 	prob.Dist(out).Normalize()
 }

@@ -13,30 +13,62 @@ import (
 // Smooth returns the kernel-smoothed version of p: the per-side
 // smoothing of Distance, materialized as its own distribution.
 func (s *SmoothedJS) Smooth(p prob.Dist) prob.Dist {
-	out := make(prob.Dist, len(s.weights))
+	out := make(prob.Dist, len(s.cols))
 	s.smoothInto(out, p)
 	return out
 }
 
-// referenceSmoothedJS is the measure as it was before Distance moved
-// into call-local scratch, kept verbatim as the oracle: each side
-// smoothed into a fresh distribution, the midpoint materialized as the
-// convex combination a·p + (1−a)·q at a = ½, and JS as two KL calls.
-func referenceSmoothedJS(s *SmoothedJS, p, q prob.Dist) float64 {
-	smooth := func(p prob.Dist) prob.Dist {
-		n := len(s.weights)
-		out := make(prob.Dist, n)
-		for i := 0; i < n; i++ {
-			wi := s.weights[i]
-			acc := 0.0
-			for j := 0; j < n; j++ {
-				acc += p[j] * wi[j]
-			}
-			out[i] = acc
+// ReferenceWeights builds NewSmoothedJS's dense row-normalized weight
+// matrix on its own, as the oracle's weights: every row in full, and an
+// identity row where the kernel weights the whole row 0.
+func ReferenceWeights(m [][]float64, k kernel.Func, bandwidth float64) [][]float64 {
+	n := len(m)
+	w := make([][]float64, n)
+	for i := range w {
+		w[i] = make([]float64, n)
+		rowSum := 0.0
+		for j := range w[i] {
+			w[i][j] = k.Weight(m[i][j], bandwidth)
+			rowSum += w[i][j]
 		}
-		return out.Normalize()
+		for j := range w[i] {
+			if rowSum == 0 {
+				w[i][j] = 0
+				if j == i {
+					w[i][j] = 1
+				}
+				continue
+			}
+			w[i][j] /= rowSum
+		}
 	}
-	ps, qs := smooth(p), smooth(q)
+	return w
+}
+
+// ReferenceSmooth is the dense smoothing the oracle takes: every out[i]
+// sums p[j]·w[i][j] over all j in ascending order, then the result is
+// normalized.
+func ReferenceSmooth(w [][]float64, p prob.Dist) prob.Dist {
+	n := len(w)
+	out := make(prob.Dist, n)
+	for i := 0; i < n; i++ {
+		wi := w[i]
+		acc := 0.0
+		for j := 0; j < n; j++ {
+			acc += float64(p[j] * wi[j])
+		}
+		out[i] = acc
+	}
+	return out.Normalize()
+}
+
+// referenceSmoothedJS is the measure as it was before Distance moved
+// into call-local scratch, kept as the oracle: each side smoothed
+// densely over the weights w into a fresh distribution, the midpoint
+// materialized as the convex combination a·p + (1−a)·q at a = ½, and JS
+// as two KL calls.
+func referenceSmoothedJS(w [][]float64, p, q prob.Dist) float64 {
+	ps, qs := ReferenceSmooth(w, p), ReferenceSmooth(w, q)
 	a := 0.5
 	m := make(prob.Dist, len(ps))
 	for i := range m {
@@ -58,38 +90,109 @@ func lineMatrix(n int) [][]float64 {
 	return m
 }
 
-// TestSmoothedJSMatchesReference pins Distance bit for bit to the
-// allocating reference: on domains that exercise smoothInto's
-// four-row blocks and every tail length, on one past stackDomain, on
-// sparse distributions with zero components, under a compact kernel
-// (banded and block-diagonal weights, so rows are cut to their nonzero
-// spans) and a dense one (full rows), and on Adult's Occupation at the
-// engine's smoothing bandwidth.
+// isolatedMatrix is lineMatrix with every third value at distance 1
+// from every value, itself included, so a bandwidth below 1 weights
+// its whole row 0 and NewSmoothedJS keeps the identity row there.
+func isolatedMatrix(n int) [][]float64 {
+	m := lineMatrix(n)
+	for i := 0; i < n; i += 3 {
+		for j := range m[i] {
+			m[i][j] = 1
+		}
+	}
+	return m
+}
+
+// sparseDist returns a distribution on n values with mass on k of
+// them, drawn at random: the shape most served priors and posteriors
+// have.
+func sparseDist(rng *rand.Rand, n, k int) prob.Dist {
+	d := make(prob.Dist, n)
+	for _, i := range rng.Perm(n)[:k] {
+		d[i] = rng.Float64() + 0.01
+	}
+	return d.Normalize()
+}
+
+// matchCase is a measure beside the dense weights its oracle smooths
+// with.
+type matchCase struct {
+	s *SmoothedJS
+	w [][]float64
+}
+
+// TestSmoothedJSMatchesReference pins Distance, and each side's
+// smoothing, bit for bit to the dense allocating reference: on domains
+// of 3, 4 and 14 values and one past stackDomain, under a compact kernel
+// (banded and block-diagonal weights, so columns are cut to their
+// nonzero spans) and a dense one (full columns), with identity rows
+// where the bandwidth is degenerate for a value, and on Adult's
+// Occupation at the engine's smoothing bandwidth. The inputs are dense
+// random distributions, point masses, distributions with 1–3 nonzero
+// components, and distributions whose zero components are -0 or whose
+// small components are subnormal.
 func TestSmoothedJSMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	occ, err := adult.OccupationHierarchy().DistanceMatrix(adult.NewSchema().Sensitive.Values)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cases []*SmoothedJS
+	var cases []matchCase
+	add := func(m [][]float64, k kernel.Func, bw float64) {
+		cases = append(cases, matchCase{NewSmoothedJS(m, k, bw), ReferenceWeights(m, k, bw)})
+	}
 	for _, k := range []kernel.Func{kernel.Epanechnikov{}, kernel.Gaussian{}} {
 		for _, n := range []int{3, 4, 14, stackDomain + 5} {
 			for _, bw := range []float64{0.01, 0.3, 0.75} {
-				cases = append(cases, NewSmoothedJS(lineMatrix(n), k, bw))
+				add(lineMatrix(n), k, bw)
 			}
+			add(isolatedMatrix(n), k, 0.3)
 		}
-		cases = append(cases, NewSmoothedJS(occ, k, 0.51))
+		add(occ, k, 0.51)
 	}
-	for ci, s := range cases {
-		n := len(s.weights)
-		for trial := 0; trial < 200; trial++ {
-			p, q := randomDist(rng, n), randomDist(rng, n)
-			if trial%3 == 0 {
+	for ci, c := range cases {
+		n := len(c.w)
+		draw := func(trial int) prob.Dist {
+			switch trial % 6 {
+			case 0:
+				return prob.PointMass(n, rng.Intn(n))
+			case 1:
+				return sparseDist(rng, n, 1+rng.Intn(min(3, n)))
+			case 2:
+				// Zero components stored as -0.
+				d := sparseDist(rng, n, 1+rng.Intn(n))
+				for i := range d {
+					if d[i] == 0 {
+						d[i] = math.Copysign(0, -1)
+					}
+				}
+				return d
+			case 3:
+				// Subnormal components beside normal mass.
+				d := sparseDist(rng, n, 1+rng.Intn(min(3, n)))
+				for i := range d {
+					if d[i] == 0 && rng.Intn(2) == 0 {
+						d[i] = math.SmallestNonzeroFloat64 * float64(1+rng.Intn(1<<20))
+					}
+				}
+				return d
+			}
+			return randomDist(rng, n)
+		}
+		for trial := 0; trial < 300; trial++ {
+			p, q := draw(trial), draw(rng.Intn(6))
+			if trial%5 == 0 {
 				q = prob.PointMass(n, rng.Intn(n))
 			}
-			got, want := s.Distance(p, q), referenceSmoothedJS(s, p, q)
+			got, want := c.s.Distance(p, q), referenceSmoothedJS(c.w, p, q)
 			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("case %d (%s, n=%d) trial %d: Distance %v != reference %v", ci, s.Name(), n, trial, got, want)
+				t.Fatalf("case %d (%s, n=%d) trial %d: Distance %v != reference %v\np=%v\nq=%v", ci, c.s.Name(), n, trial, got, want, p, q)
+			}
+			gs, ws := c.s.Smooth(p), ReferenceSmooth(c.w, p)
+			for i := range gs {
+				if math.Float64bits(gs[i]) != math.Float64bits(ws[i]) {
+					t.Fatalf("case %d (%s, n=%d) trial %d: Smooth[%d] %v != reference %v\np=%v", ci, c.s.Name(), n, trial, i, gs[i], ws[i], p)
+				}
 			}
 		}
 	}

@@ -46,23 +46,38 @@ func (Omega) Name() string { return "omega" }
 // prior's values and those sums, so it is computed once per distinct
 // prior (FirstSharers) and shared, bit-identical to computing it per
 // tuple. All posteriors of the class are carved from one array.
+func (Omega) Posteriors(priors []prob.Dist, counts []int) []prob.Dist {
+	sc := scratchPool.Get().(*scratch)
+	first := grow(sc.first, len(priors))
+	sc.firstSharers(priors, first)
+	out := sc.omega(priors, counts, first)
+	sc.first = first
+	scratchPool.Put(sc)
+	return out
+}
+
+// omega is Posteriors given the class's sharer table first, as
+// FirstSharers fills it.
 //
 //detlint:hotpath
-func (Omega) Posteriors(priors []prob.Dist, counts []int) []prob.Dist {
+func (sc *scratch) omega(priors []prob.Dist, counts []int, first []int) []prob.Dist {
 	k := len(priors)
 	if k == 0 {
 		return nil
 	}
 	m := len(counts)
-	sc := scratchPool.Get().(*scratch)
 	colSum := grow(sc.colSum, m)
 	for _, p := range priors {
 		for i := 0; i < m; i++ {
 			colSum[i] += p[i]
 		}
 	}
-	first := grow(sc.first, k)
-	distinct := sc.firstSharers(priors, first)
+	distinct := 0
+	for j, f := range first {
+		if f == j {
+			distinct++
+		}
+	}
 	back := make([]float64, distinct*m)
 	out := make([]prob.Dist, k)
 	for j, p := range priors {
@@ -80,8 +95,7 @@ func (Omega) Posteriors(priors []prob.Dist, counts []int) []prob.Dist {
 		}
 		out[j] = d.Normalize()
 	}
-	sc.colSum, sc.first = colSum, first
-	scratchPool.Put(sc)
+	sc.colSum = colSum
 	return out
 }
 

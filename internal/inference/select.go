@@ -33,10 +33,18 @@ func ByName(name string, maxStates int) (Method, error) {
 
 // TryPosteriors runs a method with explicit error reporting: Exact
 // routes through ExactPosteriors so an oversized group returns
-// ErrTooLarge instead of panicking; every other method is total.
-func TryPosteriors(m Method, priors []prob.Dist, counts []int) ([]prob.Dist, error) {
-	if _, ok := m.(Exact); ok {
+// ErrTooLarge instead of panicking; every other method is total. first
+// is the class's sharer table, as FirstSharers fills it for priors; Ω
+// takes it instead of looking the priors up again.
+func TryPosteriors(m Method, priors []prob.Dist, counts []int, first []int) ([]prob.Dist, error) {
+	switch m.(type) {
+	case Exact:
 		return ExactPosteriors(priors, counts)
+	case Omega:
+		sc := scratchPool.Get().(*scratch)
+		out := sc.omega(priors, counts, first)
+		scratchPool.Put(sc)
+		return out, nil
 	}
 	return m.Posteriors(priors, counts), nil
 }

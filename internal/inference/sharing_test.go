@@ -101,6 +101,38 @@ func TestOmegaPerDistinctPriorMatchesPerTuple(t *testing.T) {
 	}
 }
 
+// TestOmegaWithSharerTableMatchesPosteriors pins Ω given the caller's
+// sharer table — TryPosteriors, as privacy.ClassGains calls it — to
+// Omega.Posteriors bit for bit, sharing included, on classes with
+// repeated prior slices and with value-equal priors held in distinct
+// slices.
+func TestOmegaWithSharerTableMatchesPosteriors(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for trial := 0; trial < 300; trial++ {
+		k, m := 1+rng.Intn(40), 1+rng.Intn(14)
+		priors, counts := sharedClass(rng, k, m)
+		priors[rng.Intn(k)] = priors[rng.Intn(k)].Clone()
+		first := make([]int, k)
+		FirstSharers(priors, first)
+		got, err := TryPosteriors(Omega{}, priors, counts, first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Omega{}.Posteriors(priors, counts)
+		for j := range want {
+			if !prob.Identical(got[j], want[j]) {
+				t.Fatalf("trial %d tuple %d: %v != Posteriors %v", trial, j, got[j], want[j])
+			}
+			if f := first[j]; f != j && &got[j][0] != &got[f][0] {
+				t.Fatalf("trial %d: tuple %d holds tuple %d's prior but not its posterior", trial, j, f)
+			}
+		}
+	}
+	if got, err := TryPosteriors(Omega{}, nil, []int{0, 0}, nil); got != nil || err != nil {
+		t.Errorf("empty class: %v, %v", got, err)
+	}
+}
+
 // TestPooledScratchIsolated runs Omega and Exact concurrently on
 // classes of different sizes: neither pooled scratch may leak between
 // calls, and no exact posterior may alias a later call's tables.

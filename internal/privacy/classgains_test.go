@@ -24,10 +24,10 @@ func (c *countingMeasure) Distance(p, q prob.Dist) float64 {
 func (c *countingMeasure) Name() string { return c.inner.Name() }
 
 // TestClassGainsMeasuresEachDistinctPairOnce checks ClassGains against
-// measuring every tuple: gains agree bit for bit under Ω, exact and
-// adaptive inference, the measure runs once per tuple that starts a
-// run of identical (prior, posterior) pairs, and under Ω that is once
-// per distinct prior.
+// the method's own Posteriors and measuring every tuple: posteriors and
+// gains agree bit for bit under Ω, exact and adaptive inference, the
+// measure runs once per tuple that starts a run of identical (prior,
+// posterior) pairs, and under Ω that is once per distinct prior.
 func TestClassGainsMeasuresEachDistinctPairOnce(t *testing.T) {
 	m := 4
 	smooth := distance.NewSmoothedJS(flatMatrix(m), nil, 0.6)
@@ -54,8 +54,12 @@ func TestClassGainsMeasuresEachDistinctPairOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			direct := method.Posteriors(priors, counts)
 			measured := 0
 			for i := range priors {
+				if !prob.Identical(posts[i], direct[i]) {
+					t.Fatalf("%s trial %d tuple %d: posterior %v != Posteriors %v", method.Name(), trial, i, posts[i], direct[i])
+				}
 				want := smooth.Distance(priors[i], posts[i])
 				if math.Float64bits(gains[i]) != math.Float64bits(want) {
 					t.Fatalf("%s trial %d tuple %d: gain %v != measured %v", method.Name(), trial, i, gains[i], want)

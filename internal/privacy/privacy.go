@@ -245,16 +245,18 @@ func (b BTPrivacy) method() inference.Method {
 // otherwise same[i] = i. That is exact for any deterministic measure.
 // Ω shares one posterior per distinct prior, so each distinct prior is
 // measured once; exact inference reuses only where its posteriors
-// happen to agree bit for bit. A method that refuses the class (Exact
-// on an oversized group) returns its error instead of panicking.
+// happen to agree bit for bit. The priors are looked up once per
+// class: Ω takes the same sharer table (inference.TryPosteriors). A
+// method that refuses the class (Exact on an oversized group) returns
+// its error instead of panicking.
 //
 //detlint:hotpath
 func ClassGains(m inference.Method, d distance.Measure, priors []prob.Dist, counts []int, gains []float64, same []int, floor float64) (posts []prob.Dist, err error) {
-	posts, err = inference.TryPosteriors(m, priors, counts)
+	inference.FirstSharers(priors, same)
+	posts, err = inference.TryPosteriors(m, priors, counts, same)
 	if err != nil {
 		return nil, err
 	}
-	inference.FirstSharers(priors, same)
 	for i, prior := range priors {
 		if j := same[i]; j != i && prob.Identical(posts[j], posts[i]) {
 			gains[i] = gains[j]
