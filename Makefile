@@ -2,7 +2,7 @@
 # gofmt enforcement, vet, the detlint invariant suite (determinism,
 # concurrency, and hot-path analyzers under internal/analysis), an
 # arm64 cross-compile that rejects fused multiply-adds in the disclosure
-# measure, build,
+# measure and in inference, build,
 # the full test suite under the race detector (the parallel engine's
 # and the job queue's safety net), one pass over every benchmark so
 # the bench targets cannot rot, a 10-iteration smoke over the prior-pass,
@@ -47,17 +47,20 @@ lint:
 	$(GO) build -o bin/detlint ./cmd/detlint
 	./bin/detlint -ignore-budget .detlint-ignore-budget $(DETLINT_FLAGS) ./...
 
-# No fused multiply-add in the disclosure measure. The Go spec lets a
-# compiler fuse x*y + z into one rounding unless an explicit float64(...)
-# conversion rounds the product; amd64 never fuses, arm64 does, so
-# without the conversions a gain could differ by GOARCH. Cross-compiles
-# internal/distance for arm64 (offline, no emulator) and fails on any
-# fused instruction in its assembly.
+# No fused multiply-add in the disclosure measure or in inference. The
+# Go spec lets a compiler fuse x*y + z into one rounding unless an
+# explicit float64(...) conversion rounds the product; amd64 never
+# fuses, arm64 does, so without the conversions a gain or a posterior
+# could differ by GOARCH. Cross-compiles each package for arm64
+# (offline, no emulator) and fails on any fused instruction in its
+# assembly, or on a package whose assembly lacks the function named
+# beside it (package:function).
 fma-check:
-	@out="$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/distance 2>&1)" || { echo "$$out"; exit 1; }; \
-	echo "$$out" | grep -q 'TEXT.*distance\.js(' || { echo "fma-check: no arm64 assembly for internal/distance"; exit 1; }; \
+	@for pf in distance:js inference:Exact; do pkg=$${pf%%:*}; fn=$${pf#*:}; \
+	out="$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/$$pkg 2>&1)" || { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -q "TEXT.*$$pkg\.$$fn[(.]" || { echo "fma-check: no arm64 assembly for internal/$$pkg"; exit 1; }; \
 	if echo "$$out" | grep -E 'FMADDD|FMSUBD|FNMADDD|FNMSUBD'; then \
-		echo "fma-check: fused multiply-add in internal/distance on arm64"; exit 1; fi
+		echo "fma-check: fused multiply-add in internal/$$pkg on arm64"; exit 1; fi; done
 
 build:
 	$(GO) build ./...
@@ -74,11 +77,11 @@ bench:
 # Focused 10-iteration pass over the hot-path kernels this repo's perf
 # claims rest on: the support-intersection prior pass, the
 # adaptive-inference attack, the warm Ω attack, the two bound-first
-# paths — the worst-case risk pass and sequential (B,t) Mondrian — and
-# the disclosure measure on dense and on served pairs, with their
-# allocation counts.
+# paths — the worst-case risk pass, on all cores and on one, and
+# sequential (B,t) Mondrian — and the disclosure measure on dense and
+# on served pairs, with their allocation counts.
 bench-smoke:
-	$(GO) test -run '^$$' -bench '(Priors$$|AttackAdaptive|BreachTest$$|Fig3aRisk$$|MondrianBT$$|SmoothedJS$$)' -benchtime=10x -benchmem .
+	$(GO) test -run '^$$' -bench '(Priors$$|AttackAdaptive|BreachTest$$|Fig3aRisk$$|Fig3aRiskSequential$$|MondrianBT$$|SmoothedJS$$)' -benchtime=10x -benchmem .
 
 # The repository benchmark (perfbench/, run by `bash perfbench/run.sh`)
 # is a module of its own: vet it and run its short self-tests so an API

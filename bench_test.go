@@ -125,9 +125,19 @@ func BenchmarkFig2ExactVsOmega(b *testing.B) {
 }
 
 // BenchmarkFig3aRisk measures one worst-case disclosure risk evaluation
-// — the per-point cost of the Figure 3(a) continuity sweep.
-func BenchmarkFig3aRisk(b *testing.B) {
-	e := benchEngine(b, 1000)
+// — the per-point cost of the Figure 3(a) continuity sweep — on all
+// cores.
+func BenchmarkFig3aRisk(b *testing.B) { benchRisk(b, 0) }
+
+// BenchmarkFig3aRiskSequential is the same pass on one worker, so the
+// pass's CPU cost shows without the pool's scheduling noise.
+func BenchmarkFig3aRiskSequential(b *testing.B) { benchRisk(b, -1) }
+
+// benchRisk runs one worst-case risk pass per iteration over the
+// n=1000 (B,t) release at b'=0.4, priors cached, on workers workers
+// (0 = all cores, negative = sequential).
+func benchRisk(b *testing.B, workers int) {
+	e := benchEngineWorkers(b, 1000, workers)
 	res, _, err := e.RunAlgorithm("mondrian", core.BTPrivacy.Key(), core.Table5()[0])
 	if err != nil {
 		b.Fatal(err)

@@ -739,26 +739,30 @@ func (e *Engine) passSpan(sp *obs.Span, method inference.Method, risk bool, res 
 // out[i] is bit for bit AttackSweepWith(ctx, m, res, bvecs, t, judge)[i].WorstRisk,
 // and it fails as that does (the first class a method refuses, in
 // bandwidth then group order), but it measures exactly only the
-// distinct (prior, posterior) pairs whose log-free bound
+// distinct (prior, posterior) pairs whose log-free bounds
 // (distance.Bounded) can reach the maximum. Per bandwidth:
 //
-//  1. every class's posteriors, and every pair's bound;
+//  1. every class's posteriors, and every pair's bound at floor +Inf,
+//     which smooths neither side;
 //  2. the pair with the largest bound, the first in group order on a
 //     tie, measured exactly: its gain is the floor;
-//  3. every other pair whose bound exceeds the floor, measured exactly;
+//  3. every other pair whose bound exceeds the floor, again through
+//     distance.Bounded, now at the floor: the bound on the smoothed
+//     pair settles most of them, and the rest are measured exactly;
 //  4. the largest gain.
 //
 // A pair whose bound is at most the floor cannot exceed it, so the
-// maximum is unchanged. The pairs measured exactly depend only on the
-// inputs, never on scheduling. m and the span are as in
-// AttackSweepWith; the pass is priced under its own risk stage.
+// maximum is unchanged. The floor is fixed before step 3, so the pairs
+// measured exactly depend only on the inputs, never on scheduling. m
+// and the span are as in AttackSweepWith; the pass is priced under its
+// own risk stage.
 func (e *Engine) WorstCaseRiskSweep(ctx context.Context, m inference.Method, res *anonymize.Result, bvecs [][]float64) ([]float64, error) {
 	worst, _, err := e.riskSweep(obs.SpanFromContext(ctx), m, res, bvecs)
 	return worst, err
 }
 
-// riskSweep is WorstCaseRiskSweep, also counting the pairs it measured
-// exactly.
+// riskSweep is WorstCaseRiskSweep, also counting the pairs whose exact
+// gain it took: the floor pair and every pair measured above the floor.
 func (e *Engine) riskSweep(sp *obs.Span, m inference.Method, res *anonymize.Result, bvecs [][]float64) (worst []float64, exact int, err error) {
 	if len(bvecs) == 0 {
 		return nil, 0, nil
@@ -787,9 +791,8 @@ func (e *Engine) riskSweep(sp *obs.Span, m inference.Method, res *anonymize.Resu
 	// Steps 2–4 run in group order; they measure few pairs.
 	worst = make([]float64, nb)
 	for bi := range worst {
-		measure := func(gi, i int) float64 {
-			exact++
-			return e.Measure.Distance(priorsByB[bi][res.Groups[gi].Rows[i]], posts[bi*ng+gi][i])
+		pair := func(gi, i int) (prob.Dist, prob.Dist) {
+			return priorsByB[bi][res.Groups[gi].Rows[i]], posts[bi*ng+gi][i]
 		}
 		top, tg, ti := math.Inf(-1), -1, -1
 		for gi, g := range res.Groups {
@@ -807,7 +810,8 @@ func (e *Engine) riskSweep(sp *obs.Span, m inference.Method, res *anonymize.Resu
 			continue
 		}
 		lo, _ := sc.block(bi, tg)
-		floor := measure(tg, ti)
+		floor := e.Measure.Distance(pair(tg, ti))
+		exact++
 		sc.gains[lo+ti] = floor
 		for gi := range res.Groups {
 			lo, hi := sc.block(bi, gi)
@@ -816,7 +820,10 @@ func (e *Engine) riskSweep(sp *obs.Span, m inference.Method, res *anonymize.Resu
 					continue
 				}
 				if sc.gains[c] > floor {
-					sc.gains[c] = measure(gi, c-lo)
+					prior, post := pair(gi, c-lo)
+					if sc.gains[c] = distance.Bounded(e.Measure, prior, post, floor); sc.gains[c] > floor {
+						exact++
+					}
 				}
 				if sc.gains[c] > worst[bi] {
 					worst[bi] = sc.gains[c]

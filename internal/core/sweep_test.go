@@ -197,6 +197,56 @@ func TestWorstCaseRiskSweepMatchesAttack(t *testing.T) {
 	t.Logf("exact measurements per release and method: %v; %d distinct pairs on the golden (B,t) release", exactAt, pairs)
 }
 
+// TestWorstCaseRiskSweepMatchesAttackGaussian is the risk identity on an
+// engine with the Gaussian ablation kernel, whose smoothing weights
+// fill every column, so the tilted bound is loosest there: on (B,t) and
+// distinct-ℓ releases at n=2000, under Ω, exact and adaptive inference
+// and at workers 1, 2 and 4, WorstCaseRiskSweep equals the attack
+// sweep's WorstRisk bit for bit, or fails with the attack's error, and
+// takes the same number of exact gains at every worker count.
+func TestWorstCaseRiskSweepMatchesAttackGaussian(t *testing.T) {
+	table := adult.Generate(2000, 42)
+	grid := [][]float64{}
+	for _, bp := range []float64{0.05, 0.2, 0.3, 0.5} {
+		grid = append(grid, kernel.UniformBandwidth(table.Schema.D(), bp))
+	}
+	methods := []inference.Method{inference.Omega{}, inference.Exact{}, inference.Adaptive{MaxStates: 4096}}
+	exactAt := map[string]int{}
+	for _, workers := range []int{1, 2, 4} {
+		e, err := New(table, adult.Hierarchies(), kernel.Gaussian{}, nil, WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, model := range []Model{BTPrivacy, DistinctLDiversity} {
+			res, _, err := e.RunAlgorithm("mondrian", model.Key(), Table5()[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range methods {
+				key := model.Key() + " " + m.Name()
+				want, wantErr := e.AttackSweepWith(context.Background(), m, res, grid, 1, nil)
+				got, exact, err := e.riskSweep(nil, m, res, grid)
+				if (err != nil) != (wantErr != nil) || err != nil && err.Error() != wantErr.Error() {
+					t.Fatalf("workers=%d %s: risk error %v, attack error %v", workers, key, err, wantErr)
+				}
+				if err != nil {
+					continue
+				}
+				for i := range grid {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i].WorstRisk) {
+						t.Fatalf("workers=%d %s bandwidth %d: risk %v != attack worst %v", workers, key, i, got[i], want[i].WorstRisk)
+					}
+				}
+				if n, ok := exactAt[key]; ok && n != exact {
+					t.Errorf("workers=%d %s: %d exact measurements, %d at one worker", workers, key, exact, n)
+				}
+				exactAt[key] = exact
+			}
+		}
+	}
+	t.Logf("exact measurements per release and method: %v", exactAt)
+}
+
 // distinctPairs counts the distinct (prior, posterior) pairs an Ω
 // attack measures on model's para1 release over the grid.
 func distinctPairs(t *testing.T, table *dataset.Table, model string, grid [][]float64) int {

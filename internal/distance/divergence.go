@@ -47,12 +47,13 @@ func js(p, q []float64) float64 {
 	return float64(0.5*kp) + float64(0.5*kq)
 }
 
-// boundSlack is added to every computed jsBound, so that it bounds the
-// computed js, not only the exact one: the two sums round differently.
-// The largest excess of computed js over computed U seen was 1.6e-16
-// over 96,000 Ω attack pairs on three n=2000 Adult tables; the slack
-// stays at least 1e6 times the largest excess TestJSBoundSound sees
-// (DESIGN.md "Deciding by bound").
+// boundSlack is added to every computed jsBound and tiltBound, so that
+// each bounds the computed js, not only the exact one: the sums round
+// differently. The largest excess of computed js over computed U seen
+// was 1.6e-16 over 96,000 Ω attack pairs on three n=2000 Adult tables;
+// the slack stays at least 1e6 times the largest excess
+// TestJSBoundSound and TestTiltBoundSound see (DESIGN.md "Deciding by
+// bound").
 const boundSlack = 1e-9
 
 // tinyMass is the component mass below which jsBound gives up: js turns

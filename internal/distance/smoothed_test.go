@@ -18,6 +18,10 @@ func (s *SmoothedJS) Smooth(p prob.Dist) prob.Dist {
 	return out
 }
 
+// TiltBound is tiltBound, for the release checks in package
+// distance_test.
+func (s *SmoothedJS) TiltBound(p, q prob.Dist) float64 { return s.tiltBound(p, q) }
+
 // ReferenceWeights builds NewSmoothedJS's dense row-normalized weight
 // matrix on its own, as the oracle's weights: every row in full, and an
 // identity row where the kernel weights the whole row 0.
@@ -288,6 +292,101 @@ func TestJSBoundSound(t *testing.T) {
 		t.Errorf("bound slack %g is below 1e6 × the largest excess %g", boundSlack, excess)
 	}
 	t.Logf("%d pairs: largest excess of js over the bound without slack %g", pairs, excess)
+}
+
+// tiltMeasures are the measures TestTiltBoundSound checks on an m-value
+// domain: banded weights at wide and narrow bandwidths, the identity
+// rows of a degenerate bandwidth, and the dense Gaussian kernel, whose
+// columns are all full. At bandwidths 0.01 and 0.019 the Gaussian's far
+// weights are subnormal, so those measures have no tilted bound; on 16
+// values at 0.019 a point mass smooths to a component of 2⁻¹⁰⁷⁴, where
+// js is +Inf, even against the same point mass.
+func tiltMeasures(m int) []*SmoothedJS {
+	if m == 1 {
+		return []*SmoothedJS{NewSmoothedJS([][]float64{{0}}, kernel.Epanechnikov{}, 0.3)}
+	}
+	var out []*SmoothedJS
+	for _, k := range []kernel.Func{kernel.Epanechnikov{}, kernel.Gaussian{}} {
+		for _, bw := range []float64{0.01, 0.019, 0.3, 0.75} {
+			out = append(out, NewSmoothedJS(lineMatrix(m), k, bw))
+		}
+		out = append(out, NewSmoothedJS(isolatedMatrix(m), k, 0.3))
+	}
+	return out
+}
+
+// tinyPairs adds to boundPairs' set the masses the tilted bound's
+// guard decides on: components just above and just below tiltTiny,
+// subnormal components beside normal mass, and a pair whose whole mass
+// is tiny.
+func tinyPairs(rng *rand.Rand, m int) [][2]prob.Dist {
+	out := boundPairs(rng, m)
+	for trial := 0; trial < 100; trial++ {
+		p, q := sparseDist(rng, m, 1+rng.Intn(m)), sparseDist(rng, m, 1+rng.Intn(m))
+		for _, d := range []prob.Dist{p, q} {
+			for i := range d {
+				if d[i] != 0 || rng.Intn(2) == 0 {
+					continue
+				}
+				switch rng.Intn(3) {
+				case 0:
+					d[i] = tiltTiny * (1 + 3*rng.Float64())
+				case 1:
+					d[i] = tiltTiny * rng.Float64()
+				default:
+					d[i] = math.SmallestNonzeroFloat64 * float64(1+rng.Intn(1<<20))
+				}
+			}
+		}
+		out = append(out, [2]prob.Dist{p, q})
+		scaled := append(prob.Dist(nil), p...)
+		for i := range scaled {
+			scaled[i] *= 0x1p-300
+		}
+		out = append(out, [2]prob.Dist{scaled, q})
+	}
+	return out
+}
+
+// TestTiltBoundSound checks tiltBound, the bound that decides most
+// (B,t) checks and risk-pass pairs without smoothing, against the
+// computed js of the smoothed pair, on every tinyPairs pair of every
+// tiltMeasures measure on domains from one value to 64: tiltBound ≥ js
+// always, and the rounding slack is at least 1e6 times the largest
+// excess of computed js over the computed bound without it. Each guard
+// is exercised: some measures have no tilted bound, and some pairs get
+// +Inf.
+func TestTiltBoundSound(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	excess := math.Inf(-1)
+	pairs, inf, noTilt := 0, 0, 0
+	for _, m := range []int{1, 2, 3, 14, 16, stackDomain - 1, stackDomain, stackDomain + 1, 64} {
+		for _, s := range tiltMeasures(m) {
+			if s.tilt == nil {
+				noTilt++
+			}
+			for _, pq := range tinyPairs(rng, m) {
+				p, q := pq[0], pq[1]
+				j, tb := s.Distance(p, q), s.tiltBound(p, q)
+				if !(j <= tb) {
+					t.Fatalf("m=%d %s: js %v above the tilted bound %v\np=%v\nq=%v", m, s.Name(), j, tb, p, q)
+				}
+				if math.IsInf(tb, 1) {
+					inf++
+				} else {
+					excess = math.Max(excess, j-(tb-boundSlack))
+				}
+				pairs++
+			}
+		}
+	}
+	if boundSlack < 1e6*excess {
+		t.Errorf("bound slack %g is below 1e6 × the largest excess %g", boundSlack, excess)
+	}
+	if noTilt == 0 || inf == 0 || inf == pairs {
+		t.Errorf("%d measures without a tilted bound, %d of %d pairs guarded: the guards are not exercised", noTilt, inf, pairs)
+	}
+	t.Logf("%d pairs (%d guarded, %d measures without a tilted bound): largest excess of js over the bound without slack %g", pairs, inf, noTilt, excess)
 }
 
 // TestBoundedContract pins distance.Bounded: a result above floor is

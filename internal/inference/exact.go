@@ -87,7 +87,7 @@ func ExactPosteriors(priors []prob.Dist, counts []int) ([]prob.Dist, error) {
 			decode(s, radix, n, digits)
 			for i := 0; i < r; i++ {
 				if digits[i] > 0 && pr[j][i] > 0 {
-					post[vals[i]] += wf * pr[j][i] * nxt[s-radix[i]]
+					post[vals[i]] += float64(wf * pr[j][i] * nxt[s-radix[i]])
 				}
 			}
 		}
@@ -103,7 +103,7 @@ func ExactPosteriors(priors []prob.Dist, counts []int) ([]prob.Dist, error) {
 			decode(s, radix, n, digits)
 			for i := 0; i < r; i++ {
 				if digits[i] < n[i] && pr[j][i] > 0 {
-					cur[s+radix[i]] += w * pr[j][i]
+					cur[s+radix[i]] += float64(w * pr[j][i])
 				}
 			}
 		}
@@ -226,7 +226,7 @@ func (dp *stateDP) forward() [][]float64 {
 			decode(s, radix, n, digits)
 			for i := 0; i < r; i++ {
 				if digits[i] > 0 && pr[j][i] > 0 {
-					nxt[s-radix[i]] += w * pr[j][i]
+					nxt[s-radix[i]] += float64(w * pr[j][i])
 				}
 			}
 		}

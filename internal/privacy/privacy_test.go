@@ -362,3 +362,54 @@ func TestSatisfiedMatchesWorstRisk(t *testing.T) {
 	}
 	t.Logf("%d checks passed, %d failed", passed, failed)
 }
+
+// TestSatisfiedMatchesWorstRiskGaussian is TestSatisfiedMatchesWorstRisk
+// under the Gaussian ablation kernel, for the priors and for the
+// measure's smoothing: its weights fill every column, so the tilted
+// bound is loosest there. Its gains are smaller than Epanechnikov's,
+// so the thresholds reach down to 1e-4.
+func TestSatisfiedMatchesWorstRiskGaussian(t *testing.T) {
+	tab := adult.Generate(400, 7)
+	hiers := adult.Hierarchies()
+	est, err := kernel.NewEstimator(tab, hiers, kernel.Gaussian{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	priors, err := est.Priors(kernel.UniformBandwidth(tab.Schema.D(), 0.3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm, err := kernel.AttributeMatrix(tab.Schema.Sensitive, hiers[tab.Schema.Sensitive.Name])
+	if err != nil {
+		t.Fatal(err)
+	}
+	measure := distance.NewSmoothedJS(sm, kernel.Gaussian{}, 0.51)
+	rng := rand.New(rand.NewSource(37))
+	passed, failed := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		size := 1 + rng.Intn(40)
+		methods := []inference.Method{inference.Omega{}, inference.Adaptive{MaxStates: 4096}}
+		if size <= 8 {
+			methods = append(methods, inference.Exact{})
+		}
+		rows := rng.Perm(tab.N())[:size]
+		for _, m := range methods {
+			for _, tt := range []float64{0, 1e-12, 1e-4, 1e-3, 0.01, 0.05, 1} {
+				bt := BTPrivacy{T: tt, Table: tab, Priors: priors, Measure: measure, Method: m}
+				want := bt.WorstRisk(rows) <= tt
+				if got := bt.Satisfied(rows); got != want {
+					t.Fatalf("trial %d %s T=%g: Satisfied %v, oracle WorstRisk %v", trial, m.Name(), tt, got, bt.WorstRisk(rows))
+				}
+				if want {
+					passed++
+				} else {
+					failed++
+				}
+			}
+		}
+	}
+	if passed == 0 || failed == 0 {
+		t.Errorf("%d checks passed and %d failed; the identity is not discriminating", passed, failed)
+	}
+	t.Logf("%d checks passed, %d failed", passed, failed)
+}
